@@ -1,16 +1,19 @@
 """General direct and inverse spectral problems.
 
 Direct: potentials -> Taylor coefficients of the Weyl function in the Cayley
-variable, through the lower-triangular V_- recursion. Inverse: coefficients ->
-potentials, through inversion of the induced Hermitian block Toeplitz matrices.
-Also houses the structural Lyapunov self-test, Toeplitz positivity, FFT-based
-coefficient extraction for rational Weyl functions, and the two-system
-uniqueness check.
+variable, through the block lower-triangular V_- recursion and block forward
+substitution. Inverse: coefficients -> potentials, through the last block
+columns of the nested Hermitian block Toeplitz inverses S(r)^{-1}, which the
+block Levinson engine of ``linalg`` yields one r at a time. Both recursions
+cost O(N^2 p^3). Also houses the structural Lyapunov self-test, Toeplitz
+positivity, FFT-based coefficient extraction for rational Weyl functions, and
+the two-system uniqueness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .errors import (
     SingularVMinus,
     ToeplitzNotPD,
 )
-from .linalg import SignatureContext, block_toeplitz, min_eig, pd_solve, rank_p_factor
+from .linalg import SignatureContext, block_levinson, block_toeplitz, min_eig, rank_p_factor
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .pseudoexp import BdtParameters, WeylRealization, explicit_weyl
 from .system import PotentialSequence, herglotz_map
@@ -125,49 +128,39 @@ def taylor_from_beta(beta: BetaSequence,
                      policy: NumericPolicy = DEFAULT_POLICY) -> TaylorSequence:
     """Taylor coefficients through the V_- recursion.
 
-    Builds the block lower triangular V_-(N) whose inverse maps the stack of
-    beta(k) onto [Phi_1 Phi_2]; the first block column must come out as a stack
-    of identities (internal consistency assertion) and the second carries the
-    partial sums psi_k of the coefficients.
+    Block row k of the block lower triangular V_-(N) is [X, v_-(k)], where
+    X_c = M_{c-1} - M_c with M = beta(k) J sum_{l<k} beta(l)* V_-[l, :] and
+    M_{-1} the first block of beta(k); the running sum is carried forward, so
+    step k costs O(k p^3). Block forward substitution maps the stack of beta(k)
+    onto [Phi_1 Phi_2] row by row: the first block column must come out as a
+    stack of identities (internal consistency assertion) and the second
+    carries the partial sums psi_k of the coefficients.
     """
     ctx = beta.ctx
     p, J = ctx.p, ctx.J
     N = beta.N
-    b = beta.beta
-    beta1 = [x[:, :p] for x in b]
-    if np.linalg.cond(beta1[0]) > policy.cond_limit:
+    b = np.stack(beta.beta)                      # (N+1, p, 2p)
+    bH = b.conj().transpose(0, 2, 1)
+    if np.linalg.cond(b[0, :, :p]) > policy.cond_limit:
         raise SingularLeadingBlock("first block of beta(0) is numerically singular")
-    V = beta1[0].copy()
-    v_prev = beta1[0]
-    eye = np.eye(p, dtype=complex)
+    T = np.zeros((N + 1, 2 * p, p), dtype=complex)   # block columns of sum_l beta(l)* V_-[l, :]
+    Pi = np.zeros((N + 1, p, 2 * p), dtype=complex)  # block rows of V_-^{-1} [beta(0); ...]
+    v_k = b[0, :, :p]
+    T[0] = bH[0] @ v_k
+    Pi[0] = np.linalg.solve(v_k, b[0])
     for k in range(1, N + 1):
-        v_k = b[k] @ J @ b[k - 1].conj().T @ v_prev
+        M = b[k] @ J @ T[:k]                     # (k, p, p)
+        v_k = M[-1]                              # = beta(k) J beta(k-1)* v_-(k-1)
         if np.linalg.cond(v_k) > policy.cond_limit:
             raise SingularVMinus(f"v_-({k}) is numerically singular")
-        stack = np.hstack([b[l].conj().T for l in range(k)])  # 2p x kp
-        M = b[k] @ J @ stack @ V                              # p x kp
-        if k > 1:
-            core = structured_a(k - 1, p) + 0.5j * np.eye((k - 1) * p)
-            ones_row = np.hstack([eye] * (k - 1))
-            Xt = 1j * (M[:, : (k - 1) * p] - v_k @ ones_row) @ np.linalg.inv(core)
-            X0 = beta1[k] - v_k - Xt @ np.vstack([eye] * (k - 1))
-            X = np.hstack([X0, Xt])
-        else:
-            X = beta1[1] - v_k
-        V = np.block([
-            [V, np.zeros((k * p, p), dtype=complex)],
-            [X, v_k],
-        ])
-        v_prev = v_k
-    B = np.vstack(b)
-    Pi = np.linalg.solve(V, B)
-    phi1 = Pi[:, :p]
-    target = np.vstack([eye] * (N + 1))
-    mismatch = np.linalg.norm(phi1 - target)
+        X = -np.diff(M, axis=0, prepend=b[k, None, :, :p])
+        T[:k] += bH[k] @ X
+        T[k] = bH[k] @ v_k
+        Pi[k] = np.linalg.solve(v_k, b[k] - np.einsum("cab,cbd->ad", X, Pi[:k]))
+    mismatch = np.linalg.norm(Pi[:, :, :p] - np.eye(p))
     if mismatch > policy.tau_identity * (N + 1):
         raise Phi1Mismatch(f"first block column deviates from identity stack by {mismatch:.3e}")
-    psi = [Pi[k * p:(k + 1) * p, p:] for k in range(N + 1)]
-    alpha = [psi[0]] + [psi[k] - psi[k - 1] for k in range(1, N + 1)]
+    alpha = np.diff(Pi[:, :, p:], axis=0, prepend=np.zeros((1, p, p)))
     return TaylorSequence(p=p, alpha=tuple(alpha))
 
 
@@ -185,37 +178,77 @@ def taylor_pi(alpha: TaylorSequence, r: int) -> np.ndarray:
     return np.hstack([np.vstack([eye] * (r + 1)), phi2.reshape((r + 1) * p, p)])
 
 
+def _leading(S: np.ndarray, r: int, p: int) -> np.ndarray:
+    """S(r), the leading (r+1)p x (r+1)p block of an assembled S(N)."""
+    n = (r + 1) * p
+    return S[:n, :n]
+
+
+def _first_not_pd(S: np.ndarray, p: int, policy: NumericPolicy):
+    """First r at which S(r) fails the positivity gate, with its min eigenvalue.
+
+    The gate fails when min_eig(S(r)) <= tau_pd * max(||S(r)||_F, 1). S(r) is a
+    leading principal block of S(r+1), so its smallest eigenvalue does not
+    increase with r (Cauchy interlacing) while the norm does not decrease:
+    once the gate fails it fails for every larger r. One eigenvalue problem on
+    S(N) therefore decides the passing case, and bisection finds the first
+    failure. Returns None when every S(r) passes.
+    """
+    def margin(r):
+        Sr = _leading(S, r, p)
+        lo = min_eig(Sr)
+        return lo, lo <= policy.tau_pd * max(np.linalg.norm(Sr), 1.0)
+
+    N = S.shape[0] // p - 1
+    lo, fails = margin(N)
+    if not fails:
+        return None
+    first, hi = 0, N                  # the gate passes below first and fails at hi
+    while first < hi:
+        mid = (first + hi) // 2
+        lo_mid, fails = margin(mid)
+        if fails:
+            hi, lo = mid, lo_mid
+        else:
+            first = mid + 1
+    return hi, lo
+
+
 def inverse_potentials(alpha: TaylorSequence,
                        policy: NumericPolicy = DEFAULT_POLICY) -> PotentialSequence:
     """Inverse spectral problem: Taylor coefficients to potentials.
 
     For each r the induced block Toeplitz matrix S(r) must be positive
-    definite; the last-block-row compression of Pi(r)* S(r)^{-1} yields the
-    Gram matrix beta(r)* beta(r), and C_r = 2 K* G K - j. The J-normalization
-    of G is asserted at every step.
+    definite; S(N) is assembled once and the gate is decided on it (see
+    ``_first_not_pd``). With B_r the last block column of S(r)^{-1} from the
+    block Levinson engine, the last-block-row compression of Pi(r)* S(r)^{-1}
+    is core = sum_l B_r[l]* [I, psi_l] and P S(r)^{-1} P* = B_r[r]; they yield
+    the Gram matrix beta(r)* beta(r), and C_r = 2 K* G K - j. The
+    J-normalization of G is asserted at every step. The recursion costs
+    O(N^2 p^3); the gate adds one eigenvalue problem on S(N).
     """
     ctx = SignatureContext(p=alpha.p)
     p, J, K, j = alpha.p, ctx.J, ctx.K, ctx.j
+    failure = _first_not_pd(block_toeplitz(alpha.alpha), p, policy)
+    stop = alpha.N + 1 if failure is None else failure[0]
+    psi = np.cumsum(np.stack(alpha.alpha), axis=0)
     C = []
-    for r in range(alpha.N + 1):
-        S = block_toeplitz(alpha.alpha[: r + 1])
-        lo = min_eig(S)
-        if lo <= policy.tau_pd * max(np.linalg.norm(S), 1.0):
-            raise ToeplitzNotPD(
-                f"block Toeplitz matrix S({r}) is not positive definite (min eig {lo:.3e})",
-                failing_index=r)
-        Pi = taylor_pi(alpha, r)
-        Sinv_Pi = pd_solve(S, Pi, policy)
-        last = slice(r * p, (r + 1) * p)
-        core = Sinv_Pi[last, :]                       # P S^{-1} Pi, p x 2p
-        Sinv_P = pd_solve(S, np.vstack([np.zeros((r * p, p)), np.eye(p)]).astype(complex), policy)
-        small = Sinv_P[last, :]                       # P S^{-1} P*, p x p
+    for r, last in enumerate(islice(block_levinson(alpha.alpha), stop)):
+        lastH = last.conj().transpose(0, 2, 1)
+        core = np.hstack([lastH.sum(axis=0),                       # P S^{-1} Pi, p x 2p
+                          np.einsum("lab,lbc->ac", lastH, psi[:r + 1])])
+        small = last[r]                                            # P S^{-1} P*, p x p
         G = core.conj().T @ np.linalg.solve(small, core)
         jn = np.linalg.norm(core @ J @ core.conj().T - small)
         if jn > policy.tau_identity * max(np.linalg.norm(small), 1e-300):
             raise InvariantViolated(f"J-normalization residual {jn:.3e} at r={r}")
         Cr = 2 * K.conj().T @ G @ K - j
         C.append((Cr + Cr.conj().T) / 2)
+    if failure is not None:
+        r, lo = failure
+        raise ToeplitzNotPD(
+            f"block Toeplitz matrix S({r}) is not positive definite (min eig {lo:.3e})",
+            failing_index=r)
     return PotentialSequence(ctx=ctx, C=tuple(C))
 
 
@@ -237,7 +270,8 @@ def lyapunov_residual(alpha: TaylorSequence) -> float:
 
 def toeplitz_positivity(alpha: TaylorSequence) -> list[float]:
     """Minimum eigenvalue of each nested block Toeplitz matrix S(0)..S(N)."""
-    return [min_eig(block_toeplitz(alpha.alpha[: r + 1])) for r in range(alpha.N + 1)]
+    S = block_toeplitz(alpha.alpha)
+    return [min_eig(_leading(S, r, alpha.p)) for r in range(alpha.N + 1)]
 
 
 def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512,

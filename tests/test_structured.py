@@ -1,0 +1,113 @@
+"""The structured O(N^2 p^3) spectral solvers against the dense references in
+conftest, and a guard on how much dense work they do."""
+
+import numpy as np
+import pytest
+
+import diracszego as dz
+from diracszego import inverse, linalg
+from diracszego.errors import ToeplitzNotPD
+from conftest import (
+    dense_block_toeplitz,
+    dense_first_not_pd,
+    dense_inverse_potentials,
+    dense_taylor_from_beta,
+)
+
+
+def random_taylor(rng, p, N, scale=0.1):
+    return dz.direct_taylor(dz.szego_to_dirac(dz.random_szego_sequence(rng, p, N, scale)))
+
+
+def max_rel_dev(got, ref):
+    return max(float(np.linalg.norm(a - b) / np.linalg.norm(b)) for a, b in zip(got, ref))
+
+
+class TestBlockToeplitz:
+    @pytest.mark.parametrize("p, n", [(1, 1), (1, 6), (2, 1), (2, 5), (3, 4)])
+    def test_bit_identical_to_blockwise_assembly(self, rng, p, n):
+        alpha = [rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+                 for _ in range(n)]
+        assert np.array_equal(dz.block_toeplitz(alpha), dense_block_toeplitz(alpha))
+
+
+class TestLevinsonEngine:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_yields_last_block_column_of_each_inverse(self, rng, p):
+        alpha = random_taylor(rng, p, 8).alpha
+        for r, last in enumerate(linalg.block_levinson(alpha)):
+            S = dense_block_toeplitz(alpha[: r + 1])
+            expect = np.linalg.inv(S)[:, r * p:].reshape(r + 1, p, p)
+            assert last.shape == (r + 1, p, p)
+            assert np.linalg.norm(last - expect) < 1e-10 * np.linalg.norm(expect)
+        assert r == len(alpha) - 1
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("N", [0, 1, 2, 40])
+    def test_inverse_matches_dense_cholesky(self, rng, p, N):
+        alpha = random_taylor(rng, p, N)
+        got = dz.inverse_potentials(alpha)
+        assert max_rel_dev(got.C, dense_inverse_potentials(alpha)) < 1e-10
+
+    def test_direct_matches_dense_v_minus(self, rng):
+        sys_in = dz.szego_to_dirac(dz.random_szego_sequence(rng, 2, 30))
+        got = dz.direct_taylor(sys_in)
+        ref = dense_taylor_from_beta(dz.beta_from_potentials(sys_in))
+        assert max_rel_dev(got.alpha, ref) < 1e-10
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("k, factor", [(0, -25), (2, 25), (7, 25), (13, 25), (18, 25)])
+    def test_failing_index_matches_dense_scan(self, rng, p, k, factor):
+        alpha = list(random_taylor(rng, p, 20).alpha)
+        alpha[k] = factor * alpha[k]
+        broken = dz.TaylorSequence(p=p, alpha=tuple(alpha))
+        first = dense_first_not_pd(broken)
+        assert first is not None
+        with pytest.raises(ToeplitzNotPD) as info:
+            dz.inverse_potentials(broken)
+        assert info.value.failing_index == first
+
+    def test_positivity_profile_unchanged(self, rng):
+        alpha = random_taylor(rng, 2, 12)
+        ref = [linalg.min_eig(dense_block_toeplitz(alpha.alpha[: r + 1]))
+               for r in range(alpha.N + 1)]
+        assert dz.toeplitz_positivity(alpha) == ref
+
+
+class TestComplexityGuard:
+    """Counts calls into the dense primitives, so that a return to per-step
+    dense work shows without timing anything."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"block_toeplitz": 0, "min_eig": 0, "pd_solve": 0, "structured_a": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("block_toeplitz", "min_eig"):
+            monkeypatch.setattr(inverse, name, counted(name, getattr(inverse, name)))
+        pd_solve = counted("pd_solve", linalg.pd_solve)
+        monkeypatch.setattr(linalg, "pd_solve", pd_solve)
+        monkeypatch.setattr(inverse, "pd_solve", pd_solve, raising=False)
+        monkeypatch.setattr(inverse, "structured_a",
+                            counted("structured_a", inverse.structured_a))
+        return calls
+
+    def test_inverse_assembles_once_and_solves_without_cholesky(self, rng, counts):
+        alpha = random_taylor(rng, 2, 40)
+        counts.update(dict.fromkeys(counts, 0))
+        dz.inverse_potentials(alpha)
+        assert counts["block_toeplitz"] <= 1
+        assert counts["pd_solve"] == 0
+        assert counts["min_eig"] == 1
+
+    def test_direct_does_not_build_structured_a(self, rng, counts):
+        sys_in = dz.szego_to_dirac(dz.random_szego_sequence(rng, 2, 40, 0.1))
+        dz.direct_taylor(sys_in)
+        assert counts["structured_a"] == 0
