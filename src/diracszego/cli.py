@@ -26,7 +26,6 @@ from .errors import (
     ToeplitzNotPD,
 )
 from .inverse import direct_taylor, inverse_potentials, toeplitz_positivity
-from .policy import DEFAULT_POLICY
 from .pseudoexp import example41_params, explicit_weyl, generate
 from .system import herglotz_map, propagate, summation_residual, validate
 from .szego import dirac_to_szego, schur_coeffs, schur_to_R, szego_to_dirac, SchurCoefficients
@@ -48,7 +47,6 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_complex_list(text: str) -> list[complex]:
-    # split on commas that are not inside a RE,IM pair: accept python literals only
     return [_parse_complex(part) for part in text.split(",") if part.strip()]
 
 

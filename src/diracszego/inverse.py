@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AnalyticityViolation,
+    DiracSzegoError,
     InvariantViolated,
     Phi1Mismatch,
     RankMismatch,
@@ -27,7 +28,7 @@ from .errors import (
     ToeplitzNotPD,
 )
 from .linalg import SignatureContext, block_levinson, block_toeplitz, min_eig, rank_p_factor
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .pseudoexp import BdtParameters, WeylRealization, explicit_weyl
 from .system import PotentialSequence, herglotz_map
 from .szego import cayley_lambda_of_z
@@ -50,10 +51,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TaylorSequence:
-    """Blocks alpha_0..alpha_N of the Weyl function in the Cayley variable."""
+    """Blocks alpha_0..alpha_N of the Weyl function in the Cayley variable;
+    ``rational_taylor`` also records its truncation error estimate."""
 
     p: int
     alpha: tuple = field(repr=False)
+    truncation_estimate: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         alpha = tuple(np.atleast_2d(np.asarray(a, dtype=complex)) for a in self.alpha)
@@ -90,17 +93,10 @@ class BetaSequence:
 def structured_a(num_blocks: int, p: int) -> np.ndarray:
     """Block lower triangular Toeplitz matrix with (i/2) I_p on the diagonal
     and i I_p strictly below."""
-    n = num_blocks * p
-    A = np.zeros((n, n), dtype=complex)
-    for b in range(num_blocks):
-        A[b * p:(b + 1) * p, b * p:(b + 1) * p] = 0.5j * np.eye(p)
-        for c in range(b):
-            A[b * p:(b + 1) * p, c * p:(c + 1) * p] = 1j * np.eye(p)
-    return A
+    return np.kron(0.5j * np.eye(num_blocks) + 1j * np.tri(num_blocks, k=-1), np.eye(p))
 
 
-def beta_from_potentials(sys: PotentialSequence,
-                         policy: NumericPolicy = DEFAULT_POLICY) -> BetaSequence:
+def beta_from_potentials(sys: PotentialSequence) -> BetaSequence:
     """Factor each coefficient as C_k = 2 K* beta(k)* beta(k) K - j.
 
     beta(k) is the canonical rank-p factor of (C_k + j)/2 rotated by K*; the
@@ -112,20 +108,19 @@ def beta_from_potentials(sys: PotentialSequence,
     for k, C in enumerate(sys.C):
         G = (C + ctx.j) / 2
         try:
-            bhat = rank_p_factor(G, ctx.p, policy)
+            bhat = rank_p_factor(G, ctx.p)
         except RankMismatch as exc:
             raise RankMismatch(f"C_{k} is not a valid potential: {exc}") from exc
         b = bhat @ ctx.K.conj().T
         resid = np.linalg.norm(b @ ctx.J @ b.conj().T - np.eye(ctx.p))
-        if resid > policy.tau_identity:
+        if resid > DEFAULT_POLICY.tau_identity:
             raise InvariantViolated(
                 f"beta({k}) J-normalization residual {resid:.3e}: invalid potential")
         betas.append(b)
     return BetaSequence(ctx=ctx, beta=tuple(betas))
 
 
-def taylor_from_beta(beta: BetaSequence,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> TaylorSequence:
+def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     """Taylor coefficients through the V_- recursion.
 
     Block row k of the block lower triangular V_-(N) is [X, v_-(k)], where
@@ -141,7 +136,7 @@ def taylor_from_beta(beta: BetaSequence,
     N = beta.N
     b = np.stack(beta.beta)                      # (N+1, p, 2p)
     bH = b.conj().transpose(0, 2, 1)
-    if np.linalg.cond(b[0, :, :p]) > policy.cond_limit:
+    if np.linalg.cond(b[0, :, :p]) > DEFAULT_POLICY.cond_limit:
         raise SingularLeadingBlock("first block of beta(0) is numerically singular")
     T = np.zeros((N + 1, 2 * p, p), dtype=complex)   # block columns of sum_l beta(l)* V_-[l, :]
     Pi = np.zeros((N + 1, p, 2 * p), dtype=complex)  # block rows of V_-^{-1} [beta(0); ...]
@@ -151,23 +146,22 @@ def taylor_from_beta(beta: BetaSequence,
     for k in range(1, N + 1):
         M = b[k] @ J @ T[:k]                     # (k, p, p)
         v_k = M[-1]                              # = beta(k) J beta(k-1)* v_-(k-1)
-        if np.linalg.cond(v_k) > policy.cond_limit:
+        if np.linalg.cond(v_k) > DEFAULT_POLICY.cond_limit:
             raise SingularVMinus(f"v_-({k}) is numerically singular")
         X = -np.diff(M, axis=0, prepend=b[k, None, :, :p])
         T[:k] += bH[k] @ X
         T[k] = bH[k] @ v_k
         Pi[k] = np.linalg.solve(v_k, b[k] - np.einsum("cab,cbd->ad", X, Pi[:k]))
     mismatch = np.linalg.norm(Pi[:, :, :p] - np.eye(p))
-    if mismatch > policy.tau_identity * (N + 1):
+    if mismatch > DEFAULT_POLICY.tau_identity * (N + 1):
         raise Phi1Mismatch(f"first block column deviates from identity stack by {mismatch:.3e}")
     alpha = np.diff(Pi[:, :, p:], axis=0, prepend=np.zeros((1, p, p)))
     return TaylorSequence(p=p, alpha=tuple(alpha))
 
 
-def direct_taylor(sys: PotentialSequence,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> TaylorSequence:
+def direct_taylor(sys: PotentialSequence) -> TaylorSequence:
     """Direct spectral problem: potentials to Weyl Taylor coefficients."""
-    return taylor_from_beta(beta_from_potentials(sys, policy), policy)
+    return taylor_from_beta(beta_from_potentials(sys))
 
 
 def taylor_pi(alpha: TaylorSequence, r: int) -> np.ndarray:
@@ -184,7 +178,7 @@ def _leading(S: np.ndarray, r: int, p: int) -> np.ndarray:
     return S[:n, :n]
 
 
-def _first_not_pd(S: np.ndarray, p: int, policy: NumericPolicy):
+def _first_not_pd(S: np.ndarray, p: int):
     """First r at which S(r) fails the positivity gate, with its min eigenvalue.
 
     The gate fails when min_eig(S(r)) <= tau_pd * max(||S(r)||_F, 1). S(r) is a
@@ -197,7 +191,7 @@ def _first_not_pd(S: np.ndarray, p: int, policy: NumericPolicy):
     def margin(r):
         Sr = _leading(S, r, p)
         lo = min_eig(Sr)
-        return lo, lo <= policy.tau_pd * max(np.linalg.norm(Sr), 1.0)
+        return lo, lo <= DEFAULT_POLICY.tau_pd * max(np.linalg.norm(Sr), 1.0)
 
     N = S.shape[0] // p - 1
     lo, fails = margin(N)
@@ -214,8 +208,7 @@ def _first_not_pd(S: np.ndarray, p: int, policy: NumericPolicy):
     return hi, lo
 
 
-def inverse_potentials(alpha: TaylorSequence,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> PotentialSequence:
+def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     """Inverse spectral problem: Taylor coefficients to potentials.
 
     For each r the induced block Toeplitz matrix S(r) must be positive
@@ -229,7 +222,7 @@ def inverse_potentials(alpha: TaylorSequence,
     """
     ctx = SignatureContext(p=alpha.p)
     p, J, K, j = alpha.p, ctx.J, ctx.K, ctx.j
-    failure = _first_not_pd(block_toeplitz(alpha.alpha), p, policy)
+    failure = _first_not_pd(block_toeplitz(alpha.alpha), p)
     stop = alpha.N + 1 if failure is None else failure[0]
     psi = np.cumsum(np.stack(alpha.alpha), axis=0)
     C = []
@@ -240,7 +233,7 @@ def inverse_potentials(alpha: TaylorSequence,
         small = last[r]                                            # P S^{-1} P*, p x p
         G = core.conj().T @ np.linalg.solve(small, core)
         jn = np.linalg.norm(core @ J @ core.conj().T - small)
-        if jn > policy.tau_identity * max(np.linalg.norm(small), 1e-300):
+        if jn > DEFAULT_POLICY.tau_identity * max(np.linalg.norm(small), 1e-300):
             raise InvariantViolated(f"J-normalization residual {jn:.3e} at r={r}")
         Cr = 2 * K.conj().T @ G @ K - j
         C.append((Cr + Cr.conj().T) / 2)
@@ -274,8 +267,7 @@ def toeplitz_positivity(alpha: TaylorSequence) -> list[float]:
     return [min_eig(_leading(S, r, alpha.p)) for r in range(alpha.N + 1)]
 
 
-def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> TaylorSequence:
+def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512) -> TaylorSequence:
     """Taylor coefficients of a rational Weyl function by circle sampling.
 
     ``source`` is either parameter matrices or a realization; its
@@ -286,7 +278,7 @@ def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512,
     """
     if isinstance(source, BdtParameters):
         p = source.ctx.p
-        phi_i = lambda lam: explicit_weyl(source, lam, policy)
+        phi_i = lambda lam: explicit_weyl(source, lam)
     elif isinstance(source, WeylRealization):
         p = source.ctx.p
         phi_i = source.value
@@ -297,8 +289,8 @@ def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512,
         z = radius * np.exp(2j * np.pi * mth / samples)
         lam = cayley_lambda_of_z(z)
         try:
-            f = 1j * herglotz_map(phi_i(lam), policy)
-        except Exception as exc:
+            f = 1j * herglotz_map(phi_i(lam))
+        except (DiracSzegoError, np.linalg.LinAlgError) as exc:
             raise AnalyticityViolation(
                 f"Weyl function could not be evaluated at sample z={z}: {exc}") from exc
         if not np.all(np.isfinite(f)):
@@ -307,14 +299,11 @@ def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512,
     spectrum = np.fft.fft(vals, axis=0) / samples  # coefficient k at index k
     alpha = [spectrum[k] / radius**k for k in range(N + 1)]
     tail = np.linalg.norm(spectrum[N + 1] / radius ** (N + 1)) * radius
-    out = TaylorSequence(p=p, alpha=tuple(alpha))
-    object.__setattr__(out, "truncation_estimate", float(tail))
-    return out
+    return TaylorSequence(p=p, alpha=tuple(alpha), truncation_estimate=float(tail))
 
 
 def borg_marchenko_check(sysA: PotentialSequence, sysB: PotentialSequence, N: int,
-                         coeff_tol: float = 1e-8,
-                         policy: NumericPolicy = DEFAULT_POLICY):
+                         coeff_tol: float = 1e-8):
     """Uniqueness check: coefficient agreement to order N forces potential
     agreement up to index N.
 
@@ -325,8 +314,8 @@ def borg_marchenko_check(sysA: PotentialSequence, sysB: PotentialSequence, N: in
     """
     if N > min(sysA.N, sysB.N):
         raise ValueError("N exceeds one of the sequence lengths")
-    ta = direct_taylor(PotentialSequence(ctx=sysA.ctx, C=sysA.C[: N + 1]), policy)
-    tb = direct_taylor(PotentialSequence(ctx=sysB.ctx, C=sysB.C[: N + 1]), policy)
+    ta = direct_taylor(PotentialSequence(ctx=sysA.ctx, C=sysA.C[: N + 1]))
+    tb = direct_taylor(PotentialSequence(ctx=sysB.ctx, C=sysB.C[: N + 1]))
     first_mismatch = None
     for k in range(N + 1):
         if np.linalg.norm(ta.alpha[k] - tb.alpha[k]) > coeff_tol:

@@ -15,13 +15,13 @@ import numpy as np
 from .errors import DocumentError
 from .inverse import TaylorSequence
 from .linalg import SignatureContext
-from .pseudoexp import BdtParameters, WeylRealization
+from .pseudoexp import BdtParameters
 from .system import PotentialSequence, ValidationReport
 from .szego import SzegoSequence
 
 FORMAT_VERSION = "1"
 
-KINDS = ("potentials", "bdt-params", "taylor", "szego", "realization", "report")
+KINDS = ("potentials", "bdt-params", "taylor", "szego", "report")
 
 
 def matrix_to_json(M: np.ndarray) -> list:
@@ -126,27 +126,6 @@ def szego_from_doc(doc: dict) -> SzegoSequence:
     theta = [complex_from_json(t, f"payload.theta[{k}]")
              for k, t in enumerate(_payload_list(doc, "theta"))]
     return SzegoSequence(ctx=SignatureContext(p=p), R=tuple(R), theta=tuple(theta))
-
-
-def realization_to_doc(rz: WeylRealization) -> dict:
-    payload = {
-        "theta": matrix_to_json(rz.theta),
-        "PhiT": matrix_to_json(rz.PhiT),
-        "PsiT": matrix_to_json(rz.PsiT),
-    }
-    return _envelope("realization", payload, p=rz.ctx.p, n=rz.n)
-
-
-def realization_from_doc(doc: dict) -> WeylRealization:
-    _expect_kind(doc, "realization")
-    p = _dim(doc, "p")
-    payload = doc.get("payload", {})
-    mats = {}
-    for name in ("theta", "PhiT", "PsiT"):
-        if name not in payload:
-            raise DocumentError(f"payload.{name}: missing")
-        mats[name] = matrix_from_json(payload[name], f"payload.{name}")
-    return WeylRealization(ctx=SignatureContext(p=p), **mats)
 
 
 def report_payload(report: ValidationReport) -> dict:

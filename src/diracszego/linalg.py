@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotHermitian, NotPositiveDefinite, RankMismatch
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 
 __all__ = [
     "SignatureContext",
@@ -70,7 +70,7 @@ class SignatureContext:
         return 2 * self.p
 
 
-def hermitian_sqrt(M: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def hermitian_sqrt(M: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian positive-definite matrix.
 
     Returns the unique Hermitian PD ``R`` with ``R @ R == M``, computed from
@@ -78,16 +78,16 @@ def hermitian_sqrt(M: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.
     """
     M = np.asarray(M, dtype=complex)
     scale = max(np.linalg.norm(M), 1.0)
-    if herm_residual(M) > policy.tau_herm * scale:
+    if herm_residual(M) > DEFAULT_POLICY.tau_herm * scale:
         raise NotHermitian(f"asymmetry {herm_residual(M):.3e} exceeds tolerance")
     w, V = np.linalg.eigh((M + M.conj().T) / 2)
-    if w[0] <= policy.tau_pd * scale:
+    if w[0] <= DEFAULT_POLICY.tau_pd * scale:
         raise NotPositiveDefinite(f"min eigenvalue {w[0]:.3e} not positive")
     R = (V * np.sqrt(w)) @ V.conj().T
     return (R + R.conj().T) / 2
 
 
-def rank_p_factor(G: np.ndarray, p: int, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def rank_p_factor(G: np.ndarray, p: int) -> np.ndarray:
     """Rank-``p`` factor of a PSD 2p x 2p matrix: returns beta with beta* beta = G.
 
     The factor is built from the top-``p`` eigenpairs as Lambda^{1/2} V*. To make
@@ -99,13 +99,13 @@ def rank_p_factor(G: np.ndarray, p: int, policy: NumericPolicy = DEFAULT_POLICY)
     if m != 2 * p:
         raise ValueError(f"expected a {2 * p} x {2 * p} matrix, got {G.shape}")
     scale = max(np.linalg.norm(G), 1.0)
-    if herm_residual(G) > policy.tau_herm * scale:
+    if herm_residual(G) > DEFAULT_POLICY.tau_herm * scale:
         raise NotPositiveDefinite("matrix is not Hermitian")
     w, V = np.linalg.eigh((G + G.conj().T) / 2)
-    if w[0] < -policy.tau_pd * scale:
+    if w[0] < -DEFAULT_POLICY.tau_pd * scale:
         raise NotPositiveDefinite(f"min eigenvalue {w[0]:.3e} is negative")
     w, V = w[::-1], V[:, ::-1]  # descending
-    cut = policy.tau_rank * max(w[0], 1e-300)
+    cut = DEFAULT_POLICY.tau_rank * max(w[0], 1e-300)
     if w[p - 1] <= cut or (m > p and w[p] >= cut):
         raise RankMismatch(
             f"numerical rank is not {p}: eigenvalues {w[p - 1]:.3e}, {w[p]:.3e} vs cut {cut:.3e}"
@@ -133,15 +133,13 @@ def block_toeplitz(alpha: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return s[offset].transpose(0, 2, 1, 3).reshape(n * p, n * p)
 
 
-def pd_solve(S: np.ndarray, B: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def pd_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve S X = B for Hermitian positive-definite ``S`` via Cholesky."""
     S = np.asarray(S, dtype=complex)
     B = np.asarray(B, dtype=complex)
     try:
         c, low = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky breakdown: {exc}") from exc
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is the same class
         raise NotPositiveDefinite(f"Cholesky breakdown: {exc}") from exc
     return scipy.linalg.cho_solve((c, low), B, check_finite=False)
 

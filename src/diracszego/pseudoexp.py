@@ -22,7 +22,7 @@ from .errors import (
     SingularW0,
 )
 from .linalg import SignatureContext, herm_residual, hermitian_sqrt, min_eig, pd_solve
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .system import PotentialSequence
 
 __all__ = [
@@ -99,18 +99,16 @@ class BdtState:
     S: np.ndarray
 
 
-def _s_solve(S: np.ndarray, B: np.ndarray, pd_path: bool,
-             policy: NumericPolicy) -> np.ndarray:
+def _s_solve(S: np.ndarray, B: np.ndarray, pd_path: bool) -> np.ndarray:
     """Apply S^{-1}: Cholesky when S > 0, LU with condition monitoring else."""
     if pd_path:
-        return pd_solve(S, B, policy)
-    if np.linalg.cond(S) > policy.cond_limit:
+        return pd_solve(S, B)
+    if np.linalg.cond(S) > DEFAULT_POLICY.cond_limit:
         raise SingularS("S_k is numerically singular")
     return np.linalg.solve(S, B)
 
 
-def _states(params: BdtParameters, count: int,
-            policy: NumericPolicy = DEFAULT_POLICY) -> list[BdtState]:
+def _states(params: BdtParameters, count: int) -> list[BdtState]:
     """Run the recursion, returning states for k = 0..count-1 and re-verifying
     the step identity A S_k - S_k A* = i Pi_k j Pi_k* at every step."""
     A, j = params.A, params.ctx.j
@@ -132,18 +130,17 @@ def _states(params: BdtParameters, count: int,
     return out
 
 
-def generate(params: BdtParameters, N: int,
-             policy: NumericPolicy = DEFAULT_POLICY):
+def generate(params: BdtParameters, N: int):
     """Pseudo-exponential potentials C_0..C_N with their recursion states.
 
     C_k = I + Pi_k* S_k^{-1} Pi_k - Pi_{k+1}* S_{k+1}^{-1} Pi_{k+1}. With
     S0 > 0 every S_k and C_k is positive definite and the output passes
     ``system.validate``.
     """
-    states = _states(params, N + 2, policy)
+    states = _states(params, N + 2)
     pd_path = params.s0_positive
     m = params.ctx.m
-    terms = [st.Pi.conj().T @ _s_solve(st.S, st.Pi, pd_path, policy) for st in states]
+    terms = [st.Pi.conj().T @ _s_solve(st.S, st.Pi, pd_path) for st in states]
     C = []
     for k in range(N + 1):
         Ck = np.eye(m, dtype=complex) + terms[k] - terms[k + 1]
@@ -151,9 +148,9 @@ def generate(params: BdtParameters, N: int,
     return PotentialSequence(ctx=params.ctx, C=tuple(C)), states
 
 
-def normalize(params: BdtParameters, policy: NumericPolicy = DEFAULT_POLICY) -> BdtParameters:
+def normalize(params: BdtParameters) -> BdtParameters:
     """Equivalent parameters with S0 = I: (S0^{-1/2} A S0^{1/2}, I, S0^{-1/2} Pi0)."""
-    root = hermitian_sqrt(params.S0, policy)
+    root = hermitian_sqrt(params.S0)
     root_inv = np.linalg.inv(root)
     return BdtParameters(
         ctx=params.ctx,
@@ -163,21 +160,20 @@ def normalize(params: BdtParameters, policy: NumericPolicy = DEFAULT_POLICY) -> 
     )
 
 
-def transfer(params: BdtParameters, state: BdtState, lam: complex,
-             policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def transfer(params: BdtParameters, state: BdtState, lam: complex) -> np.ndarray:
     """Transfer matrix function w_A(k, lambda) = I - i j Pi_k* S_k^{-1} (A - lambda I)^{-1} Pi_k."""
     A = params.A
     n = params.n
     res = A - lam * np.eye(n, dtype=complex)
-    if np.linalg.cond(res) > policy.cond_limit:
+    if np.linalg.cond(res) > DEFAULT_POLICY.cond_limit:
         raise ResolventSingular(f"lambda={lam} is too close to the spectrum of A")
     X = np.linalg.solve(res, state.Pi)
-    Y = _s_solve(state.S, X, params.s0_positive, policy)
+    Y = _s_solve(state.S, X, params.s0_positive)
     return np.eye(params.ctx.m, dtype=complex) - 1j * params.ctx.j @ state.Pi.conj().T @ Y
 
 
 def explicit_fundamental(params: BdtParameters, k: int, lam: complex,
-                         states=None, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+                         states=None) -> np.ndarray:
     """Closed-form fundamental solution
     W_k(lambda) = w_A(k, lambda) (I - (i/lambda) j)^k w_A(0, lambda)^{-1}."""
     if lam == 0:
@@ -185,11 +181,11 @@ def explicit_fundamental(params: BdtParameters, k: int, lam: complex,
     if k < 1:
         raise ValueError("explicit representation starts at k = 1")
     if states is None:
-        states = _states(params, k + 1, policy)
+        states = _states(params, k + 1)
     p = params.ctx.p
-    w_k = transfer(params, states[k], lam, policy)
-    w_0 = transfer(params, states[0], lam, policy)
-    if np.linalg.cond(w_0) > policy.cond_limit:
+    w_k = transfer(params, states[k], lam)
+    w_0 = transfer(params, states[0], lam)
+    if np.linalg.cond(w_0) > DEFAULT_POLICY.cond_limit:
         raise SingularW0("w_A(0, lambda) is numerically singular")
     mid = np.diag(np.concatenate([
         np.full(p, (1 - 1j / lam) ** k),
@@ -198,8 +194,7 @@ def explicit_fundamental(params: BdtParameters, k: int, lam: complex,
     return w_k @ mid @ np.linalg.inv(w_0)
 
 
-def explicit_weyl(params: BdtParameters, lam: complex,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def explicit_weyl(params: BdtParameters, lam: complex) -> np.ndarray:
     """Identity-convention Weyl function of the generated system:
 
         phi_I(lambda) = -i Phi* S0^{-1} (A_x - lambda I)^{-1} Psi,
@@ -213,13 +208,13 @@ def explicit_weyl(params: BdtParameters, lam: complex,
     S0_inv = np.linalg.inv(params.S0)
     Across = params.A + 1j * params.Psi @ params.Psi.conj().T @ S0_inv
     res = Across - lam * np.eye(n, dtype=complex)
-    if np.linalg.cond(res) > policy.cond_limit:
+    if np.linalg.cond(res) > DEFAULT_POLICY.cond_limit:
         raise ResolventSingular(f"lambda={lam} is a pole of the Weyl function")
     return -1j * params.Phi.conj().T @ S0_inv @ np.linalg.solve(res, params.Psi)
 
 
 def explicit_partial_sum(params: BdtParameters, lam: complex, r: int,
-                         states=None, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+                         states=None) -> np.ndarray:
     """Partial Weyl sum of the generated system with its own Weyl function,
     evaluated through the transfer matrix instead of step-by-step propagation.
 
@@ -245,15 +240,15 @@ def explicit_partial_sum(params: BdtParameters, lam: complex, r: int,
     if not params.s0_positive:
         raise NotPositiveDefinite("the Weyl function requires S0 > 0")
     if states is None:
-        states = _states(params, r + 2, policy)
+        states = _states(params, r + 2)
     p = params.ctx.p
     j = params.ctx.j
-    phi = explicit_weyl(params, lam, policy)
-    w0 = transfer(params, states[0], lam, policy)
+    phi = explicit_weyl(params, lam)
+    w0 = transfer(params, states[0], lam)
     d = w0[p:, p:]
-    if np.linalg.cond(d) > policy.cond_limit:
+    if np.linalg.cond(d) > DEFAULT_POLICY.cond_limit:
         raise SingularW0("the lower-right block of w_A(0, lambda) is numerically singular")
-    w_next = transfer(params, states[r + 1], lam, policy)
+    w_next = transfer(params, states[r + 1], lam)
     col = np.linalg.solve(d, np.eye(p, dtype=complex))
     v = w_next[:, p:] @ col
     rho = abs(lam + 1j) ** 2 / (abs(lam) ** 2 + 1)
@@ -337,10 +332,7 @@ def example41(a: float, Phi: complex, Psi: complex, k: int):
     ``phi`` evaluates the identity-convention Weyl function
     i conj(Phi) Psi / (lambda - a - i |Psi|^2).
     """
-    if a == 0 or a != np.real(a):
-        raise ValueError("a must be real and nonzero")
-    if abs(abs(Phi) - abs(Psi)) > 1e-12 * max(abs(Phi), 1.0):
-        raise ModulusMismatch("|Phi| must equal |Psi|")
+    example41_params(a, Phi, Psi)  # rejects the same arguments
     zeta = 2 * abs(Phi) ** 2 / (a ** 2 + 1)
     diag = 1 + zeta * abs(Phi) ** 2 / ((k * zeta + 1) * ((k + 1) * zeta + 1))
     ratio = (a + 1j) / (a - 1j)

@@ -19,7 +19,7 @@ from .errors import (
     SingularShift,
 )
 from .linalg import SignatureContext, herm_residual, min_eig
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 
 __all__ = [
     "PotentialSequence",
@@ -97,37 +97,30 @@ class StepReport:
 @dataclass(frozen=True)
 class ValidationReport:
     steps: tuple
-    tau_herm: float
-    tau_pd: float
 
     @property
     def passed(self) -> bool:
-        return all(
-            s.herm_residual <= self.tau_herm
-            and s.junitary_residual <= self.tau_herm
-            and s.min_eig > 0
-            and s.min_eig_plus_j > -self.tau_pd
-            and s.min_eig_minus_j > -self.tau_pd
-            for s in self.steps
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
+        """One line per failed check. Each check is written in its passing
+        form, so a NaN residual or eigenvalue fails it."""
+        tau_herm, tau_pd = DEFAULT_POLICY.tau_herm, DEFAULT_POLICY.tau_pd
         out = []
         for s in self.steps:
-            if s.herm_residual > self.tau_herm:
-                out.append(f"C_{s.k}: Hermitian residual {s.herm_residual:.3e}")
-            if s.junitary_residual > self.tau_herm:
-                out.append(f"C_{s.k}: C j C - j residual {s.junitary_residual:.3e}")
-            if s.min_eig <= 0:
-                out.append(f"C_{s.k}: min eigenvalue {s.min_eig:.3e} not positive")
-            if s.min_eig_plus_j <= -self.tau_pd:
-                out.append(f"C_{s.k}: C + j has eigenvalue {s.min_eig_plus_j:.3e}")
-            if s.min_eig_minus_j <= -self.tau_pd:
-                out.append(f"C_{s.k}: C - j has eigenvalue {s.min_eig_minus_j:.3e}")
+            checks = (
+                (s.herm_residual <= tau_herm, f"Hermitian residual {s.herm_residual:.3e}"),
+                (s.junitary_residual <= tau_herm,
+                 f"C j C - j residual {s.junitary_residual:.3e}"),
+                (s.min_eig > 0, f"min eigenvalue {s.min_eig:.3e} not positive"),
+                (s.min_eig_plus_j > -tau_pd, f"C + j has eigenvalue {s.min_eig_plus_j:.3e}"),
+                (s.min_eig_minus_j > -tau_pd, f"C - j has eigenvalue {s.min_eig_minus_j:.3e}"),
+            )
+            out.extend(f"C_{s.k}: {line}" for ok, line in checks if not ok)
         return out
 
 
-def validate(sys: PotentialSequence, policy: NumericPolicy = DEFAULT_POLICY) -> ValidationReport:
+def validate(sys: PotentialSequence) -> ValidationReport:
     """Per-step residual report for the structure relations C = C*, C j C = j,
     C > 0 and C +- j >= 0. Never raises; callers decide pass/fail."""
     j = sys.ctx.j
@@ -142,21 +135,27 @@ def validate(sys: PotentialSequence, policy: NumericPolicy = DEFAULT_POLICY) -> 
             min_eig_plus_j=min_eig(C + j),
             min_eig_minus_j=min_eig(C - j),
         ))
-    return ValidationReport(steps=tuple(steps), tau_herm=policy.tau_herm, tau_pd=policy.tau_pd)
+    return ValidationReport(steps=tuple(steps))
 
 
-def propagate(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:
-    """Fundamental solution W_k(lambda) by left-multiplying one-step factors,
-    normalized to W_0 = I."""
+def _solutions(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:
+    """Stack W_0(lambda)..W_k(lambda) of fundamental solutions, shape
+    (k+1, m, m), built by left-multiplying one-step factors from W_0 = I."""
     if lam == 0:
         raise LambdaZero("the system has a pole at lambda = 0")
     if k < 0 or k > sys.N + 1:
         raise ValueError(f"step index {k} out of range 0..{sys.N + 1}")
-    j = sys.ctx.j
-    W = np.eye(sys.ctx.m, dtype=complex)
+    eye = np.eye(sys.ctx.m, dtype=complex)
+    W = np.empty((k + 1,) + eye.shape, dtype=complex)
+    W[0] = eye
     for r in range(k):
-        W = (np.eye(sys.ctx.m, dtype=complex) - (1j / lam) * j @ sys.C[r]) @ W
+        W[r + 1] = (eye - (1j / lam) * sys.ctx.j @ sys.C[r]) @ W[r]
     return W
+
+
+def propagate(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:
+    """Fundamental solution W_k(lambda), normalized to W_0 = I."""
+    return _solutions(sys, lam, k)[k]
 
 
 def q_weight(lam: complex) -> float:
@@ -183,19 +182,15 @@ def summation_residual(sys: PotentialSequence, lam: complex, r: int) -> float:
         raise ValueError(f"r={r} exceeds sequence length N={sys.N}")
     j = sys.ctx.j
     q = q_weight(lam)
-    m = sys.ctx.m
-    lhs = np.zeros((m, m), dtype=complex)
-    W = np.eye(m, dtype=complex)
-    for k in range(r + 1):
-        lhs = lhs + q**k * (W.conj().T @ sys.C[k] @ W)
-        W = (np.eye(m, dtype=complex) - (1j / lam) * j @ sys.C[k]) @ W
+    W = _solutions(sys, lam, r + 1)
+    lhs = np.einsum("k,kba,kbc,kcd->ad", q ** np.arange(r + 1), W[:-1].conj(),
+                    np.stack(sys.C[: r + 1]), W[:-1])
     coef = (abs(lam) ** 2 + 1) / (1j * (lam - np.conj(lam)))
-    rhs = coef * (q ** (r + 1) * (W.conj().T @ j @ W) - j)
+    rhs = coef * (q ** (r + 1) * (W[-1].conj().T @ j @ W[-1]) - j)
     return float(np.linalg.norm(lhs - rhs))
 
 
-def weyl_disk_eval(sys: PotentialSequence, pair: MoebiusPair, lam: complex,
-                   policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def weyl_disk_eval(sys: PotentialSequence, pair: MoebiusPair, lam: complex) -> np.ndarray:
     """Interval Weyl-disk point: the Moebius transform of the pair by the
     rotated fundamental solution cal-W(lambda) = K W_{N+1}(conj(lambda))*.
 
@@ -208,18 +203,18 @@ def weyl_disk_eval(sys: PotentialSequence, pair: MoebiusPair, lam: complex,
     W11, W12 = Wfull[:p, :p], Wfull[:p, p:]
     W21, W22 = Wfull[p:, :p], Wfull[p:, p:]
     den = W11 @ pair.R + W12 @ pair.Q
-    if np.linalg.cond(den) > policy.cond_limit:
+    if np.linalg.cond(den) > DEFAULT_POLICY.cond_limit:
         raise SingularDenominator("Moebius denominator is numerically singular")
     num = W21 @ pair.R + W22 @ pair.Q
     return 1j * num @ np.linalg.inv(den)
 
 
-def herglotz_map(phiI: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def herglotz_map(phiI: np.ndarray) -> np.ndarray:
     """Change of convention phi_K = -i (I - phi_I)(I + phi_I)^{-1}."""
     phiI = np.atleast_2d(np.asarray(phiI, dtype=complex))
     p = phiI.shape[0]
     shift = np.eye(p, dtype=complex) + phiI
-    if np.linalg.cond(shift) > policy.cond_limit:
+    if np.linalg.cond(shift) > DEFAULT_POLICY.cond_limit:
         raise SingularShift("I + phi_I is numerically singular")
     return -1j * (np.eye(p, dtype=complex) - phiI) @ np.linalg.inv(shift)
 
@@ -239,21 +234,13 @@ def weyl_partial_sum(sys: PotentialSequence, phi, lam: complex, r: int,
         raise ValueError(f"unknown convention {convention!r}")
     if r > sys.N:
         raise ValueError(f"r={r} exceeds sequence length N={sys.N}")
-    p, m = sys.ctx.p, sys.ctx.m
-    j = sys.ctx.j
+    p = sys.ctx.p
     val = np.atleast_2d(np.asarray(phi(lam), dtype=complex))
     if convention == "identity":
         col = np.vstack([val, np.eye(p, dtype=complex)])
-        rot = np.eye(m, dtype=complex)
     else:
-        col = np.vstack([-1j * val, np.eye(p, dtype=complex)])
-        rot = sys.ctx.K
-    q = q_weight(lam)
-    acc = np.zeros((p, p), dtype=complex)
-    W = np.eye(m, dtype=complex)
-    for k in range(r + 1):
-        Ck = sys.C[k]
-        mid = rot @ W.conj().T @ Ck @ W @ rot.conj().T
-        acc = acc + q**k * (col.conj().T @ mid @ col)
-        W = (np.eye(m, dtype=complex) - (1j / lam) * j @ Ck) @ W
+        col = sys.ctx.K.conj().T @ np.vstack([-1j * val, np.eye(p, dtype=complex)])
+    u = _solutions(sys, lam, r) @ col               # u_k = W_k col, (r+1, m, p)
+    acc = np.einsum("k,kba,kbc,kcd->ad", q_weight(lam) ** np.arange(r + 1), u.conj(),
+                    np.stack(sys.C[: r + 1]), u)
     return (acc + acc.conj().T) / 2

@@ -22,20 +22,22 @@ from .errors import (
     PoleAtInput,
 )
 from .linalg import SignatureContext, hermitian_sqrt, min_eig
-from .policy import DEFAULT_POLICY, NumericPolicy
 from .system import PotentialSequence
 
-def _reproject(U: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """First-order projection of an accumulated rotation back onto the
-    j-unitary manifold: U (I - E/2) with E = j U* j U - I.
 
-    The forward accumulation U_{k+1} = U_k (i j R_k) amplifies any departure
-    from j-unitarity geometrically (the error roughly doubles per step), so
-    without this correction the conversion round trip loses ~6 digits by
-    k = 20. With it, drift stays at rounding level.
+def _rotate(U: np.ndarray, R: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """One step U (i j R) of the accumulated rotation, followed by the
+    first-order projection back onto the j-unitary manifold: V (I - E/2)
+    with V = U (i j R) and E = j V* j V - I.
+
+    The forward accumulation amplifies any departure from j-unitarity
+    geometrically (the error roughly doubles per step), so without the
+    projection the conversion round trip loses ~6 digits by k = 20. With it,
+    drift stays at rounding level.
     """
-    E = j @ U.conj().T @ j @ U - np.eye(U.shape[0])
-    return U @ (np.eye(U.shape[0]) - E / 2)
+    V = U @ (1j * j @ R)
+    E = j @ V.conj().T @ j @ V - np.eye(V.shape[0])
+    return V @ (np.eye(V.shape[0]) - E / 2)
 
 
 __all__ = [
@@ -95,10 +97,11 @@ class SchurCoefficients:
 
 
 def u_rotation(sz_R, ctx: SignatureContext, k: int) -> np.ndarray:
-    """Accumulated factor U_k = (i j R_0) ... (i j R_{k-1}), U_0 = I."""
+    """Accumulated factor U_k = (i j R_0) ... (i j R_{k-1}), U_0 = I,
+    reprojected after every step like the form conversions."""
     U = np.eye(ctx.m, dtype=complex)
     for r in range(k):
-        U = U @ (1j * ctx.j @ sz_R[r])
+        U = _rotate(U, sz_R[r], ctx.j)
     return U
 
 
@@ -113,12 +116,11 @@ def szego_to_dirac(sz: SzegoSequence) -> PotentialSequence:
         Uinv = j @ U.conj().T @ j
         Ck = Uinv.conj().T @ (R @ R) @ Uinv
         C.append((Ck + Ck.conj().T) / 2)
-        U = _reproject(U @ (1j * j @ R), j)
+        U = _rotate(U, R, j)
     return PotentialSequence(ctx=ctx, C=tuple(C))
 
 
-def dirac_to_szego(sys: PotentialSequence, policy: NumericPolicy = DEFAULT_POLICY,
-                   theta_rule=None) -> SzegoSequence:
+def dirac_to_szego(sys: PotentialSequence, theta_rule=None) -> SzegoSequence:
     """Szego factors R_k = (U_k* C_k U_k)^{1/2} with U_{k+1} = U_k (i j R_k).
 
     Requires C_k > 0. Each output factor is checked against R j R = j; a
@@ -133,7 +135,7 @@ def dirac_to_szego(sys: PotentialSequence, policy: NumericPolicy = DEFAULT_POLIC
     for k, C in enumerate(sys.C):
         if min_eig(C) <= 0:
             raise NotPositiveDefinite(f"C_{k} is not positive definite")
-        R = hermitian_sqrt(U.conj().T @ C @ U, policy)
+        R = hermitian_sqrt(U.conj().T @ C @ U)
         resid = np.linalg.norm(R @ j @ R - j)
         if resid > 1e-9 * max(np.linalg.norm(R @ R), 1.0):
             raise InvariantViolated(f"R_{k} j R_{k} - j residual {resid:.3e}")
@@ -146,7 +148,7 @@ def dirac_to_szego(sys: PotentialSequence, policy: NumericPolicy = DEFAULT_POLIC
             theta = 1.0
         R_out.append(R)
         theta_out.append(theta)
-        U = _reproject(U @ (1j * j @ R), j)
+        U = _rotate(U, R, j)
     return SzegoSequence(ctx=ctx, R=tuple(R_out), theta=tuple(theta_out))
 
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import diracszego as dz
-from diracszego.errors import RankMismatch, SingularLeadingBlock, ToeplitzNotPD
+from diracszego.errors import (
+    AnalyticityViolation,
+    RankMismatch,
+    ResolventSingular,
+    SingularLeadingBlock,
+    ToeplitzNotPD,
+)
 from conftest import disk_taylor, max_block_dev, random_schur
 
 
@@ -139,6 +145,25 @@ class TestRationalTaylor:
         alpha = dz.rational_taylor(rz, 3)
         assert abs(alpha.alpha[0][0, 0] - (2 + 1j)) < 1e-10
         assert hasattr(alpha, "truncation_estimate")
+        assert isinstance(alpha.truncation_estimate, float)
+
+    @staticmethod
+    def _realization_raising(error):
+        class Failing(dz.WeylRealization):
+            def value(self, lam):
+                raise error
+
+        return Failing(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
+                       PhiT=np.array([[1.0]]), PsiT=np.array([[1.0]]))
+
+    def test_pole_is_analyticity_violation(self):
+        for error in (ResolventSingular("pole"), np.linalg.LinAlgError("singular")):
+            with pytest.raises(AnalyticityViolation):
+                dz.rational_taylor(self._realization_raising(error), 3)
+
+    def test_programming_error_propagates(self):
+        with pytest.raises(KeyError):
+            dz.rational_taylor(self._realization_raising(KeyError("lam")), 3)
 
     def test_rejects_other_sources(self):
         with pytest.raises(TypeError):

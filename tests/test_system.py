@@ -23,6 +23,15 @@ class TestValidate:
         assert not report.passed
         assert any("C_3" in line for line in report.failures())
 
+    def test_nan_entry_is_reported(self, ex41_params):
+        sys4, _ = dz.generate(ex41_params, 4)
+        C = list(sys4.C)
+        C[2] = C[2].copy()
+        C[2][0, 1] = np.nan
+        report = dz.validate(dz.PotentialSequence(ctx=sys4.ctx, C=tuple(C)))
+        assert report.passed is False
+        assert any(line.startswith("C_2:") for line in report.failures())
+
     def test_report_is_diagnostic_not_throwing(self, trivial_system):
         C = list(trivial_system.C)
         C[0] = -np.eye(2, dtype=complex)
@@ -60,8 +69,9 @@ class TestSummation:
         with pytest.raises(LambdaZero):
             dz.q_weight(0.0)
 
-    def test_residual_small_on_valid_systems(self, ex41_system, trivial_system):
-        for sys in (ex41_system, trivial_system):
+    def test_residual_small_on_valid_systems(self, ex41_system, trivial_system, rng):
+        block = dz.szego_to_dirac(dz.random_szego_sequence(rng, 2, 20, 0.05))
+        for sys in (ex41_system, trivial_system, block):
             for lam in LAMBDAS:
                 for r in (0, sys.N // 2, sys.N):
                     assert dz.summation_residual(sys, lam, r) < 1e-9
@@ -153,18 +163,19 @@ class TestWeylPartialSum:
         out = dz.weyl_partial_sum(sys41, lambda l: np.array([[0.9]]), lam, 30)
         assert out[0, 0].real > bound
 
-    def test_conventions_are_consistent(self, ex41_params):
+    def test_conventions_are_consistent(self, ex41_params, rng):
         # identity-convention sum with phi_I equals K-convention sum with phi_K
-        sys41, _ = dz.generate(ex41_params, 20)
-        lam = 0.5 - 1.2j
-        phi_i = lambda l: dz.explicit_weyl(ex41_params, l)
-        phi_k = lambda l: dz.herglotz_map(phi_i(l))
-        a = dz.weyl_partial_sum(sys41, phi_i, lam, 20, convention="identity")
-        b = dz.weyl_partial_sum(sys41, phi_k, lam, 20, convention="K")
-        # the two columns differ by the invertible factor (I + phi_I)/sqrt(2)...
-        # compare through congruence: b == f* a f with f = sqrt(2)(I+phi_I)^{-1}
-        f = np.sqrt(2) * np.linalg.inv(np.eye(1) + phi_i(lam))
-        assert np.linalg.norm(b - f.conj().T @ a @ f) < 1e-9 * max(np.linalg.norm(a), 1)
+        for params in (ex41_params, dz.random_bdt_parameters(rng, 3, 2, normalized=True)):
+            sys_out, _ = dz.generate(params, 20)
+            lam = 0.5 - 1.2j
+            phi_i = lambda l: dz.explicit_weyl(params, l)
+            phi_k = lambda l: dz.herglotz_map(phi_i(l))
+            a = dz.weyl_partial_sum(sys_out, phi_i, lam, 20, convention="identity")
+            b = dz.weyl_partial_sum(sys_out, phi_k, lam, 20, convention="K")
+            # the two columns differ by the invertible factor (I + phi_I)/sqrt(2)...
+            # compare through congruence: b == f* a f with f = sqrt(2)(I+phi_I)^{-1}
+            f = np.sqrt(2) * np.linalg.inv(np.eye(params.ctx.p) + phi_i(lam))
+            assert np.linalg.norm(b - f.conj().T @ a @ f) < 1e-9 * max(np.linalg.norm(a), 1)
 
     def test_rejects_upper_half_plane(self, trivial_system):
         with pytest.raises(ValueError):

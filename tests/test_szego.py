@@ -133,3 +133,10 @@ class TestSolutionMap:
                 mapped = dz.szego_solution_map(sz, X, k, lam)
                 assert np.linalg.norm(W - mapped) < 1e-10 * max(np.linalg.norm(W), 1)
                 X = sz.theta[k] * sz.R[k] @ D @ X
+
+    def test_rotation_stays_j_unitary(self, rng):
+        # unprojected accumulation drifts off the j-unitary manifold geometrically
+        sz = dz.schur_to_R(random_schur(rng, 60))
+        j = sz.ctx.j
+        U = dz.szego.u_rotation(sz.R, sz.ctx, 60)
+        assert np.linalg.norm(j @ U.conj().T @ j @ U - np.eye(2)) < 1e-9
