@@ -26,6 +26,7 @@ from .errors import (
     ToeplitzNotPD,
 )
 from .inverse import direct_taylor, inverse_potentials, toeplitz_positivity
+from .policy import failure
 from .pseudoexp import example41_params, explicit_weyl, generate
 from .system import herglotz_map, propagate, summation_residual, validate
 from .szego import dirac_to_szego, schur_coeffs, schur_to_R, szego_to_dirac, SchurCoefficients
@@ -60,6 +61,20 @@ def _parse_lambda(text: str) -> complex:
     return _parse_complex(text)
 
 
+def _exit_code(failures: list[str]) -> int:
+    """Print one stderr line per failed check; EXIT_INVARIANT if any failed."""
+    for line in failures:
+        print(line, file=sys.stderr)
+    return EXIT_INVARIANT if failures else EXIT_OK
+
+
+def _write_validated(path: str, system) -> int:
+    """Write a potentials document with its validation report; exit as it says."""
+    report = validate(system)
+    io.write_doc(path, io.potentials_to_doc(system, report))
+    return _exit_code(report.failures())
+
+
 def cmd_generate(args) -> int:
     if (args.params is None) == (args.example41 is None):
         print("generate: exactly one of --params and --example41 is required", file=sys.stderr)
@@ -72,23 +87,13 @@ def cmd_generate(args) -> int:
             raise DocumentError("--example41 expects a,phi,psi")
         a, phi, psi = vals
         params = example41_params(a.real, phi, psi)
-    sys_out, _ = generate(params, args.steps)
-    report = validate(sys_out)
-    io.write_doc(args.out, io.potentials_to_doc(sys_out, report))
-    if not report.passed:
-        for line in report.failures():
-            print(line, file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _write_validated(args.out, generate(params, args.steps)[0])
 
 
 def cmd_direct(args) -> int:
     system = io.potentials_from_doc(io.read_doc(args.system))
-    report = validate(system)
-    if not args.no_validate and not report.passed:
-        for line in report.failures():
-            print(line, file=sys.stderr)
-        return EXIT_INVARIANT
+    if not args.no_validate and (code := _exit_code(validate(system).failures())):
+        return code
     alpha = direct_taylor(system)
     io.write_doc(args.out, io.taylor_to_doc(alpha, toeplitz_positivity(alpha)))
     return EXIT_OK
@@ -96,63 +101,42 @@ def cmd_direct(args) -> int:
 
 def cmd_inverse(args) -> int:
     alpha = io.taylor_from_doc(io.read_doc(args.taylor))
-    system = inverse_potentials(alpha)
-    report = validate(system)
-    io.write_doc(args.out, io.potentials_to_doc(system, report))
-    if not report.passed:
-        for line in report.failures():
-            print(line, file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _write_validated(args.out, inverse_potentials(alpha))
 
 
 def cmd_verify(args) -> int:
     system = io.potentials_from_doc(io.read_doc(args.system))
     report = validate(system)
-    N = system.N
+    N, j = system.N, system.ctx.j
     grid = _parse_complex_list(args.lambda_grid) if args.lambda_grid else list(DEFAULT_LAMBDA_GRID)
-    r_values = sorted({N // 2, N})
-    summation = []
+    failures = report.failures()
+    summation, det_checks = [], []
     for lam in grid:
-        for r in r_values:
-            summation.append({
-                "lambda": io.complex_to_json(lam),
-                "r": r,
-                "residual": summation_residual(system, lam, r),
-            })
-    det_checks = []
-    j = system.ctx.j
-    for lam in grid:
+        for r in sorted({N // 2, N}):
+            resid = summation_residual(system, lam, r)
+            summation.append({"lambda": io.complex_to_json(lam), "r": r, "residual": resid})
+            failures.append(failure(resid, 1.0, f"summation defect at lambda={lam}, r={r}"))
         W = propagate(system, lam, N + 1)
         Wc = propagate(system, np.conj(lam), N + 1)
         factor = ((lam + 1j) * (lam - 1j) / lam**2) ** (N + 1)
         resid = float(np.linalg.norm(W @ j @ Wc.conj().T - factor * j))
-        det_checks.append({
-            "lambda": io.complex_to_json(lam),
-            "residual": resid,
-            "relative_residual": resid / (abs(factor) * np.sqrt(system.ctx.m)),
-        })
-    scale = max(max(np.linalg.norm(C) for C in system.C), 1.0)
-    sum_tol = 1e-9 * scale * (N + 1)
-    all_pass = (report.passed
-                and all(s["residual"] < sum_tol for s in summation)
-                and all(c["relative_residual"] < 1e-9 for c in det_checks))
-    payload = {
+        relative = resid / ((np.linalg.norm(W) * np.linalg.norm(Wc) + abs(factor))
+                            * np.linalg.norm(j))
+        det_checks.append({"lambda": io.complex_to_json(lam), "residual": resid,
+                           "relative_residual": relative})
+        failures.append(failure(relative, 1.0, f"determinant defect at lambda={lam}, k={N + 1}"))
+    failures = [line for line in failures if line is not None]
+    doc = io.report_to_doc({
         "validation": io.report_payload(report),
         "summation_residuals": summation,
         "determinant_identity_residuals": det_checks,
-        "passed": bool(all_pass),
-    }
-    doc = io.report_to_doc(payload)
+        "passed": not failures,
+    })
     if args.out:
         io.write_doc(args.out, doc)
     else:
         print(json.dumps(doc, indent=1))
-    if not all_pass:
-        if args.out:
-            print("verification failed", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _exit_code(failures)
 
 
 def cmd_szego(args) -> int:
@@ -168,10 +152,7 @@ def cmd_szego(args) -> int:
         return EXIT_OK
     doc = io.read_doc(args.infile)
     if mode == "to_dirac":
-        system = szego_to_dirac(io.szego_from_doc(doc))
-        report = validate(system)
-        io.write_doc(args.out, io.potentials_to_doc(system, report))
-        return EXIT_OK if report.passed else EXIT_INVARIANT
+        return _write_validated(args.out, szego_to_dirac(io.szego_from_doc(doc)))
     if mode == "to_szego":
         sz = dirac_to_szego(io.potentials_from_doc(doc))
         io.write_doc(args.out, io.szego_to_doc(sz))
@@ -259,23 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DocumentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, str(exc)
     except ToeplitzNotPD as exc:
-        where = f" (first failing index {exc.failing_index})" if exc.failing_index is not None else ""
-        print(f"error: {exc}{where}", file=sys.stderr)
-        return EXIT_TOEPLITZ
+        where = "" if exc.failing_index is None else f" (first failing index {exc.failing_index})"
+        code, message = EXIT_TOEPLITZ, f"{exc}{where}"
     except (SingularLeadingBlock, SingularVMinus, Phi1Mismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+        code, message = EXIT_SINGULAR, str(exc)
     except DiracSzegoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        code, message = EXIT_INVARIANT, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -21,14 +21,16 @@ from .errors import (
     AnalyticityViolation,
     DiracSzegoError,
     InvariantViolated,
+    NotPositiveDefinite,
     Phi1Mismatch,
     RankMismatch,
     SingularLeadingBlock,
     SingularVMinus,
     ToeplitzNotPD,
 )
-from .linalg import SignatureContext, block_levinson, block_toeplitz, min_eig, rank_p_factor
-from .policy import DEFAULT_POLICY
+from .linalg import (SignatureContext, block_levinson, block_toeplitz, check_cond, min_eig,
+                     rank_p_factor)
+from .policy import DEFAULT_POLICY, check, failure
 from .pseudoexp import BdtParameters, WeylRealization, explicit_weyl
 from .system import PotentialSequence, herglotz_map
 from .szego import cayley_lambda_of_z
@@ -100,22 +102,22 @@ def beta_from_potentials(sys: PotentialSequence) -> BetaSequence:
     """Factor each coefficient as C_k = 2 K* beta(k)* beta(k) K - j.
 
     beta(k) is the canonical rank-p factor of (C_k + j)/2 rotated by K*; the
-    J-normalization beta J beta* = I_p follows from C j C = j and is asserted,
-    not imposed.
+    J-normalization beta J beta* = I_p follows from C j C = j and is asserted
+    at the scale ||beta||^2 ||J|| + ||I_p||, not imposed.
     """
     ctx = sys.ctx
+    norm_J, norm_I = np.linalg.norm(ctx.J), np.sqrt(ctx.p)
     betas = []
     for k, C in enumerate(sys.C):
         G = (C + ctx.j) / 2
         try:
             bhat = rank_p_factor(G, ctx.p)
-        except RankMismatch as exc:
-            raise RankMismatch(f"C_{k} is not a valid potential: {exc}") from exc
+        except (NotPositiveDefinite, RankMismatch) as exc:
+            raise type(exc)(f"C_{k} is not a valid potential: {exc}") from exc
         b = bhat @ ctx.K.conj().T
-        resid = np.linalg.norm(b @ ctx.J @ b.conj().T - np.eye(ctx.p))
-        if resid > DEFAULT_POLICY.tau_identity:
-            raise InvariantViolated(
-                f"beta({k}) J-normalization residual {resid:.3e}: invalid potential")
+        check(np.linalg.norm(b @ ctx.J @ b.conj().T - np.eye(ctx.p)),
+              np.linalg.norm(b) ** 2 * norm_J + norm_I, InvariantViolated,
+              f"C_{k} is not a valid potential: beta({k}) J-normalization residual")
         betas.append(b)
     return BetaSequence(ctx=ctx, beta=tuple(betas))
 
@@ -128,16 +130,16 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     M_{-1} the first block of beta(k); the running sum is carried forward, so
     step k costs O(k p^3). Block forward substitution maps the stack of beta(k)
     onto [Phi_1 Phi_2] row by row: the first block column must come out as a
-    stack of identities (internal consistency assertion) and the second
-    carries the partial sums psi_k of the coefficients.
+    stack of identities (internal consistency assertion, at the scale
+    sum_k ||beta(k)||^2) and the second carries the partial sums psi_k of the
+    coefficients.
     """
     ctx = beta.ctx
     p, J = ctx.p, ctx.J
     N = beta.N
     b = np.stack(beta.beta)                      # (N+1, p, 2p)
     bH = b.conj().transpose(0, 2, 1)
-    if np.linalg.cond(b[0, :, :p]) > DEFAULT_POLICY.cond_limit:
-        raise SingularLeadingBlock("first block of beta(0) is numerically singular")
+    check_cond(b[0, :, :p], SingularLeadingBlock, "the first block of beta(0)")
     T = np.zeros((N + 1, 2 * p, p), dtype=complex)   # block columns of sum_l beta(l)* V_-[l, :]
     Pi = np.zeros((N + 1, p, 2 * p), dtype=complex)  # block rows of V_-^{-1} [beta(0); ...]
     v_k = b[0, :, :p]
@@ -146,15 +148,13 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     for k in range(1, N + 1):
         M = b[k] @ J @ T[:k]                     # (k, p, p)
         v_k = M[-1]                              # = beta(k) J beta(k-1)* v_-(k-1)
-        if np.linalg.cond(v_k) > DEFAULT_POLICY.cond_limit:
-            raise SingularVMinus(f"v_-({k}) is numerically singular")
+        check_cond(v_k, SingularVMinus, f"v_-({k})")
         X = -np.diff(M, axis=0, prepend=b[k, None, :, :p])
         T[:k] += bH[k] @ X
         T[k] = bH[k] @ v_k
         Pi[k] = np.linalg.solve(v_k, b[k] - np.einsum("cab,cbd->ad", X, Pi[:k]))
-    mismatch = np.linalg.norm(Pi[:, :, :p] - np.eye(p))
-    if mismatch > DEFAULT_POLICY.tau_identity * (N + 1):
-        raise Phi1Mismatch(f"first block column deviates from identity stack by {mismatch:.3e}")
+    check(np.linalg.norm(Pi[:, :, :p] - np.eye(p)), np.linalg.norm(b) ** 2, Phi1Mismatch,
+          "deviation of the first block column from the identity stack")
     alpha = np.diff(Pi[:, :, p:], axis=0, prepend=np.zeros((1, p, p)))
     return TaylorSequence(p=p, alpha=tuple(alpha))
 
@@ -172,40 +172,32 @@ def taylor_pi(alpha: TaylorSequence, r: int) -> np.ndarray:
     return np.hstack([np.vstack([eye] * (r + 1)), phi2.reshape((r + 1) * p, p)])
 
 
-def _leading(S: np.ndarray, r: int, p: int) -> np.ndarray:
-    """S(r), the leading (r+1)p x (r+1)p block of an assembled S(N)."""
-    n = (r + 1) * p
-    return S[:n, :n]
-
-
 def _first_not_pd(S: np.ndarray, p: int):
-    """First r at which S(r) fails the positivity gate, with its min eigenvalue.
+    """First r at which S(r) fails the positivity gate, with its failure line.
 
-    The gate fails when min_eig(S(r)) <= tau_pd * max(||S(r)||_F, 1). S(r) is a
-    leading principal block of S(r+1), so its smallest eigenvalue does not
-    increase with r (Cauchy interlacing) while the norm does not decrease:
-    once the gate fails it fails for every larger r. One eigenvalue problem on
-    S(N) therefore decides the passing case, and bisection finds the first
-    failure. Returns None when every S(r) passes.
+    The gate passes when min_eig(S(r)) > tau_pd * max(||S(r)||_F, 1); NaN
+    fails. S(r) is a leading principal block of S(r+1), so its smallest
+    eigenvalue does not increase with r (Cauchy interlacing) while the norm
+    does not decrease: once the gate fails it fails for every larger r. One
+    eigenvalue problem on S(N) decides the passing case (None is returned),
+    and bisection finds the first failure.
     """
-    def margin(r):
-        Sr = _leading(S, r, p)
-        lo = min_eig(Sr)
-        return lo, lo <= DEFAULT_POLICY.tau_pd * max(np.linalg.norm(Sr), 1.0)
+    def verdict(r):
+        Sr = S[:(r + 1) * p, :(r + 1) * p]
+        return failure(-min_eig(Sr), max(np.linalg.norm(Sr), 1.0),
+                       f"-min_eig(S({r}))", -DEFAULT_POLICY.tau_pd)
 
     N = S.shape[0] // p - 1
-    lo, fails = margin(N)
-    if not fails:
+    if verdict(N) is None:
         return None
     first, hi = 0, N                  # the gate passes below first and fails at hi
     while first < hi:
         mid = (first + hi) // 2
-        lo_mid, fails = margin(mid)
-        if fails:
-            hi, lo = mid, lo_mid
-        else:
+        if verdict(mid) is None:
             first = mid + 1
-    return hi, lo
+        else:
+            hi = mid
+    return hi, verdict(hi)
 
 
 def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
@@ -216,14 +208,14 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     ``_first_not_pd``). With B_r the last block column of S(r)^{-1} from the
     block Levinson engine, the last-block-row compression of Pi(r)* S(r)^{-1}
     is core = sum_l B_r[l]* [I, psi_l] and P S(r)^{-1} P* = B_r[r]; they yield
-    the Gram matrix beta(r)* beta(r), and C_r = 2 K* G K - j. The
-    J-normalization of G is asserted at every step. The recursion costs
-    O(N^2 p^3); the gate adds one eigenvalue problem on S(N).
+    the Gram matrix beta(r)* beta(r), and C_r = 2 K* G K - j. Each step
+    asserts core J core* = small at the scale ||core||^2 ||J|| + ||small||.
+    The recursion costs O(N^2 p^3); the gate adds one eigenvalue problem.
     """
     ctx = SignatureContext(p=alpha.p)
-    p, J, K, j = alpha.p, ctx.J, ctx.K, ctx.j
-    failure = _first_not_pd(block_toeplitz(alpha.alpha), p)
-    stop = alpha.N + 1 if failure is None else failure[0]
+    p, J, K, j, norm_J = alpha.p, ctx.J, ctx.K, ctx.j, np.linalg.norm(ctx.J)
+    failed = _first_not_pd(block_toeplitz(alpha.alpha), p)
+    stop = alpha.N + 1 if failed is None else failed[0]
     psi = np.cumsum(np.stack(alpha.alpha), axis=0)
     C = []
     for r, last in enumerate(islice(block_levinson(alpha.alpha), stop)):
@@ -232,16 +224,15 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
                           np.einsum("lab,lbc->ac", lastH, psi[:r + 1])])
         small = last[r]                                            # P S^{-1} P*, p x p
         G = core.conj().T @ np.linalg.solve(small, core)
-        jn = np.linalg.norm(core @ J @ core.conj().T - small)
-        if jn > DEFAULT_POLICY.tau_identity * max(np.linalg.norm(small), 1e-300):
-            raise InvariantViolated(f"J-normalization residual {jn:.3e} at r={r}")
+        check(np.linalg.norm(core @ J @ core.conj().T - small),
+              np.linalg.norm(core) ** 2 * norm_J + np.linalg.norm(small),
+              InvariantViolated, f"J-normalization residual at r={r}")
         Cr = 2 * K.conj().T @ G @ K - j
         C.append((Cr + Cr.conj().T) / 2)
-    if failure is not None:
-        r, lo = failure
-        raise ToeplitzNotPD(
-            f"block Toeplitz matrix S({r}) is not positive definite (min eig {lo:.3e})",
-            failing_index=r)
+    if failed is not None:
+        r, line = failed
+        raise ToeplitzNotPD(f"block Toeplitz matrix S({r}) is not positive definite: {line}",
+                            failing_index=r)
     return PotentialSequence(ctx=ctx, C=tuple(C))
 
 
@@ -264,7 +255,7 @@ def lyapunov_residual(alpha: TaylorSequence) -> float:
 def toeplitz_positivity(alpha: TaylorSequence) -> list[float]:
     """Minimum eigenvalue of each nested block Toeplitz matrix S(0)..S(N)."""
     S = block_toeplitz(alpha.alpha)
-    return [min_eig(_leading(S, r, alpha.p)) for r in range(alpha.N + 1)]
+    return [min_eig(S[:(r + 1) * alpha.p, :(r + 1) * alpha.p]) for r in range(alpha.N + 1)]
 
 
 def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512) -> TaylorSequence:

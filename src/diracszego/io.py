@@ -8,6 +8,7 @@ on the canonical form.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -129,20 +130,11 @@ def szego_from_doc(doc: dict) -> SzegoSequence:
 
 
 def report_payload(report: ValidationReport) -> dict:
+    failures = report.failures()
     return {
-        "passed": report.passed,
-        "steps": [
-            {
-                "k": s.k,
-                "herm_residual": s.herm_residual,
-                "junitary_residual": s.junitary_residual,
-                "min_eig": s.min_eig,
-                "min_eig_plus_j": s.min_eig_plus_j,
-                "min_eig_minus_j": s.min_eig_minus_j,
-            }
-            for s in report.steps
-        ],
-        "failures": report.failures(),
+        "passed": not failures,
+        "steps": [dataclasses.asdict(s) for s in report.steps],
+        "failures": failures,
     }
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotHermitian, NotPositiveDefinite, RankMismatch
-from .policy import DEFAULT_POLICY
+from .policy import DEFAULT_POLICY, check
 
 __all__ = [
     "SignatureContext",
@@ -35,8 +35,20 @@ def herm_residual(M: np.ndarray) -> float:
 
 
 def min_eig(M: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``M``."""
-    return float(np.linalg.eigvalsh((M + M.conj().T) / 2)[0])
+    """Smallest eigenvalue of the Hermitian part of ``M``; NaN if eigvalsh fails."""
+    try:
+        return float(np.linalg.eigvalsh((M + M.conj().T) / 2)[0])
+    except np.linalg.LinAlgError:
+        return float("nan")
+
+
+def check_cond(M: np.ndarray, exc: type[Exception], what: str) -> None:
+    """``policy.check`` of cond(M) against cond_limit; a failed SVD is NaN."""
+    try:
+        value = np.linalg.cond(M)
+    except np.linalg.LinAlgError:
+        value = float("nan")
+    check(value, 1.0, exc, f"condition number of {what}", DEFAULT_POLICY.cond_limit)
 
 
 @dataclass(frozen=True)
@@ -78,11 +90,9 @@ def hermitian_sqrt(M: np.ndarray) -> np.ndarray:
     """
     M = np.asarray(M, dtype=complex)
     scale = max(np.linalg.norm(M), 1.0)
-    if herm_residual(M) > DEFAULT_POLICY.tau_herm * scale:
-        raise NotHermitian(f"asymmetry {herm_residual(M):.3e} exceeds tolerance")
+    check(herm_residual(M), scale, NotHermitian, "asymmetry")
     w, V = np.linalg.eigh((M + M.conj().T) / 2)
-    if w[0] <= DEFAULT_POLICY.tau_pd * scale:
-        raise NotPositiveDefinite(f"min eigenvalue {w[0]:.3e} not positive")
+    check(-w[0], scale, NotPositiveDefinite, "-min_eig", -DEFAULT_POLICY.tau_pd)
     R = (V * np.sqrt(w)) @ V.conj().T
     return (R + R.conj().T) / 2
 
@@ -95,21 +105,16 @@ def rank_p_factor(G: np.ndarray, p: int) -> np.ndarray:
     eigenvector's phase is fixed so its first nonzero entry is real positive.
     """
     G = np.asarray(G, dtype=complex)
-    m = G.shape[0]
-    if m != 2 * p:
+    if G.shape[0] != 2 * p:
         raise ValueError(f"expected a {2 * p} x {2 * p} matrix, got {G.shape}")
     scale = max(np.linalg.norm(G), 1.0)
-    if herm_residual(G) > DEFAULT_POLICY.tau_herm * scale:
-        raise NotPositiveDefinite("matrix is not Hermitian")
+    check(herm_residual(G), scale, NotPositiveDefinite, "asymmetry")
     w, V = np.linalg.eigh((G + G.conj().T) / 2)
-    if w[0] < -DEFAULT_POLICY.tau_pd * scale:
-        raise NotPositiveDefinite(f"min eigenvalue {w[0]:.3e} is negative")
+    check(-w[0], scale, NotPositiveDefinite, "-min_eig", DEFAULT_POLICY.tau_pd)
     w, V = w[::-1], V[:, ::-1]  # descending
-    cut = DEFAULT_POLICY.tau_rank * max(w[0], 1e-300)
-    if w[p - 1] <= cut or (m > p and w[p] >= cut):
-        raise RankMismatch(
-            f"numerical rank is not {p}: eigenvalues {w[p - 1]:.3e}, {w[p]:.3e} vs cut {cut:.3e}"
-        )
+    top, what = max(w[0], 1e-300), f"numerical rank is not {p}:"
+    check(-w[p - 1], top, RankMismatch, f"{what} -eigenvalue {p}", -DEFAULT_POLICY.tau_rank)
+    check(w[p], top, RankMismatch, f"{what} eigenvalue {p + 1}", DEFAULT_POLICY.tau_rank)
     V = V[:, :p].copy()
     for col in range(p):
         v = V[:, col]

@@ -1,11 +1,20 @@
-"""Shared numeric tolerances.
+"""Shared numeric tolerances and the one rule every gate applies.
 
-There is one fixed policy, ``DEFAULT_POLICY``. Every tolerance decision in the
-package reads it; no function takes a per-call override. The Hermitian,
-positive-definiteness and rank tolerances are relative to the norm of the
-matrix being checked. ``tau_identity`` bounds the residuals of internal
-structural identities, at the scale each check states (some are absolute),
-and ``cond_limit`` bounds condition numbers.
+A gate passes when ``measured <= tau * scale``, with ``scale`` the rounding
+scale of the operands that formed the residual (the norms of the factors of
+each product, as in the standard backward-error bounds): C j C - j is judged
+against ||C||^2, not a constant, because the Dirac coefficients and the
+fundamental solutions grow geometrically with the step. The comparison is
+written in its passing form, so a NaN fails it. ``check`` raises on failure;
+``failure`` returns the verdict as a line, for reports that list them all.
+A lower bound lambda_min > t * scale is the same rule negated, ``tau=-t``.
+
+``DEFAULT_POLICY`` is the one fixed policy; nothing takes a per-call override.
+``tau`` bounds every identity and asymmetry residual and the slack of every
+sign check lambda_min >= -tau * scale. M is positive definite when
+lambda_min(M) > ``tau_pd`` * max(||M||, 1); below that it is singular to
+working precision. Eigenvalues under ``tau_rank`` * lambda_max count as zero
+for a numerical rank, and a condition number above ``cond_limit`` is singular.
 """
 
 from __future__ import annotations
@@ -15,11 +24,27 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    tau_herm: float = 1e-10      # relative asymmetry allowed in Hermitian checks
-    tau_pd: float = 1e-10        # relative min-eigenvalue threshold for PD checks
-    tau_rank: float = 1e-9       # relative eigenvalue cut for numerical rank
-    tau_identity: float = 1e-8   # internal structural assertions (Phi1, J-normalization)
-    cond_limit: float = 1e12     # resolvents and leading blocks beyond this are singular
+    tau: float = 1e-10
+    tau_pd: float = 1e-10
+    tau_rank: float = 1e-9
+    cond_limit: float = 1e12
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+
+def failure(measured: float, scale: float, what: str,
+            tau: float = DEFAULT_POLICY.tau) -> str | None:
+    """None when ``measured <= tau * scale`` (so NaN fails); otherwise a line
+    naming the quantity, its measured value and the allowed value."""
+    if measured <= tau * scale:
+        return None
+    return f"{what} is {measured:.3e}, allowed at most {tau * scale:.3e}"
+
+
+def check(measured: float, scale: float, exc: type[Exception], what: str,
+          tau: float = DEFAULT_POLICY.tau) -> None:
+    """Raise ``exc`` with the ``failure`` line when the gate fails."""
+    line = failure(measured, scale, what, tau)
+    if line is not None:
+        raise exc(line)

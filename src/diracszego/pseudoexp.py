@@ -21,8 +21,8 @@ from .errors import (
     SingularS,
     SingularW0,
 )
-from .linalg import SignatureContext, herm_residual, hermitian_sqrt, min_eig, pd_solve
-from .policy import DEFAULT_POLICY
+from .linalg import SignatureContext, check_cond, herm_residual, hermitian_sqrt, min_eig, pd_solve
+from .policy import DEFAULT_POLICY, check
 from .system import PotentialSequence
 
 __all__ = [
@@ -61,14 +61,11 @@ class BdtParameters:
         n = A.shape[0]
         if A.shape != (n, n) or S0.shape != (n, n) or Pi0.shape != (n, self.ctx.m):
             raise ValueError("inconsistent parameter shapes")
-        if np.linalg.svd(A, compute_uv=False)[-1] < 1e-12 * max(np.linalg.norm(A), 1.0):
-            raise ValueError("A must be invertible")
+        check_cond(A, ValueError, "A, which must be invertible,")
         scale = max(np.linalg.norm(A) * np.linalg.norm(S0), np.linalg.norm(Pi0) ** 2, 1.0)
-        if herm_residual(S0) > 1e-10 * scale:
-            raise IdentityViolated("S0 must be Hermitian")
-        resid = np.linalg.norm(A @ S0 - S0 @ A.conj().T - 1j * Pi0 @ self.ctx.j @ Pi0.conj().T)
-        if resid > 1e-9 * scale:
-            raise IdentityViolated(f"parameter identity residual {resid:.3e}")
+        check(herm_residual(S0), scale, IdentityViolated, "asymmetry of S0")
+        check(np.linalg.norm(A @ S0 - S0 @ A.conj().T - 1j * Pi0 @ self.ctx.j @ Pi0.conj().T),
+              scale, IdentityViolated, "parameter identity residual")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "S0", S0)
         object.__setattr__(self, "Pi0", Pi0)
@@ -103,26 +100,31 @@ def _s_solve(S: np.ndarray, B: np.ndarray, pd_path: bool) -> np.ndarray:
     """Apply S^{-1}: Cholesky when S > 0, LU with condition monitoring else."""
     if pd_path:
         return pd_solve(S, B)
-    if np.linalg.cond(S) > DEFAULT_POLICY.cond_limit:
-        raise SingularS("S_k is numerically singular")
+    check_cond(S, SingularS, "S_k")
     return np.linalg.solve(S, B)
 
 
 def _states(params: BdtParameters, count: int) -> list[BdtState]:
     """Run the recursion, returning states for k = 0..count-1 and re-verifying
-    the step identity A S_k - S_k A* = i Pi_k j Pi_k* at every step."""
+    the step identity A S_k - S_k A* = i Pi_k j Pi_k* at the scale
+    2 ||A|| ||S_k|| + ||Pi_k||^2. With S0 > 0 every S_k > 0 exactly, but
+    min_eig(S_k) / ||S_k|| can decay geometrically; below tau_pd, S_k is
+    singular to working precision and the recursion stops (``SingularS``)."""
     A, j = params.A, params.ctx.j
     Ainv = np.linalg.inv(A)
     Pi, S = params.Pi0, params.S0
     pd_path = params.s0_positive
     out = []
     for k in range(count):
-        resid = np.linalg.norm(A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().T)
-        scale = max(np.linalg.norm(S) * np.linalg.norm(A), 1.0)
-        if resid > 1e-9 * scale:
-            raise IdentityViolated(f"step identity residual {resid:.3e} at k={k}")
-        if pd_path and min_eig(S) <= 0:
-            raise SingularS(f"S_{k} lost positive definiteness")
+        norm_s = np.linalg.norm(S)
+        check(np.linalg.norm(A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().T),
+              2 * np.linalg.norm(A) * norm_s + np.linalg.norm(Pi) ** 2, IdentityViolated,
+              f"step identity residual at k={k}")
+        if pd_path:
+            lo = min_eig(S)
+            check(-lo, max(norm_s, 1.0), SingularS,
+                  f"S_{k} is singular to working precision (min_eig/||S_k|| = {lo / norm_s:.1e}); "
+                  f"precision is exhausted: -min_eig(S_{k})", -DEFAULT_POLICY.tau_pd)
         out.append(BdtState(k=k, Pi=Pi, S=(S + S.conj().T) / 2))
         Pi_next = Pi + 1j * Ainv @ Pi @ j
         S_next = S + Ainv @ S @ Ainv.conj().T + Ainv @ (Pi @ Pi.conj().T) @ Ainv.conj().T
@@ -165,8 +167,7 @@ def transfer(params: BdtParameters, state: BdtState, lam: complex) -> np.ndarray
     A = params.A
     n = params.n
     res = A - lam * np.eye(n, dtype=complex)
-    if np.linalg.cond(res) > DEFAULT_POLICY.cond_limit:
-        raise ResolventSingular(f"lambda={lam} is too close to the spectrum of A")
+    check_cond(res, ResolventSingular, f"A - lambda I at lambda={lam}, near the spectrum of A,")
     X = np.linalg.solve(res, state.Pi)
     Y = _s_solve(state.S, X, params.s0_positive)
     return np.eye(params.ctx.m, dtype=complex) - 1j * params.ctx.j @ state.Pi.conj().T @ Y
@@ -185,8 +186,7 @@ def explicit_fundamental(params: BdtParameters, k: int, lam: complex,
     p = params.ctx.p
     w_k = transfer(params, states[k], lam)
     w_0 = transfer(params, states[0], lam)
-    if np.linalg.cond(w_0) > DEFAULT_POLICY.cond_limit:
-        raise SingularW0("w_A(0, lambda) is numerically singular")
+    check_cond(w_0, SingularW0, "w_A(0, lambda)")
     mid = np.diag(np.concatenate([
         np.full(p, (1 - 1j / lam) ** k),
         np.full(p, (1 + 1j / lam) ** k),
@@ -208,8 +208,8 @@ def explicit_weyl(params: BdtParameters, lam: complex) -> np.ndarray:
     S0_inv = np.linalg.inv(params.S0)
     Across = params.A + 1j * params.Psi @ params.Psi.conj().T @ S0_inv
     res = Across - lam * np.eye(n, dtype=complex)
-    if np.linalg.cond(res) > DEFAULT_POLICY.cond_limit:
-        raise ResolventSingular(f"lambda={lam} is a pole of the Weyl function")
+    check_cond(res, ResolventSingular,
+               f"A_x - lambda I at lambda={lam}, a pole of the Weyl function,")
     return -1j * params.Phi.conj().T @ S0_inv @ np.linalg.solve(res, params.Psi)
 
 
@@ -246,8 +246,7 @@ def explicit_partial_sum(params: BdtParameters, lam: complex, r: int,
     phi = explicit_weyl(params, lam)
     w0 = transfer(params, states[0], lam)
     d = w0[p:, p:]
-    if np.linalg.cond(d) > DEFAULT_POLICY.cond_limit:
-        raise SingularW0("the lower-right block of w_A(0, lambda) is numerically singular")
+    check_cond(d, SingularW0, "the lower-right block of w_A(0, lambda)")
     w_next = transfer(params, states[r + 1], lam)
     col = np.linalg.solve(d, np.eye(p, dtype=complex))
     v = w_next[:, p:] @ col
@@ -278,14 +277,11 @@ class WeylRealization:
             raise ValueError("inconsistent realization shapes")
         scale = max(np.linalg.norm(theta), np.linalg.norm(PhiT) ** 2,
                     np.linalg.norm(PsiT) ** 2, 1.0)
-        resid = np.linalg.norm(
-            theta - theta.conj().T
-            - 1j * (PhiT @ PhiT.conj().T + PsiT @ PsiT.conj().T))
-        if resid > 1e-8 * scale:
-            raise InvariantViolated(f"realization identity residual {resid:.3e}")
-        A = theta - 1j * PsiT @ PsiT.conj().T
-        if np.linalg.svd(A, compute_uv=False)[-1] < 1e-12 * max(np.linalg.norm(A), 1.0):
-            raise InvariantViolated("theta - i PsiT PsiT* must be invertible")
+        check(np.linalg.norm(theta - theta.conj().T
+                             - 1j * (PhiT @ PhiT.conj().T + PsiT @ PsiT.conj().T)),
+              scale, InvariantViolated, "realization identity residual")
+        check_cond(theta - 1j * PsiT @ PsiT.conj().T, InvariantViolated,
+                   "theta - i PsiT PsiT*, which must be invertible,")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "PhiT", PhiT)
         object.__setattr__(self, "PsiT", PsiT)
@@ -315,8 +311,8 @@ def example41_params(a: float, Phi: complex, Psi: complex) -> BdtParameters:
     """Scalar oracle parameters: n = p = 1, A = a, S0 = 1, Pi0 = [Phi Psi]."""
     if a == 0 or a != np.real(a):
         raise ValueError("a must be real and nonzero")
-    if abs(abs(Phi) - abs(Psi)) > 1e-12 * max(abs(Phi), 1.0):
-        raise ModulusMismatch("|Phi| must equal |Psi|")
+    check(abs(abs(Phi) - abs(Psi)), max(abs(Phi), 1.0), ModulusMismatch,
+          "|Phi| must equal |Psi|: their difference")
     return BdtParameters(
         ctx=SignatureContext(p=1),
         A=np.array([[a]], dtype=complex),

@@ -18,8 +18,8 @@ from .errors import (
     SingularDenominator,
     SingularShift,
 )
-from .linalg import SignatureContext, herm_residual, min_eig
-from .policy import DEFAULT_POLICY
+from .linalg import SignatureContext, check_cond, herm_residual, min_eig
+from .policy import DEFAULT_POLICY, check, failure
 
 __all__ = [
     "PotentialSequence",
@@ -76,16 +76,18 @@ class MoebiusPair:
         if R.shape != Q.shape or R.shape[0] != R.shape[1]:
             raise ValueError("R and Q must be square of equal size")
         gram = R.conj().T @ R + Q.conj().T @ Q
-        if min_eig(gram) <= 0:
-            raise ValueError("pair is singular: R*R + Q*Q is not positive definite")
-        if min_eig(Q.conj().T @ Q - R.conj().T @ R) < -1e-12 * np.linalg.norm(gram):
-            raise ValueError("pair violates R*R <= Q*Q")
+        check(-min_eig(gram), max(np.linalg.norm(gram), 1.0), ValueError,
+              "pair is singular: -min_eig(R*R + Q*Q)", -DEFAULT_POLICY.tau_pd)
+        check(-min_eig(Q.conj().T @ Q - R.conj().T @ R), np.linalg.norm(gram), ValueError,
+              "pair violates R*R <= Q*Q: -min_eig(Q*Q - R*R)")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "Q", Q)
 
 
 @dataclass(frozen=True)
 class StepReport:
+    """Checks on C_k over max(||C||^2, 1) for C j C - j, max(||C||, 1) for the rest."""
+
     k: int
     herm_residual: float
     junitary_residual: float
@@ -103,37 +105,39 @@ class ValidationReport:
         return not self.failures()
 
     def failures(self) -> list[str]:
-        """One line per failed check. Each check is written in its passing
-        form, so a NaN residual or eigenvalue fails it."""
-        tau_herm, tau_pd = DEFAULT_POLICY.tau_herm, DEFAULT_POLICY.tau_pd
+        """One line per failed check, each judged by ``policy.failure`` on
+        the normalized residual (a NaN fails)."""
         out = []
         for s in self.steps:
             checks = (
-                (s.herm_residual <= tau_herm, f"Hermitian residual {s.herm_residual:.3e}"),
-                (s.junitary_residual <= tau_herm,
-                 f"C j C - j residual {s.junitary_residual:.3e}"),
-                (s.min_eig > 0, f"min eigenvalue {s.min_eig:.3e} not positive"),
-                (s.min_eig_plus_j > -tau_pd, f"C + j has eigenvalue {s.min_eig_plus_j:.3e}"),
-                (s.min_eig_minus_j > -tau_pd, f"C - j has eigenvalue {s.min_eig_minus_j:.3e}"),
+                (s.herm_residual, "||C - C*|| / max(||C||, 1)"),
+                (s.junitary_residual, "||C j C - j|| / max(||C||^2, 1)"),
+                (-s.min_eig, "-min_eig(C) / max(||C||, 1)"),
+                (-s.min_eig_plus_j, "-min_eig(C + j) / max(||C||, 1)"),
+                (-s.min_eig_minus_j, "-min_eig(C - j) / max(||C||, 1)"),
             )
-            out.extend(f"C_{s.k}: {line}" for ok, line in checks if not ok)
+            lines = (failure(value, 1.0, f"C_{s.k}: {what}") for value, what in checks)
+            out.extend(line for line in lines if line is not None)
         return out
 
 
 def validate(sys: PotentialSequence) -> ValidationReport:
     """Per-step residual report for the structure relations C = C*, C j C = j,
-    C > 0 and C +- j >= 0. Never raises; callers decide pass/fail."""
+    C > 0 and C +- j >= 0. Never raises; callers decide pass/fail. C > 0
+    follows from the other three, so min_eig(C) (about 1/||C||, below its own
+    rounding error at large ||C||) is judged >= -tau like those of C +- j."""
     j = sys.ctx.j
     steps = []
     for k, C in enumerate(sys.C):
-        scale = max(np.linalg.norm(C), 1.0)
+        norm = np.linalg.norm(C)
+        scale = max(norm, 1.0)
         steps.append(StepReport(
             k=k,
             herm_residual=herm_residual(C) / scale,
-            junitary_residual=float(np.linalg.norm(C @ j @ C - j)) / scale,
-            min_eig=min_eig(C),
-            min_eig_plus_j=min_eig(C + j),
-            min_eig_minus_j=min_eig(C - j),
+            junitary_residual=float(np.linalg.norm(C @ j @ C - j)) / max(norm ** 2, 1.0),
+            min_eig=min_eig(C) / scale,
+            min_eig_plus_j=min_eig(C + j) / scale,
+            min_eig_minus_j=min_eig(C - j) / scale,
         ))
     return ValidationReport(steps=tuple(steps))
 
@@ -173,8 +177,10 @@ def summation_residual(sys: PotentialSequence, lam: complex, r: int) -> float:
             = (|lambda|^2 + 1) / (i (lambda - conj(lambda)))
               * (q^{r+1} W_{r+1}* j W_{r+1} - j).
 
-    Zero (to rounding) for every valid system; a large value flags either an
-    invalid potential or a propagation defect.
+    Divided by the rounding scale of the two sides, sum_k q^k ||W_k||^2 ||C_k||
+    + |c| (q^{r+1} ||W_{r+1}||^2 + 1) ||j|| with c the coefficient above, it is
+    at rounding level for every valid system however fast W_k grows; a large
+    value flags an invalid potential or a propagation defect.
     """
     if lam.imag == 0:
         raise RealLambda("summation formula requires Im(lambda) != 0")
@@ -183,11 +189,14 @@ def summation_residual(sys: PotentialSequence, lam: complex, r: int) -> float:
     j = sys.ctx.j
     q = q_weight(lam)
     W = _solutions(sys, lam, r + 1)
-    lhs = np.einsum("k,kba,kbc,kcd->ad", q ** np.arange(r + 1), W[:-1].conj(),
-                    np.stack(sys.C[: r + 1]), W[:-1])
+    weights, C = q ** np.arange(r + 1), np.stack(sys.C[: r + 1])
+    lhs = np.einsum("k,kba,kbc,kcd->ad", weights, W[:-1].conj(), C, W[:-1])
     coef = (abs(lam) ** 2 + 1) / (1j * (lam - np.conj(lam)))
     rhs = coef * (q ** (r + 1) * (W[-1].conj().T @ j @ W[-1]) - j)
-    return float(np.linalg.norm(lhs - rhs))
+    norm_w = np.linalg.norm(W, axis=(1, 2)) ** 2
+    scale = (weights @ (norm_w[:-1] * np.linalg.norm(C, axis=(1, 2)))
+             + abs(coef) * (q ** (r + 1) * norm_w[-1] + 1) * np.linalg.norm(j))
+    return float(np.linalg.norm(lhs - rhs) / scale)
 
 
 def weyl_disk_eval(sys: PotentialSequence, pair: MoebiusPair, lam: complex) -> np.ndarray:
@@ -203,8 +212,7 @@ def weyl_disk_eval(sys: PotentialSequence, pair: MoebiusPair, lam: complex) -> n
     W11, W12 = Wfull[:p, :p], Wfull[:p, p:]
     W21, W22 = Wfull[p:, :p], Wfull[p:, p:]
     den = W11 @ pair.R + W12 @ pair.Q
-    if np.linalg.cond(den) > DEFAULT_POLICY.cond_limit:
-        raise SingularDenominator("Moebius denominator is numerically singular")
+    check_cond(den, SingularDenominator, "the Moebius denominator")
     num = W21 @ pair.R + W22 @ pair.Q
     return 1j * num @ np.linalg.inv(den)
 
@@ -214,8 +222,7 @@ def herglotz_map(phiI: np.ndarray) -> np.ndarray:
     phiI = np.atleast_2d(np.asarray(phiI, dtype=complex))
     p = phiI.shape[0]
     shift = np.eye(p, dtype=complex) + phiI
-    if np.linalg.cond(shift) > DEFAULT_POLICY.cond_limit:
-        raise SingularShift("I + phi_I is numerically singular")
+    check_cond(shift, SingularShift, "I + phi_I")
     return -1j * (np.eye(p, dtype=complex) - phiI) @ np.linalg.inv(shift)
 
 

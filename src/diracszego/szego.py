@@ -18,10 +18,12 @@ from .errors import (
     BlockSizeNotOne,
     InvariantViolated,
     ModulusAtLeastOne,
+    NotHermitian,
     NotPositiveDefinite,
     PoleAtInput,
 )
-from .linalg import SignatureContext, hermitian_sqrt, min_eig
+from .linalg import SignatureContext, herm_residual, hermitian_sqrt, min_eig
+from .policy import check
 from .system import PotentialSequence
 
 
@@ -123,22 +125,25 @@ def szego_to_dirac(sz: SzegoSequence) -> PotentialSequence:
 def dirac_to_szego(sys: PotentialSequence, theta_rule=None) -> SzegoSequence:
     """Szego factors R_k = (U_k* C_k U_k)^{1/2} with U_{k+1} = U_k (i j R_k).
 
-    Requires C_k > 0. Each output factor is checked against R j R = j; a
-    violation indicates the input is outside the positive-definite subclass.
-    The theta weights come from ``theta_rule(R_k)``; the default is the scalar
-    Schur rule for p = 1 and the constant 1 for p > 1.
+    Requires C_k > 0 (judged like ``validate``). U_k* C_k U_k is checked
+    Hermitian at ||U_k||^2 ||C_k|| and R j R = j at ||R||^2 + ||j||: a failure
+    means the input is outside the positive-definite subclass or the rotation
+    ran out of digits. The theta weights come from ``theta_rule(R_k)``; the
+    default is the scalar Schur rule for p = 1 and the constant 1 for p > 1.
     """
     ctx = sys.ctx
-    j = ctx.j
+    j, norm_j = ctx.j, np.linalg.norm(ctx.j)
     R_out, theta_out = [], []
     U = np.eye(ctx.m, dtype=complex)
     for k, C in enumerate(sys.C):
-        if min_eig(C) <= 0:
-            raise NotPositiveDefinite(f"C_{k} is not positive definite")
-        R = hermitian_sqrt(U.conj().T @ C @ U)
-        resid = np.linalg.norm(R @ j @ R - j)
-        if resid > 1e-9 * max(np.linalg.norm(R @ R), 1.0):
-            raise InvariantViolated(f"R_{k} j R_{k} - j residual {resid:.3e}")
+        norm_c = np.linalg.norm(C)
+        check(-min_eig(C), max(norm_c, 1.0), NotPositiveDefinite, f"-min_eig(C_{k})")
+        M = U.conj().T @ C @ U
+        check(herm_residual(M), np.linalg.norm(U) ** 2 * norm_c, NotHermitian,
+              f"asymmetry of U_{k}* C_{k} U_{k}")
+        R = hermitian_sqrt((M + M.conj().T) / 2)
+        check(np.linalg.norm(R @ j @ R - j), np.linalg.norm(R) ** 2 + norm_j,
+              InvariantViolated, f"R_{k} j R_{k} - j residual")
         if theta_rule is not None:
             theta = complex(theta_rule(R))
         elif ctx.p == 1:

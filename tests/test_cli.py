@@ -76,6 +76,29 @@ class TestVerify:
         assert all(s["residual"] < 1e-9
                    for s in doc["payload"]["summation_residuals"])
 
+    @pytest.mark.parametrize("N", [12, 50, 200])
+    def test_valid_system_passes_at_length(self, tmp_path, N):
+        sys_path, rep = tmp_path / "sys.json", tmp_path / "rep.json"
+        assert run(["generate", "--example41", "1,1,1", "--steps", N, "--out", sys_path]) == 0
+        assert run(["verify", "--system", sys_path, "--out", rep]) == 0
+        payload = json.loads(rep.read_text())["payload"]
+        assert all(s["residual"] < 1e-9 for s in payload["summation_residuals"])
+        assert all(c["relative_residual"] < 1e-9
+                   for c in payload["determinant_identity_residuals"])
+
+    def test_relative_break_at_length_is_caught(self, tmp_path, capsys):
+        # scaling one coefficient by 1 + 1e-8 breaks C j C = j at relative size 2e-8
+        system, _ = dz.generate(dz.example41_params(1.0, 1.0, 1.0), 200)
+        C = list(system.C)
+        C[100] = C[100] * (1 + 1e-8)
+        broken = dz.PotentialSequence(ctx=system.ctx, C=tuple(C))
+        assert not dz.validate(broken).passed
+        path = tmp_path / "broken.json"
+        io.write_doc(str(path), io.potentials_to_doc(broken))
+        assert run(["verify", "--system", path, "--out", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert "C_100" in err and "summation defect" in err
+
     def test_custom_lambda_grid(self, tmp_path, sys_doc):
         rep = tmp_path / "rep.json"
         assert run(["verify", "--system", sys_doc,
@@ -90,6 +113,47 @@ class TestVerify:
         path = tmp_path / "bad.json"
         io.write_doc(str(path), io.potentials_to_doc(bad))
         assert run(["verify", "--system", path, "--out", tmp_path / "r.json"]) == 2
+
+
+class TestNonFiniteInput:
+    """A NaN in an input document ends in one error line and a nonzero exit."""
+
+    @pytest.fixture
+    def nan_system_doc(self, tmp_path):
+        system, _ = dz.generate(dz.example41_params(1.0, 1.0, 1.0), 6)
+        C = [c.copy() for c in system.C]
+        C[3][0, 1] = np.nan
+        path = tmp_path / "nan.json"
+        io.write_doc(str(path), io.potentials_to_doc(dz.PotentialSequence(system.ctx, tuple(C))))
+        return path
+
+    @pytest.fixture
+    def nan_taylor_doc(self, tmp_path):
+        system, _ = dz.generate(dz.example41_params(1.0, 1.0, 1.0), 6)
+        alpha = list(dz.direct_taylor(system).alpha)
+        alpha[3] = np.full((1, 1), np.nan)
+        path = tmp_path / "nan-taylor.json"
+        io.write_doc(str(path), io.taylor_to_doc(dz.TaylorSequence(p=1, alpha=tuple(alpha))))
+        return path
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_to_szego(self, tmp_path, nan_system_doc, capsys):
+        assert run(["szego", "--to-szego", "--in", nan_system_doc,
+                    "--out", tmp_path / "o.json"]) != 0
+        self.assert_one_error_line(capsys)
+
+    def test_direct_without_validation(self, tmp_path, nan_system_doc, capsys):
+        assert run(["direct", "--no-validate", "--system", nan_system_doc,
+                    "--out", tmp_path / "o.json"]) != 0
+        self.assert_one_error_line(capsys)
+
+    def test_inverse(self, tmp_path, nan_taylor_doc, capsys):
+        assert run(["inverse", "--taylor", nan_taylor_doc, "--out", tmp_path / "o.json"]) != 0
+        self.assert_one_error_line(capsys)
 
 
 class TestSzegoCommand:

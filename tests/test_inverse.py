@@ -4,6 +4,7 @@ import pytest
 import diracszego as dz
 from diracszego.errors import (
     AnalyticityViolation,
+    DiracSzegoError,
     RankMismatch,
     ResolventSingular,
     SingularLeadingBlock,
@@ -104,6 +105,45 @@ class TestInverseProblem:
             np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]) / np.sqrt(2)))
         with pytest.raises(SingularLeadingBlock):
             dz.taylor_from_beta(beta)
+
+
+class TestLongSystems:
+    def test_random_szego_block_system(self):
+        # ||C_k|| grows geometrically with k, so only gates scaled by the
+        # norms of their operands accept this valid system
+        sz = dz.random_szego_sequence(np.random.default_rng(3), 2, 200)
+        system = dz.szego_to_dirac(sz)
+        assert dz.validate(system).passed
+        alpha = dz.direct_taylor(system)
+        assert alpha.N == 200
+        assert all(np.isfinite(a).all() for a in alpha.alpha)
+
+
+class TestNonFiniteInput:
+    @pytest.fixture
+    def nan_system(self, ex41_params):
+        system, _ = dz.generate(ex41_params, 6)
+        C = [c.copy() for c in system.C]
+        C[3][0, 1] = np.nan
+        return dz.PotentialSequence(ctx=system.ctx, C=tuple(C))
+
+    def test_direct_problem(self, nan_system):
+        with pytest.raises(DiracSzegoError):
+            dz.direct_taylor(nan_system)
+
+    def test_szego_conversion(self, nan_system):
+        with pytest.raises(DiracSzegoError):
+            dz.dirac_to_szego(nan_system)
+
+    def test_inverse_problem(self, ex41_system):
+        alpha = list(dz.direct_taylor(ex41_system).alpha)
+        alpha[3] = np.full((1, 1), np.nan)
+        with pytest.raises(DiracSzegoError):
+            dz.inverse_potentials(dz.TaylorSequence(p=1, alpha=tuple(alpha)))
+
+    def test_herglotz_map(self):
+        with pytest.raises(DiracSzegoError):
+            dz.herglotz_map(np.nan)
 
 
 class TestLyapunovStructure:

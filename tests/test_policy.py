@@ -1,0 +1,82 @@
+"""The one tolerance rule: every gate goes through ``policy.check``.
+
+The AST guard fails on any positive float literal at or below 1e-6 in a
+library module other than ``policy.py``: such a literal is almost always a
+tolerance that bypasses ``DEFAULT_POLICY``. The allow-list names the few that
+are not gates.
+"""
+
+import ast
+import dataclasses
+import math
+from pathlib import Path
+
+import pytest
+
+from diracszego.errors import DiracSzegoError
+from diracszego.policy import DEFAULT_POLICY, NumericPolicy, check, failure
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "diracszego"
+
+ALLOWED = {
+    ("linalg.py", "rank_p_factor", 1e-12),          # phase pick of eigenvector entries
+    ("linalg.py", "rank_p_factor", 1e-300),         # floor under the largest eigenvalue
+    ("inverse.py", "borg_marchenko_check", 1e-8),   # public coeff_tol default
+    ("pseudoexp.py", "random_bdt_parameters", 1e-6),  # rejection of ill-conditioned draws
+}
+
+
+def small_literals(path):
+    """(file, enclosing function, value) for every float literal in (0, 1e-6]."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0 < node.value <= 1e-6):
+            found.append((path.name, func, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_no_tolerance_literals_outside_policy():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "policy.py")
+    assert len(modules) >= 9
+    stray = [hit for path in modules for hit in small_literals(path) if hit not in ALLOWED]
+    assert stray == []
+
+
+def test_allow_list_is_current():
+    seen = {hit for path in SRC.glob("*.py") for hit in small_literals(path)}
+    assert ALLOWED <= seen
+
+
+def test_policy_has_four_fields():
+    names = [f.name for f in dataclasses.fields(NumericPolicy)]
+    assert names == ["tau", "tau_pd", "tau_rank", "cond_limit"]
+
+
+class TestRule:
+    def test_boundary_passes(self):
+        assert failure(2e-10, 2.0, "residual") is None
+        check(2e-10, 2.0, DiracSzegoError, "residual")
+
+    def test_nan_fails(self):
+        assert failure(math.nan, 1.0, "residual") is not None
+        assert failure(0.0, math.nan, "residual") is not None
+        with pytest.raises(DiracSzegoError):
+            check(math.nan, 1.0, DiracSzegoError, "residual")
+
+    def test_message_names_quantity_measured_and_allowed(self):
+        with pytest.raises(DiracSzegoError) as info:
+            check(3e-9, 5.0, DiracSzegoError, "C_4 residual")
+        assert str(info.value) == "C_4 residual is 3.000e-09, allowed at most 5.000e-10"
+
+    def test_lower_bound_is_the_rule_negated(self):
+        tau_pd = DEFAULT_POLICY.tau_pd
+        assert failure(-1e-3, 1.0, "-min_eig", -tau_pd) is None
+        assert failure(-1e-12, 1.0, "-min_eig", -tau_pd) is not None

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from diracszego.errors import (
     ModulusMismatch,
     NotPositiveDefinite,
     ResolventSingular,
+    SingularS,
 )
 from diracszego.pseudoexp import _states
 
@@ -75,6 +78,19 @@ class TestGenerate:
         sys_out, states = dz.generate(params, 8)
         assert dz.validate(sys_out).passed
         assert all(dz.linalg.min_eig(st.S) > 0 for st in states)
+
+    def test_stops_where_s_is_singular_to_working_precision(self):
+        # S_k > 0 holds exactly, but min_eig(S_k) / ||S_k|| decays geometrically
+        # on this draw and falls below tau_pd in the thirties
+        params = dz.random_bdt_parameters(np.random.default_rng(1), 3, 2, normalized=True)
+        dz.generate(params, 28)
+        with pytest.raises(SingularS) as info:
+            dz.generate(params, 120)
+        msg = str(info.value)
+        k = int(re.search(r"S_(\d+) ", msg).group(1))
+        assert 28 < k < 45
+        assert "min_eig/||S_k||" in msg and "precision is exhausted" in msg
+        assert "lost positive definiteness" not in msg
 
     def test_closed_form_family_is_junitary(self):
         j = np.diag([1.0, -1.0])
