@@ -28,7 +28,7 @@ from .errors import (
 from .inverse import direct_taylor, inverse_potentials, toeplitz_positivity
 from .policy import failure
 from .pseudoexp import example41_params, explicit_weyl, generate
-from .system import herglotz_map, propagate, summation_residual, validate
+from .system import _solutions, _summation_defects, herglotz_map, propagate, validate
 from .szego import dirac_to_szego, schur_coeffs, schur_to_R, szego_to_dirac, SchurCoefficients
 
 EXIT_OK = 0
@@ -112,15 +112,16 @@ def cmd_verify(args) -> int:
     failures = report.failures()
     summation, det_checks = [], []
     for lam in grid:
-        for r in sorted({N // 2, N}):
-            resid = summation_residual(system, lam, r)
-            summation.append({"lambda": io.complex_to_json(lam), "r": r, "residual": resid})
-            failures.append(failure(resid, 1.0, f"summation defect at lambda={lam}, r={r}"))
-        W = propagate(system, lam, N + 1)
-        Wc = propagate(system, np.conj(lam), N + 1)
+        W = _solutions(system, lam, N + 1)
+        defects = _summation_defects(system, lam, W)
+        summation.extend({"lambda": io.complex_to_json(lam), "r": r, "residual": float(defects[r])}
+                         for r in sorted({N // 2, N}))
+        failures.extend(failure(resid, 1.0, f"summation defect at lambda={lam}, r={r}")
+                        for r, resid in enumerate(defects))
+        Wn, Wc = W[-1], propagate(system, np.conj(lam), N + 1)
         factor = ((lam + 1j) * (lam - 1j) / lam**2) ** (N + 1)
-        resid = float(np.linalg.norm(W @ j @ Wc.conj().T - factor * j))
-        relative = resid / ((np.linalg.norm(W) * np.linalg.norm(Wc) + abs(factor))
+        resid = float(np.linalg.norm(Wn @ j @ Wc.conj().T - factor * j))
+        relative = resid / ((np.linalg.norm(Wn) * np.linalg.norm(Wc) + abs(factor))
                             * np.linalg.norm(j))
         det_checks.append({"lambda": io.complex_to_json(lam), "residual": resid,
                            "relative_residual": relative})

@@ -1,9 +1,10 @@
 """Complex linear-algebra primitives, the block Toeplitz engine, and the fixed
 signature matrices.
 
-Everything here operates on plain ``numpy`` complex arrays. The Hermitian
-eigendecomposition (``numpy.linalg.eigh``) is the single low-level dependency
-point; all higher modules go through the helpers below.
+Everything here operates on plain ``numpy`` complex arrays and needs no SciPy,
+so importing the package does not load it. ``numpy.linalg.eigh`` and
+``numpy.linalg.cholesky`` are the low-level dependency points; all higher
+modules go through the helpers below.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotHermitian, NotPositiveDefinite, RankMismatch
 from .policy import DEFAULT_POLICY, check
@@ -139,14 +139,21 @@ def block_toeplitz(alpha: list[np.ndarray] | np.ndarray) -> np.ndarray:
 
 
 def pd_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve S X = B for Hermitian positive-definite ``S`` via Cholesky."""
+    """Solve S X = B for Hermitian positive-definite ``S`` via Cholesky.
+
+    S = L L* from the lower triangle, then two solves; a 1-D ``B`` gives a 1-D
+    result. A non-finite entry (LAPACK factors it into NaN without an error)
+    or a Cholesky breakdown raises ``NotPositiveDefinite``.
+    """
     S = np.asarray(S, dtype=complex)
     B = np.asarray(B, dtype=complex)
+    if not np.isfinite(S).all():
+        raise NotPositiveDefinite("Cholesky input has a non-finite entry")
     try:
-        c, low = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is the same class
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky breakdown: {exc}") from exc
-    return scipy.linalg.cho_solve((c, low), B, check_finite=False)
+    return np.linalg.solve(L.conj().T, np.linalg.solve(L, B))
 
 
 def block_levinson(alpha: list[np.ndarray] | np.ndarray):

@@ -182,21 +182,28 @@ def summation_residual(sys: PotentialSequence, lam: complex, r: int) -> float:
     at rounding level for every valid system however fast W_k grows; a large
     value flags an invalid potential or a propagation defect.
     """
-    if lam.imag == 0:
-        raise RealLambda("summation formula requires Im(lambda) != 0")
     if r > sys.N:
         raise ValueError(f"r={r} exceeds sequence length N={sys.N}")
+    return float(_summation_defects(sys, lam, _solutions(sys, lam, r + 1))[r])
+
+
+def _summation_defects(sys: PotentialSequence, lam: complex, W: np.ndarray) -> np.ndarray:
+    """``summation_residual`` at every r = 0..len(W) - 2 from one stack
+    W_0, W_1, ... of ``_solutions``: the left side and the first term of the
+    scale are running sums over k."""
+    if lam.imag == 0:
+        raise RealLambda("summation formula requires Im(lambda) != 0")
     j = sys.ctx.j
-    q = q_weight(lam)
-    W = _solutions(sys, lam, r + 1)
-    weights, C = q ** np.arange(r + 1), np.stack(sys.C[: r + 1])
-    lhs = np.einsum("k,kba,kbc,kcd->ad", weights, W[:-1].conj(), C, W[:-1])
+    weights = q_weight(lam) ** np.arange(len(W))
+    C = np.stack(sys.C[: len(W) - 1])
+    Wh = W.conj().transpose(0, 2, 1)
+    lhs = np.cumsum(weights[:-1, None, None] * (Wh[:-1] @ C @ W[:-1]), axis=0)
     coef = (abs(lam) ** 2 + 1) / (1j * (lam - np.conj(lam)))
-    rhs = coef * (q ** (r + 1) * (W[-1].conj().T @ j @ W[-1]) - j)
+    rhs = coef * (weights[1:, None, None] * (Wh[1:] @ j @ W[1:]) - j)
     norm_w = np.linalg.norm(W, axis=(1, 2)) ** 2
-    scale = (weights @ (norm_w[:-1] * np.linalg.norm(C, axis=(1, 2)))
-             + abs(coef) * (q ** (r + 1) * norm_w[-1] + 1) * np.linalg.norm(j))
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    scale = (np.cumsum(weights[:-1] * norm_w[:-1] * np.linalg.norm(C, axis=(1, 2)))
+             + abs(coef) * (weights[1:] * norm_w[1:] + 1) * np.linalg.norm(j))
+    return np.linalg.norm(lhs - rhs, axis=(1, 2)) / scale
 
 
 def weyl_disk_eval(sys: PotentialSequence, pair: MoebiusPair, lam: complex) -> np.ndarray:

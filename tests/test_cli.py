@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,18 @@ class TestVerify:
         assert run(["verify", "--system", path, "--out", tmp_path / "r.json"]) == 2
         err = capsys.readouterr().err
         assert "C_100" in err and "summation defect" in err
+
+    def test_break_between_checkpoints_is_caught(self, tmp_path, capsys):
+        # the summation defect is judged at every r: a break at k = 150 of N = 200
+        # shows at r = 150 (1.4e-9) but has faded to rounding level by r = N
+        system, _ = dz.generate(dz.example41_params(1.0, 1.0, 1.0), 200)
+        C = list(system.C)
+        C[150] = C[150] * (1 + 1e-8)
+        path = tmp_path / "broken.json"
+        io.write_doc(str(path), io.potentials_to_doc(dz.PotentialSequence(system.ctx, tuple(C))))
+        assert run(["verify", "--system", path, "--out", tmp_path / "r.json"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert any("summation defect at lambda=(1-1j), r=150 " in line for line in lines)
 
     def test_custom_lambda_grid(self, tmp_path, sys_doc):
         rep = tmp_path / "rep.json"
@@ -222,3 +238,24 @@ class TestDocuments:
                                   [[0.0, 0.0], [1.0, 0.0]]]]}}
         with pytest.raises(dz.errors.DocumentError):
             io.potentials_from_doc(doc)
+
+
+class TestColdStart:
+    def test_cli_import_does_not_load_scipy(self):
+        # SciPy costs about 0.25 s of every command's start; only the test-data
+        # generator random_szego_sequence may load it, on demand
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import diracszego.cli\n"
+            "assert 'scipy' not in sys.modules, 'SciPy loaded by import diracszego.cli'\n"
+            "from diracszego import random_szego_sequence\n"
+            "sz = random_szego_sequence(np.random.default_rng(0), 2, 3)\n"
+            "assert len(sz.R) == 4 and 'scipy' in sys.modules\n"
+        )
+        src = str(Path(dz.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

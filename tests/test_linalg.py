@@ -113,6 +113,29 @@ class TestSolvers:
         with pytest.raises(NotPositiveDefinite):
             dz.pd_solve(np.diag([1.0, -1.0]), np.ones((2, 1)))
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_pd_solve_matches_general_solve(self, rng, n):
+        S = random_hpd(rng, n)
+        B = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        expect = np.linalg.solve(S, B)
+        assert np.linalg.norm(dz.pd_solve(S, B) - expect) < 1e-12 * np.linalg.norm(expect)
+
+    def test_pd_solve_vector_rhs(self, rng):
+        S = random_hpd(rng, 4)
+        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        x = dz.pd_solve(S, b)
+        assert x.shape == (4,)
+        assert np.linalg.norm(S @ x - b) < 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("S", [
+        np.array([[1.0, 1j], [-1j, 1.0]]),             # singular PSD: eigenvalues 0 and 2
+        np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 1.0]]),  # indefinite Hermitian
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),      # LAPACK factors NaN without an error
+    ], ids=["singular", "indefinite", "nan"])
+    def test_pd_solve_rejects_non_pd(self, S):
+        with pytest.raises(NotPositiveDefinite):
+            dz.pd_solve(S, np.ones((2, 1)))
+
     def test_levinson_matches_pd_solve(self, rng):
         for p, n in ((1, 8), (2, 6)):
             # Hermitian PD Toeplitz symbol: diagonally dominant alpha_0
