@@ -266,6 +266,12 @@ def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512) -> 
     the K convention, and the blocks of i phi_K(lambda(z)) are extracted by
     discrete Fourier sums. The magnitude of the (N+1)-th block times the
     radius estimates the truncation error.
+
+    All samples go through one call of the Weyl function and one of
+    ``herglotz_map``, each gating its whole stack: every A_x - lambda I (or
+    theta - lambda I) is judged before any I + phi_I, and the first failing
+    sample of the first failing gate is named. A gate failure or a
+    non-finite value raises ``AnalyticityViolation``.
     """
     if isinstance(source, BdtParameters):
         p = source.ctx.p
@@ -275,18 +281,20 @@ def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512) -> 
         phi_i = source.value
     else:
         raise TypeError("source must be BdtParameters or WeylRealization")
-    vals = np.empty((samples, p, p), dtype=complex)
-    for mth in range(samples):
-        z = radius * np.exp(2j * np.pi * mth / samples)
-        lam = cayley_lambda_of_z(z)
-        try:
-            f = 1j * herglotz_map(phi_i(lam))
-        except (DiracSzegoError, np.linalg.LinAlgError) as exc:
-            raise AnalyticityViolation(
-                f"Weyl function could not be evaluated at sample z={z}: {exc}") from exc
-        if not np.all(np.isfinite(f)):
-            raise AnalyticityViolation(f"pole detected on the sample circle at z={z}")
-        vals[mth] = f
+    # a real angle: dividing a complex array by ``samples`` would round
+    # differently from the scalar 2j pi m / samples
+    z = radius * np.exp(1j * (2 * np.pi * np.arange(samples) / samples))
+    lam = cayley_lambda_of_z(z)
+    try:
+        vals = 1j * herglotz_map(phi_i(lam))
+    except (DiracSzegoError, np.linalg.LinAlgError) as exc:
+        raise AnalyticityViolation(
+            f"Weyl function could not be evaluated on the sample circle |z|={radius}: {exc}"
+        ) from exc
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    if not finite.all():
+        raise AnalyticityViolation(
+            f"pole detected on the sample circle at z={z[np.argmin(finite)]}")
     spectrum = np.fft.fft(vals, axis=0) / samples  # coefficient k at index k
     alpha = [spectrum[k] / radius**k for k in range(N + 1)]
     tail = np.linalg.norm(spectrum[N + 1] / radius ** (N + 1)) * radius

@@ -42,13 +42,33 @@ def min_eig(M: np.ndarray) -> float:
         return float("nan")
 
 
-def check_cond(M: np.ndarray, exc: type[Exception], what: str) -> None:
-    """``policy.check`` of cond(M) against cond_limit; a failed SVD is NaN."""
+def check_cond(M: np.ndarray, exc: type[Exception], what) -> None:
+    """``policy.check`` of cond(M) against cond_limit for one matrix or a
+    (..., n, n) stack, judged with one (batched) SVD.
+
+    A matrix with a non-finite entry skips the SVD (LAPACK rejects it) and
+    reads as ``numpy.linalg.cond`` reports it, NaN with a NaN entry and inf
+    without; every matrix of a failed SVD reads NaN. Both fail. The first
+    failing matrix in C order of the stack raises. ``what`` names it: a
+    callable of its flat stack index, or a string (on a stack, followed by
+    that index).
+    """
+    M = np.asarray(M)
+    stack = M.reshape((-1,) + M.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    value = np.where(np.isnan(stack).any(axis=(1, 2)), np.nan, np.inf)
     try:
-        value = np.linalg.cond(M)
+        value[finite] = np.linalg.cond(stack[finite])
     except np.linalg.LinAlgError:
-        value = float("nan")
-    check(value, 1.0, exc, f"condition number of {what}", DEFAULT_POLICY.cond_limit)
+        value[finite] = np.nan
+    passed = value <= DEFAULT_POLICY.cond_limit
+    if not passed.all():
+        i = int(np.argmin(passed))
+        if callable(what):
+            what = what(i)
+        elif M.ndim > 2:
+            what = f"{what} (stack index {i})"
+        check(value[i], 1.0, exc, f"condition number of {what}", DEFAULT_POLICY.cond_limit)
 
 
 @dataclass(frozen=True)

@@ -162,13 +162,21 @@ def normalize(params: BdtParameters) -> BdtParameters:
     )
 
 
+def _resolvent_solve(M: np.ndarray, lam, B: np.ndarray, name: str, why: str) -> np.ndarray:
+    """(M - lambda I)^{-1} B for a scalar lambda, shape (n, q), or a 1-D array
+    of s values, shape (s, n, q). One ``check_cond`` over the stack gates every
+    M - lambda I; the first failing lambda raises ``ResolventSingular`` as
+    "{name} - lambda I at lambda=..., {why},"."""
+    lams = np.asarray(lam)
+    res = M - lams[..., None, None] * np.eye(len(M), dtype=complex)
+    check_cond(res, ResolventSingular,
+               lambda i: f"{name} - lambda I at lambda={lams.flat[i]}, {why},")
+    return np.linalg.solve(res, B)
+
+
 def transfer(params: BdtParameters, state: BdtState, lam: complex) -> np.ndarray:
     """Transfer matrix function w_A(k, lambda) = I - i j Pi_k* S_k^{-1} (A - lambda I)^{-1} Pi_k."""
-    A = params.A
-    n = params.n
-    res = A - lam * np.eye(n, dtype=complex)
-    check_cond(res, ResolventSingular, f"A - lambda I at lambda={lam}, near the spectrum of A,")
-    X = np.linalg.solve(res, state.Pi)
+    X = _resolvent_solve(params.A, lam, state.Pi, "A", "near the spectrum of A")
     Y = _s_solve(state.S, X, params.s0_positive)
     return np.eye(params.ctx.m, dtype=complex) - 1j * params.ctx.j @ state.Pi.conj().T @ Y
 
@@ -194,23 +202,24 @@ def explicit_fundamental(params: BdtParameters, k: int, lam: complex,
     return w_k @ mid @ np.linalg.inv(w_0)
 
 
-def explicit_weyl(params: BdtParameters, lam: complex) -> np.ndarray:
+def explicit_weyl(params: BdtParameters, lam) -> np.ndarray:
     """Identity-convention Weyl function of the generated system:
 
         phi_I(lambda) = -i Phi* S0^{-1} (A_x - lambda I)^{-1} Psi,
         A_x = A + i Psi Psi* S0^{-1}.
 
     Requires S0 > 0; strictly contractive in the open lower half-plane.
+    ``lam`` is a scalar, giving a p x p value, or a 1-D array of s points,
+    giving an (s, p, p) stack; S0 > 0, S0^{-1} and A_x are formed once per
+    call. Each A_x - lambda I passes the ``cond_limit`` gate, else
+    ``ResolventSingular`` names the first failing lambda.
     """
     if not params.s0_positive:
         raise NotPositiveDefinite("the Weyl function requires S0 > 0")
-    n = params.n
     S0_inv = np.linalg.inv(params.S0)
     Across = params.A + 1j * params.Psi @ params.Psi.conj().T @ S0_inv
-    res = Across - lam * np.eye(n, dtype=complex)
-    check_cond(res, ResolventSingular,
-               f"A_x - lambda I at lambda={lam}, a pole of the Weyl function,")
-    return -1j * params.Phi.conj().T @ S0_inv @ np.linalg.solve(res, params.Psi)
+    X = _resolvent_solve(Across, lam, params.Psi, "A_x", "a pole of the Weyl function")
+    return -1j * params.Phi.conj().T @ S0_inv @ X
 
 
 def explicit_partial_sum(params: BdtParameters, lam: complex, r: int,
@@ -290,10 +299,14 @@ class WeylRealization:
     def n(self) -> int:
         return self.theta.shape[0]
 
-    def value(self, lam: complex) -> np.ndarray:
-        """The realized function -i PhiT* (theta - lambda I)^{-1} PsiT."""
-        res = self.theta - lam * np.eye(self.n, dtype=complex)
-        return -1j * self.PhiT.conj().T @ np.linalg.solve(res, self.PsiT)
+    def value(self, lam) -> np.ndarray:
+        """The realized function -i PhiT* (theta - lambda I)^{-1} PsiT at a
+        scalar ``lam`` (p x p) or a 1-D array of s points ((s, p, p)). Each
+        theta - lambda I passes the ``cond_limit`` gate, else
+        ``ResolventSingular`` names the first failing lambda."""
+        X = _resolvent_solve(self.theta, lam, self.PsiT, "theta",
+                             "a pole of the realized function")
+        return -1j * self.PhiT.conj().T @ X
 
 
 def realization_to_params(rz: WeylRealization) -> BdtParameters:

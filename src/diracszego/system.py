@@ -225,12 +225,15 @@ def weyl_disk_eval(sys: PotentialSequence, pair: MoebiusPair, lam: complex) -> n
 
 
 def herglotz_map(phiI: np.ndarray) -> np.ndarray:
-    """Change of convention phi_K = -i (I - phi_I)(I + phi_I)^{-1}."""
+    """Change of convention phi_K = -i (I - phi_I)(I + phi_I)^{-1}, for one
+    p x p value (scalars are promoted) or a (..., p, p) stack. Each I + phi_I
+    passes the ``cond_limit`` gate, else ``SingularShift`` names the first
+    failing one by its stack index."""
     phiI = np.atleast_2d(np.asarray(phiI, dtype=complex))
-    p = phiI.shape[0]
-    shift = np.eye(p, dtype=complex) + phiI
+    eye = np.eye(phiI.shape[-1], dtype=complex)
+    shift = eye + phiI
     check_cond(shift, SingularShift, "I + phi_I")
-    return -1j * (np.eye(p, dtype=complex) - phiI) @ np.linalg.inv(shift)
+    return -1j * (eye - phiI) @ np.linalg.inv(shift)
 
 
 def weyl_partial_sum(sys: PotentialSequence, phi, lam: complex, r: int,

@@ -195,9 +195,10 @@ def random_szego_sequence(rng, p: int, N: int, scale: float = 0.15) -> SzegoSequ
     return SzegoSequence(ctx=ctx, R=tuple(R), theta=tuple(1.0 for _ in range(N + 1)))
 
 
-def cayley_lambda_of_z(z: complex) -> complex:
-    """Disk-to-half-plane map lambda(z) = i (z + 1) / (z - 1)."""
-    if z == 1:
+def cayley_lambda_of_z(z):
+    """Disk-to-half-plane map lambda(z) = i (z + 1) / (z - 1), elementwise on
+    a scalar or an array; any z == 1 raises ``PoleAtInput``."""
+    if np.any(z == 1):
         raise PoleAtInput("lambda(z) has a pole at z = 1")
     return 1j * (z + 1) / (z - 1)
 

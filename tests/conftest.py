@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import diracszego as dz
+from diracszego.errors import AnalyticityViolation, DiracSzegoError
 
 
 @pytest.fixture
@@ -47,6 +48,34 @@ def disk_taylor(sys, pair, N, radius=0.5, samples=256):
         vals[m] = 1j * dz.weyl_disk_eval(sys, pair, lam)
     spectrum = np.fft.fft(vals, axis=0) / samples
     return [spectrum[k] / radius**k for k in range(N + 1)]
+
+
+def loop_rational_taylor(source, N, radius=0.5, samples=512):
+    """``rational_taylor`` one sample at a time: a scalar Weyl-function call,
+    ``herglotz_map`` and finiteness check per point of the circle. The library
+    evaluates all samples in one batched pass; this loop is kept only as the
+    reference the equivalence tests compare against."""
+    p = source.ctx.p
+    if isinstance(source, dz.BdtParameters):
+        phi_i = lambda lam: dz.explicit_weyl(source, lam)
+    else:
+        phi_i = source.value
+    vals = np.empty((samples, p, p), dtype=complex)
+    for mth in range(samples):
+        z = radius * np.exp(2j * np.pi * mth / samples)
+        lam = dz.cayley_lambda_of_z(z)
+        try:
+            f = 1j * dz.herglotz_map(phi_i(lam))
+        except (DiracSzegoError, np.linalg.LinAlgError) as exc:
+            raise AnalyticityViolation(
+                f"Weyl function could not be evaluated at sample z={z}: {exc}") from exc
+        if not np.all(np.isfinite(f)):
+            raise AnalyticityViolation(f"pole detected on the sample circle at z={z}")
+        vals[mth] = f
+    spectrum = np.fft.fft(vals, axis=0) / samples
+    alpha = [spectrum[k] / radius**k for k in range(N + 1)]
+    tail = np.linalg.norm(spectrum[N + 1] / radius ** (N + 1)) * radius
+    return dz.TaylorSequence(p=p, alpha=tuple(alpha), truncation_estimate=float(tail))
 
 
 def max_block_dev(seq_a, seq_b):

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 import diracszego as dz
+from diracszego import inverse, pseudoexp
 from diracszego.errors import (
     AnalyticityViolation,
     DiracSzegoError,
+    PoleAtInput,
     RankMismatch,
     ResolventSingular,
     SingularLeadingBlock,
     ToeplitzNotPD,
 )
-from conftest import disk_taylor, max_block_dev, random_schur
+from conftest import disk_taylor, loop_rational_taylor, max_block_dev, random_schur
 
 
 class TestStructuredA:
@@ -208,6 +210,83 @@ class TestRationalTaylor:
     def test_rejects_other_sources(self):
         with pytest.raises(TypeError):
             dz.rational_taylor(object(), 3)
+
+    def test_gate_failure_is_chained(self):
+        error = ResolventSingular("pole")
+        with pytest.raises(AnalyticityViolation) as caught:
+            dz.rational_taylor(self._realization_raising(error), 3)
+        assert caught.value.__cause__ is error
+
+    def test_sample_on_cayley_pole(self, ex41_params):
+        # radius 1 puts the first sample on z = 1, the pole of lambda(z)
+        with pytest.raises(PoleAtInput):
+            dz.rational_taylor(ex41_params, 3, radius=1.0)
+
+
+def assert_same_taylor(got, want):
+    assert len(got.alpha) == len(want.alpha)
+    assert all(np.array_equal(a, b) for a, b in zip(got.alpha, want.alpha))
+    assert got.truncation_estimate == want.truncation_estimate
+
+
+class TestRationalTaylorMatchesSampleLoop:
+    """The batched pass is bit for bit the per-sample loop of conftest."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_random_parameters(self, p):
+        rng = np.random.default_rng(p)
+        for _ in range(4):
+            params = dz.random_bdt_parameters(rng, 3, p, normalized=True)
+            assert_same_taylor(dz.rational_taylor(params, 12), loop_rational_taylor(params, 12))
+
+    def test_example41(self, ex41_params):
+        assert_same_taylor(dz.rational_taylor(ex41_params, 6), loop_rational_taylor(ex41_params, 6))
+
+    def test_realization(self):
+        rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
+                                PhiT=np.array([[1.0]]), PsiT=np.array([[1.0]]))
+        assert_same_taylor(dz.rational_taylor(rz, 3), loop_rational_taylor(rz, 3))
+
+    def test_other_radius_and_sample_count(self, rng):
+        params = dz.random_bdt_parameters(rng, 3, 2, normalized=True)
+        assert_same_taylor(dz.rational_taylor(params, 5, radius=0.3, samples=300),
+                           loop_rational_taylor(params, 5, radius=0.3, samples=300))
+
+
+class TestRationalTaylorCallCount:
+    """Counts calls into the Weyl-function layer, so that a return to
+    per-sample evaluation shows without timing anything."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"explicit_weyl": 0, "value": 0, "herglotz_map": 0, "min_eig": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("explicit_weyl", "herglotz_map"):
+            monkeypatch.setattr(inverse, name, counted(name, getattr(inverse, name)))
+        monkeypatch.setattr(pseudoexp, "min_eig", counted("min_eig", pseudoexp.min_eig))
+        monkeypatch.setattr(dz.WeylRealization, "value",
+                            counted("value", dz.WeylRealization.value))
+        return calls
+
+    def test_parameters_source(self, rng, counts):
+        dz.rational_taylor(dz.random_bdt_parameters(rng, 3, 2, normalized=True), 12)
+        assert counts["explicit_weyl"] == 1
+        assert counts["herglotz_map"] == 1
+        assert counts["min_eig"] <= 1
+
+    def test_realization_source(self, counts):
+        rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
+                                PhiT=np.array([[1.0]]), PsiT=np.array([[1.0]]))
+        dz.rational_taylor(rz, 3)
+        assert counts["value"] == 1
+        assert counts["herglotz_map"] == 1
+        assert counts["min_eig"] == 0
 
 
 class TestBorgMarchenko:

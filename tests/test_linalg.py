@@ -3,6 +3,7 @@ import pytest
 
 import diracszego as dz
 from diracszego.errors import NotHermitian, NotPositiveDefinite, RankMismatch
+from diracszego.linalg import check_cond
 
 
 def random_hpd(rng, n, shift=0.5):
@@ -155,3 +156,47 @@ class TestSolvers:
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = dz.block_levinson_solve(alpha, b)
         assert np.linalg.norm(dz.block_toeplitz(alpha) @ x - b[:, None]) < 1e-12
+
+
+class TestCheckCond:
+    @pytest.fixture
+    def svd_stacks(self, monkeypatch):
+        """Matrix counts of the stacks handed to ``numpy.linalg.cond``, one
+        entry per (batched) SVD."""
+        sizes = []
+        cond = np.linalg.cond
+
+        def counted(x, *args, **kwargs):
+            sizes.append(int(np.prod(np.shape(x)[:-2])))
+            return cond(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        return sizes
+
+    def test_single_matrix_costs_one_svd(self, rng, svd_stacks):
+        check_cond(random_hpd(rng, 3), ValueError, "M")
+        assert svd_stacks == [1]
+        with pytest.raises(ValueError, match=r"^condition number of M is inf"):
+            check_cond(np.zeros((2, 2)), ValueError, "M")
+
+    def test_stack_is_one_svd_over_the_finite_matrices(self, rng, svd_stacks):
+        stack = np.stack([random_hpd(rng, 2) for _ in range(5)])
+        stack[1, 0, 0] = np.nan
+        stack[4] = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(ValueError, match=r"of M \(stack index 1\) is nan"):
+            check_cond(stack, ValueError, "M")
+        assert svd_stacks == [4]
+
+    def test_first_failure_in_stack_order_is_named(self, rng):
+        stack = np.stack([random_hpd(rng, 2) for _ in range(4)])
+        stack[2] = [[1.0, 1.0], [1.0, 1.0]]
+        stack[3, 1, 1] = np.inf
+        with pytest.raises(ValueError, match=r"^condition number of matrix 2 is inf"):
+            check_cond(stack, ValueError, lambda i: f"matrix {i}")
+        check_cond(stack[:2], ValueError, lambda i: f"matrix {i}")
+
+    def test_non_finite_reads_as_numpy_cond(self):
+        with pytest.raises(ValueError, match=r"is inf"):
+            check_cond(np.array([[np.inf, 0.0], [0.0, 1.0]]), ValueError, "M")
+        with pytest.raises(ValueError, match=r"is nan"):
+            check_cond(np.array([[np.nan]]), ValueError, "M")

@@ -205,6 +205,21 @@ class TestExplicitWeyl:
         with pytest.raises(NotPositiveDefinite):
             dz.explicit_weyl(params, -1j)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_batch_matches_scalar_loop(self, p, rng):
+        for _ in range(5):
+            params = dz.random_bdt_parameters(rng, 3, p, normalized=bool(rng.integers(2)))
+            lam = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            batch = dz.explicit_weyl(params, lam)
+            assert batch.shape == (16, p, p)
+            assert np.array_equal(batch, np.stack([dz.explicit_weyl(params, x) for x in lam]))
+
+    def test_batch_names_the_pole(self, ex41_params):
+        # A_x = 1 + i for example41 with a = Phi = Psi = 1
+        lam = np.array([-1j, 2 - 1j, 1 + 1j, 3 + 0j])
+        with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
+            dz.explicit_weyl(ex41_params, lam)
+
 
 class TestExplicitPartialSum:
     def test_matches_step_accumulation(self, ex41_params):
@@ -243,6 +258,38 @@ class TestRealization:
         params = dz.realization_to_params(rz)
         for lam in LAMBDAS:
             assert abs(rz.value(lam) - dz.explicit_weyl(params, lam)) < 1e-13
+
+    def test_value_batch_matches_scalar_loop(self, rng):
+        for p in (1, 2):
+            params = dz.random_bdt_parameters(rng, 3, p, normalized=True)
+            rz = dz.WeylRealization(ctx=params.ctx,
+                                    theta=params.A + 1j * params.Psi @ params.Psi.conj().T,
+                                    PhiT=params.Phi, PsiT=params.Psi)
+            lam = rng.standard_normal(16) - 1j * rng.uniform(0.05, 3.0, 16)
+            batch = rz.value(lam)
+            assert batch.shape == (16, p, p)
+            assert np.array_equal(batch, np.stack([rz.value(x) for x in lam]))
+
+    def test_value_at_eigenvalue_of_theta(self):
+        rz = self.ex41_realization()
+        with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
+            rz.value(1 + 1j)
+        with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
+            rz.value(np.array([-1j, 1 + 1j, 2 - 1j]))
+
+    def test_value_at_computed_eigenvalue_of_theta(self, rng):
+        # theta - lambda I is singular only to working precision here, so
+        # only the condition gate stops the solve
+        params = dz.random_bdt_parameters(rng, 3, 2, normalized=True)
+        rz = dz.WeylRealization(ctx=params.ctx,
+                                theta=params.A + 1j * params.Psi @ params.Psi.conj().T,
+                                PhiT=params.Phi, PsiT=params.Psi)
+        pole = np.linalg.eigvals(rz.theta)[0]
+        named = re.escape(f"lambda={pole},")
+        with pytest.raises(ResolventSingular, match=named):
+            rz.value(pole)
+        with pytest.raises(ResolventSingular, match=named):
+            rz.value(np.array([-1j, pole, 2 - 1j]))
 
     def test_round_trip_reproduces_potentials(self, ex41_params):
         rz = self.ex41_realization()  # realization of the closed-form Weyl function

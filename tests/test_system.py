@@ -136,6 +136,17 @@ class TestHerglotzMap:
         with pytest.raises(SingularShift):
             dz.herglotz_map(-np.eye(2))
 
+    def test_stack_matches_scalar_loop(self, rng):
+        M = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+        M *= 0.9 / np.linalg.norm(M, 2, axis=(1, 2))[:, None, None]
+        assert np.array_equal(dz.herglotz_map(M), np.stack([dz.herglotz_map(x) for x in M]))
+
+    def test_stack_rejects_singular_shift(self, rng):
+        M = 0.1 * rng.standard_normal((5, 2, 2)) + 0j
+        M[3] = -np.eye(2)
+        with pytest.raises(SingularShift, match="stack index 3"):
+            dz.herglotz_map(M)
+
 
 class TestWeylPartialSum:
     def test_r_zero_identity_convention(self, ex41_system):

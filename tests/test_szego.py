@@ -111,6 +111,13 @@ class TestCayleyMaps:
         with pytest.raises(PoleAtInput):
             dz.szego_z_of_lambda(-1j)
 
+    def test_array_input(self, rng):
+        z = 0.5 * np.exp(2j * np.pi * rng.uniform(size=8))
+        lam = dz.cayley_lambda_of_z(z)
+        assert np.array_equal(lam, [dz.cayley_lambda_of_z(x) for x in z])
+        with pytest.raises(PoleAtInput):
+            dz.cayley_lambda_of_z(np.array([0.5j, 1.0, -0.5]))
+
     def test_recurrence_variable_is_distinct(self):
         lam = 2 - 1j
         assert dz.szego_z_of_lambda(lam) != dz.cayley_z_of_lambda(lam)
