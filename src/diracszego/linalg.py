@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHermitian, NotPositiveDefinite, RankMismatch
-from .policy import DEFAULT_POLICY, check
+from .policy import DEFAULT_POLICY, check, passes
 
 __all__ = [
     "SignatureContext",
@@ -42,33 +42,41 @@ def min_eig(M: np.ndarray) -> float:
         return float("nan")
 
 
-def check_cond(M: np.ndarray, exc: type[Exception], what) -> None:
-    """``policy.check`` of cond(M) against cond_limit for one matrix or a
-    (..., n, n) stack, judged with one (batched) SVD.
+def check_cond(M: np.ndarray, exc: type[Exception], what: str) -> None:
+    """``policy.check`` of cond(M) against cond_limit for one n x n matrix;
+    one SVD, as ``check_cond_stack`` on a stack of one."""
+    check_cond_stack(np.asarray(M)[None], exc, lambda i: what)
+
+
+def _cond_or_nan(M: np.ndarray) -> float:
+    try:
+        return np.linalg.cond(M)
+    except np.linalg.LinAlgError:
+        return np.nan
+
+
+def check_cond_stack(M: np.ndarray, exc: type[Exception], name) -> None:
+    """``policy.check`` of cond against cond_limit for every matrix of a
+    (..., n, n) stack, judged with one batched SVD.
 
     A matrix with a non-finite entry skips the SVD (LAPACK rejects it) and
     reads as ``numpy.linalg.cond`` reports it, NaN with a NaN entry and inf
-    without; every matrix of a failed SVD reads NaN. Both fail. The first
-    failing matrix in C order of the stack raises. ``what`` names it: a
-    callable of its flat stack index, or a string (on a stack, followed by
-    that index).
+    without; a matrix whose SVD fails reads NaN. Both fail. The first failing
+    matrix in C order of the stack raises ``exc``, named by ``name`` of its
+    flat stack index.
     """
-    M = np.asarray(M)
-    stack = M.reshape((-1,) + M.shape[-2:])
+    stack = np.asarray(M).reshape((-1,) + np.shape(M)[-2:])
     finite = np.isfinite(stack).all(axis=(1, 2))
     value = np.where(np.isnan(stack).any(axis=(1, 2)), np.nan, np.inf)
     try:
         value[finite] = np.linalg.cond(stack[finite])
     except np.linalg.LinAlgError:
-        value[finite] = np.nan
-    passed = value <= DEFAULT_POLICY.cond_limit
+        # error path only: one matrix at a time, so the one that failed is named
+        value[finite] = [_cond_or_nan(A) for A in stack[finite]]
+    passed = passes(value, 1.0, DEFAULT_POLICY.cond_limit)
     if not passed.all():
         i = int(np.argmin(passed))
-        if callable(what):
-            what = what(i)
-        elif M.ndim > 2:
-            what = f"{what} (stack index {i})"
-        check(value[i], 1.0, exc, f"condition number of {what}", DEFAULT_POLICY.cond_limit)
+        check(value[i], 1.0, exc, f"condition number of {name(i)}", DEFAULT_POLICY.cond_limit)
 
 
 @dataclass(frozen=True)

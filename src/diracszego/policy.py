@@ -5,7 +5,8 @@ scale of the operands that formed the residual (the norms of the factors of
 each product, as in the standard backward-error bounds): C j C - j is judged
 against ||C||^2, not a constant, because the Dirac coefficients and the
 fundamental solutions grow geometrically with the step. The comparison is
-written in its passing form, so a NaN fails it. ``check`` raises on failure;
+written in its passing form, so a NaN fails it, in ``passes``, which also
+judges arrays elementwise. ``check`` raises on failure;
 ``failure`` returns the verdict as a line, for reports that list them all.
 A lower bound lambda_min > t * scale is the same rule negated, ``tau=-t``.
 
@@ -33,11 +34,16 @@ class NumericPolicy:
 DEFAULT_POLICY = NumericPolicy()
 
 
+def passes(measured, scale, tau: float = DEFAULT_POLICY.tau):
+    """``measured <= tau * scale``, elementwise on arrays; NaN fails."""
+    return measured <= tau * scale
+
+
 def failure(measured: float, scale: float, what: str,
             tau: float = DEFAULT_POLICY.tau) -> str | None:
-    """None when ``measured <= tau * scale`` (so NaN fails); otherwise a line
-    naming the quantity, its measured value and the allowed value."""
-    if measured <= tau * scale:
+    """None when the gate ``passes``; otherwise a line naming the quantity,
+    its measured value and the allowed value."""
+    if passes(measured, scale, tau):
         return None
     return f"{what} is {measured:.3e}, allowed at most {tau * scale:.3e}"
 

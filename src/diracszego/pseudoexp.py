@@ -21,7 +21,8 @@ from .errors import (
     SingularS,
     SingularW0,
 )
-from .linalg import SignatureContext, check_cond, herm_residual, hermitian_sqrt, min_eig, pd_solve
+from .linalg import (SignatureContext, check_cond, check_cond_stack, herm_residual, hermitian_sqrt,
+                     min_eig, pd_solve)
 from .policy import DEFAULT_POLICY, check
 from .system import PotentialSequence
 
@@ -164,14 +165,15 @@ def normalize(params: BdtParameters) -> BdtParameters:
 
 def _resolvent_solve(M: np.ndarray, lam, B: np.ndarray, name: str, why: str) -> np.ndarray:
     """(M - lambda I)^{-1} B for a scalar lambda, shape (n, q), or a 1-D array
-    of s values, shape (s, n, q). One ``check_cond`` over the stack gates every
+    of s values, shape (s, n, q). One ``check_cond_stack`` gates every
     M - lambda I; the first failing lambda raises ``ResolventSingular`` as
-    "{name} - lambda I at lambda=..., {why},"."""
+    "{name} - lambda I at lambda=..., {why},". B is broadcast to the stack:
+    NumPy < 2 would read an (n, q) B under an (s, n, n) stack as n vectors."""
     lams = np.asarray(lam)
     res = M - lams[..., None, None] * np.eye(len(M), dtype=complex)
-    check_cond(res, ResolventSingular,
-               lambda i: f"{name} - lambda I at lambda={lams.flat[i]}, {why},")
-    return np.linalg.solve(res, B)
+    check_cond_stack(res, ResolventSingular,
+                     lambda i: f"{name} - lambda I at lambda={lams.flat[i]}, {why},")
+    return np.linalg.solve(res, np.broadcast_to(B, res.shape[:-2] + B.shape))
 
 
 def transfer(params: BdtParameters, state: BdtState, lam: complex) -> np.ndarray:

@@ -18,7 +18,7 @@ from .errors import (
     SingularDenominator,
     SingularShift,
 )
-from .linalg import SignatureContext, check_cond, herm_residual, min_eig
+from .linalg import SignatureContext, check_cond, check_cond_stack, herm_residual, min_eig
 from .policy import DEFAULT_POLICY, check, failure
 
 __all__ = [
@@ -232,7 +232,10 @@ def herglotz_map(phiI: np.ndarray) -> np.ndarray:
     phiI = np.atleast_2d(np.asarray(phiI, dtype=complex))
     eye = np.eye(phiI.shape[-1], dtype=complex)
     shift = eye + phiI
-    check_cond(shift, SingularShift, "I + phi_I")
+    if shift.ndim == 2:
+        check_cond(shift, SingularShift, "I + phi_I")
+    else:
+        check_cond_stack(shift, SingularShift, lambda i: f"I + phi_I (stack index {i})")
     return -1j * (eye - phiI) @ np.linalg.inv(shift)
 
 

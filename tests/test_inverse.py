@@ -253,6 +253,37 @@ class TestRationalTaylorMatchesSampleLoop:
                            loop_rational_taylor(params, 5, radius=0.3, samples=300))
 
 
+class TestStackedSolveRightHandSide:
+    """NumPy 1.x reads the b of ``numpy.linalg.solve(a, b)`` as a stack of
+    vectors when b.ndim == a.ndim - 1, NumPy 2 only when b.ndim == 1. Every
+    solve on the batched path passes a b that both rules read alike."""
+
+    @pytest.fixture
+    def unambiguous_solve(self, monkeypatch):
+        solve = np.linalg.solve
+        shapes = []
+
+        def checked(a, b):
+            shapes.append((np.shape(a), np.shape(b)))
+            assert (np.ndim(b) == 1) == (np.ndim(b) == np.ndim(a) - 1), shapes[-1]
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked)
+        return shapes
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 1), (3, 2)])
+    def test_parameters_source(self, n, p, unambiguous_solve):
+        params = dz.random_bdt_parameters(np.random.default_rng(n + p), n, p, normalized=True)
+        dz.rational_taylor(params, 4)
+        assert ((512, n, n), (512, n, p)) in unambiguous_solve
+
+    def test_realization_source(self, unambiguous_solve):
+        rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
+                                PhiT=np.array([[1.0]]), PsiT=np.array([[1.0]]))
+        dz.rational_taylor(rz, 3)
+        assert ((512, 1, 1), (512, 1, 1)) in unambiguous_solve
+
+
 class TestRationalTaylorCallCount:
     """Counts calls into the Weyl-function layer, so that a return to
     per-sample evaluation shows without timing anything."""

@@ -3,7 +3,8 @@ import pytest
 
 import diracszego as dz
 from diracszego.errors import NotHermitian, NotPositiveDefinite, RankMismatch
-from diracszego.linalg import check_cond
+from diracszego.linalg import check_cond, check_cond_stack
+from diracszego.policy import DEFAULT_POLICY, failure, passes
 
 
 def random_hpd(rng, n, shift=0.5):
@@ -183,8 +184,8 @@ class TestCheckCond:
         stack = np.stack([random_hpd(rng, 2) for _ in range(5)])
         stack[1, 0, 0] = np.nan
         stack[4] = [[1.0, 1.0], [1.0, 1.0]]
-        with pytest.raises(ValueError, match=r"of M \(stack index 1\) is nan"):
-            check_cond(stack, ValueError, "M")
+        with pytest.raises(ValueError, match=r"^condition number of matrix 1 is nan"):
+            check_cond_stack(stack, ValueError, lambda i: f"matrix {i}")
         assert svd_stacks == [4]
 
     def test_first_failure_in_stack_order_is_named(self, rng):
@@ -192,8 +193,33 @@ class TestCheckCond:
         stack[2] = [[1.0, 1.0], [1.0, 1.0]]
         stack[3, 1, 1] = np.inf
         with pytest.raises(ValueError, match=r"^condition number of matrix 2 is inf"):
-            check_cond(stack, ValueError, lambda i: f"matrix {i}")
-        check_cond(stack[:2], ValueError, lambda i: f"matrix {i}")
+            check_cond_stack(stack, ValueError, lambda i: f"matrix {i}")
+        check_cond_stack(stack[:2], ValueError, lambda i: f"matrix {i}")
+
+    def test_failed_svd_names_the_failing_matrix(self, rng, monkeypatch):
+        """A LinAlgError from the batched SVD is resolved matrix by matrix, so
+        the matrix whose SVD fails is named, not the first of the stack."""
+        cond = np.linalg.cond
+
+        def fails_on_marked(x, *args, **kwargs):
+            if (np.asarray(x)[..., 0, 0] == 7.0).any():
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return cond(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", fails_on_marked)
+        stack = np.stack([random_hpd(rng, 2) for _ in range(4)])
+        stack[2, 0, 0] = 7.0
+        with pytest.raises(ValueError, match=r"^condition number of matrix 2 is nan"):
+            check_cond_stack(stack, ValueError, lambda i: f"matrix {i}")
+        with pytest.raises(ValueError, match=r"^condition number of M is nan"):
+            check_cond(stack[2], ValueError, "M")
+
+    def test_gate_is_the_policy_rule(self):
+        """The stack verdict and the raised line both come from ``passes``."""
+        limit = DEFAULT_POLICY.cond_limit
+        values = np.array([1.0, limit, np.nextafter(limit, np.inf), np.nan, np.inf])
+        assert passes(values, 1.0, limit).tolist() == [True, True, False, False, False]
+        assert [failure(v, 1.0, "x", limit) is None for v in values] == [True, True, False, False, False]
 
     def test_non_finite_reads_as_numpy_cond(self):
         with pytest.raises(ValueError, match=r"is inf"):
