@@ -28,9 +28,9 @@ from .errors import (
     SingularVMinus,
     ToeplitzNotPD,
 )
-from .linalg import (SignatureContext, block_levinson, block_toeplitz, check_cond, min_eig,
-                     rank_p_factor)
-from .policy import DEFAULT_POLICY, check, failure
+from .linalg import (SignatureContext, block_levinson, block_toeplitz, cond_stack, min_eig,
+                     norm_stack, rank_p_factor)
+from .policy import DEFAULT_POLICY, check, check_stack, failure
 from .pseudoexp import BdtParameters, WeylRealization, explicit_weyl
 from .system import PotentialSequence, herglotz_map
 from .szego import cayley_lambda_of_z
@@ -103,23 +103,35 @@ def beta_from_potentials(sys: PotentialSequence) -> BetaSequence:
 
     beta(k) is the canonical rank-p factor of (C_k + j)/2 rotated by K*; the
     J-normalization beta J beta* = I_p follows from C j C = j and is asserted
-    at the scale ||beta||^2 ||J|| + ||I_p||, not imposed.
+    at the scale ||beta||^2 ||J|| + ||I_p||, not imposed. All coefficients
+    are factored and judged as one stack. When a gate fails they are judged
+    again one at a time, so the error names the first C_k that fails, with
+    the first of its gates that fails.
     """
     ctx = sys.ctx
     norm_J, norm_I = np.linalg.norm(ctx.J), np.sqrt(ctx.p)
-    betas = []
-    for k, C in enumerate(sys.C):
-        G = (C + ctx.j) / 2
-        try:
-            bhat = rank_p_factor(G, ctx.p)
-        except (NotPositiveDefinite, RankMismatch) as exc:
-            raise type(exc)(f"C_{k} is not a valid potential: {exc}") from exc
-        b = bhat @ ctx.K.conj().T
-        check(np.linalg.norm(b @ ctx.J @ b.conj().T - np.eye(ctx.p)),
-              np.linalg.norm(b) ** 2 * norm_J + norm_I, InvariantViolated,
-              f"C_{k} is not a valid potential: beta({k}) J-normalization residual")
-        betas.append(b)
-    return BetaSequence(ctx=ctx, beta=tuple(betas))
+
+    def factors(G, first):
+        """beta(first), beta(first + 1), ... of a stack of (C_k + j)/2."""
+        b = rank_p_factor(G, ctx.p) @ ctx.K.conj().T
+        resid = b @ ctx.J @ b.conj().transpose(0, 2, 1) - np.eye(ctx.p)
+        check_stack([(norm_stack(resid), norm_stack(b) ** 2 * norm_J + norm_I, InvariantViolated,
+                      lambda i: f"beta({first + i}) J-normalization residual", DEFAULT_POLICY.tau)])
+        return b
+
+    G = (np.stack(sys.C) + ctx.j) / 2
+    invalid = (NotPositiveDefinite, RankMismatch, InvariantViolated)
+    try:
+        b = factors(G, 0)
+    except invalid:
+        # error path only: one coefficient at a time, so the first C_k that fails is named
+        for k in range(len(G)):
+            try:
+                factors(G[k, None], k)
+            except invalid as exc:
+                raise type(exc)(f"C_{k} is not a valid potential: {exc}") from exc
+        raise
+    return BetaSequence(ctx=ctx, beta=tuple(b))
 
 
 def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
@@ -133,26 +145,41 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     stack of identities (internal consistency assertion, at the scale
     sum_k ||beta(k)||^2) and the second carries the partial sums psi_k of the
     coefficients.
+
+    The diagonal blocks v_-(0) = the first block of beta(0) and
+    v_-(k) = beta(k) J (beta(k-1)* v_-(k-1)) are formed first, and one
+    batched SVD judges them all before any is solved against. The running
+    sum is stored block-column-major, 2p x (N+1)p, so that M, its update
+    and sum_c X_c Pi_c are each one 2-D product per step.
     """
     ctx = beta.ctx
     p, J = ctx.p, ctx.J
     N = beta.N
     b = np.stack(beta.beta)                      # (N+1, p, 2p)
     bH = b.conj().transpose(0, 2, 1)
-    check_cond(b[0, :, :p], SingularLeadingBlock, "the first block of beta(0)")
-    T = np.zeros((N + 1, 2 * p, p), dtype=complex)   # block columns of sum_l beta(l)* V_-[l, :]
-    Pi = np.zeros((N + 1, p, 2 * p), dtype=complex)  # block rows of V_-^{-1} [beta(0); ...]
-    v_k = b[0, :, :p]
-    T[0] = bH[0] @ v_k
-    Pi[0] = np.linalg.solve(v_k, b[0])
+    bJ = b @ J
+    v = np.empty((N + 1, p, p), dtype=complex)   # the diagonal blocks v_-(k)
+    v[0] = b[0, :, :p]
     for k in range(1, N + 1):
-        M = b[k] @ J @ T[:k]                     # (k, p, p)
-        v_k = M[-1]                              # = beta(k) J beta(k-1)* v_-(k-1)
-        check_cond(v_k, SingularVMinus, f"v_-({k})")
-        X = -np.diff(M, axis=0, prepend=b[k, None, :, :p])
-        T[:k] += bH[k] @ X
-        T[k] = bH[k] @ v_k
-        Pi[k] = np.linalg.solve(v_k, b[k] - np.einsum("cab,cbd->ad", X, Pi[:k]))
+        v[k] = bJ[k] @ (bH[k - 1] @ v[k - 1])   # the last block of M at step k
+    cond = cond_stack(v)
+    check(cond[0], 1.0, SingularLeadingBlock, "condition number of the first block of beta(0)",
+          DEFAULT_POLICY.cond_limit)
+    check_stack([(cond[1:], 1.0, SingularVMinus, lambda i: f"condition number of v_-({i + 1})",
+                  DEFAULT_POLICY.cond_limit)])
+    T = np.zeros((2 * p, N + 1, p), dtype=complex)  # sum_l beta(l)* V_-[l, :], block columns
+    Pi = np.zeros((N + 1, p, 2 * p), dtype=complex)  # block rows of V_-^{-1} [beta(0); ...]
+    T[:, 0] = bH[0] @ v[0]
+    Pi[0] = np.linalg.solve(v[0], b[0])
+    for k in range(1, N + 1):
+        M = (bJ[k] @ T[:, :k].reshape(2 * p, k * p)).reshape(p, k, p)
+        X = np.empty_like(M)
+        X[:, 0] = b[k, :, :p] - M[:, 0]
+        X[:, 1:] = M[:, :-1] - M[:, 1:]
+        X = X.reshape(p, k * p)
+        T[:, :k] += (bH[k] @ X).reshape(2 * p, k, p)
+        T[:, k] = bH[k] @ v[k]
+        Pi[k] = np.linalg.solve(v[k], b[k] - X @ Pi[:k].reshape(k * p, 2 * p))
     check(np.linalg.norm(Pi[:, :, :p] - np.eye(p)), np.linalg.norm(b) ** 2, Phi1Mismatch,
           "deviation of the first block column from the identity stack")
     alpha = np.diff(Pi[:, :, p:], axis=0, prepend=np.zeros((1, p, p)))
@@ -208,27 +235,32 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     ``_first_not_pd``). With B_r the last block column of S(r)^{-1} from the
     block Levinson engine, the last-block-row compression of Pi(r)* S(r)^{-1}
     is core = sum_l B_r[l]* [I, psi_l] and P S(r)^{-1} P* = B_r[r]; they yield
-    the Gram matrix beta(r)* beta(r), and C_r = 2 K* G K - j. Each step
-    asserts core J core* = small at the scale ||core||^2 ||J|| + ||small||.
+    the Gram matrix beta(r)* beta(r), and C_r = 2 K* G K - j. The Levinson
+    loop only collects core and small; one stacked solve then forms every
+    G, core J core* = small is asserted at the scale
+    ||core||^2 ||J|| + ||small|| and the first r that fails is named.
     The recursion costs O(N^2 p^3); the gate adds one eigenvalue problem.
     """
     ctx = SignatureContext(p=alpha.p)
-    p, J, K, j, norm_J = alpha.p, ctx.J, ctx.K, ctx.j, np.linalg.norm(ctx.J)
+    p, J, K, j = alpha.p, ctx.J, ctx.K, ctx.j
     failed = _first_not_pd(block_toeplitz(alpha.alpha), p)
     stop = alpha.N + 1 if failed is None else failed[0]
     psi = np.cumsum(np.stack(alpha.alpha), axis=0)
-    C = []
+    core = np.empty((stop, p, 2 * p), dtype=complex)   # P S(r)^{-1} Pi(r)
+    small = np.empty((stop, p, p), dtype=complex)      # P S(r)^{-1} P*
     for r, last in enumerate(islice(block_levinson(alpha.alpha), stop)):
         lastH = last.conj().transpose(0, 2, 1)
-        core = np.hstack([lastH.sum(axis=0),                       # P S^{-1} Pi, p x 2p
-                          np.einsum("lab,lbc->ac", lastH, psi[:r + 1])])
-        small = last[r]                                            # P S^{-1} P*, p x p
-        G = core.conj().T @ np.linalg.solve(small, core)
-        check(np.linalg.norm(core @ J @ core.conj().T - small),
-              np.linalg.norm(core) ** 2 * norm_J + np.linalg.norm(small),
-              InvariantViolated, f"J-normalization residual at r={r}")
-        Cr = 2 * K.conj().T @ G @ K - j
-        C.append((Cr + Cr.conj().T) / 2)
+        core[r, :, :p] = lastH.sum(axis=0)
+        core[r, :, p:] = np.einsum("lab,lbc->ac", lastH, psi[:r + 1])
+        small[r] = last[r]
+    coreH = core.conj().transpose(0, 2, 1)
+    G = coreH @ np.linalg.solve(small, core)
+    check_stack([(norm_stack(core @ J @ coreH - small),
+                  norm_stack(core) ** 2 * np.linalg.norm(J) + norm_stack(small),
+                  InvariantViolated, lambda r: f"J-normalization residual at r={r}",
+                  DEFAULT_POLICY.tau)])
+    C = 2 * K.conj().T @ G @ K - j
+    C = (C + C.conj().transpose(0, 2, 1)) / 2
     if failed is not None:
         r, line = failed
         raise ToeplitzNotPD(f"block Toeplitz matrix S({r}) is not positive definite: {line}",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHermitian, NotPositiveDefinite, RankMismatch
-from .policy import DEFAULT_POLICY, check, passes
+from .policy import DEFAULT_POLICY, check, check_stack
 
 __all__ = [
     "SignatureContext",
@@ -26,6 +26,9 @@ __all__ = [
     "block_levinson_solve",
     "herm_residual",
     "min_eig",
+    "min_eig_stack",
+    "norm_stack",
+    "cond_stack",
 ]
 
 
@@ -34,12 +37,49 @@ def herm_residual(M: np.ndarray) -> float:
     return float(np.linalg.norm(M - M.conj().T))
 
 
+def norm_stack(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix of a (..., m, n) stack, each with the
+    bits ``numpy.linalg.norm`` gives that matrix alone when it is stored in C
+    order: the squares of the real parts and of the imaginary parts are each
+    summed as one dot product, as it sums them, so a gate judged on a stack
+    gives the verdict the same gate gives one matrix."""
+    M = np.asarray(M)
+    flat = np.ascontiguousarray(M).reshape(M.shape[:-2] + (1, M.shape[-2] * M.shape[-1]))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum((x @ x.swapaxes(-1, -2))[..., 0, 0] for x in parts))
+
+
 def min_eig(M: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``M``; NaN if eigvalsh fails."""
+    """Smallest eigenvalue of the Hermitian part of one matrix ``M``; NaN if
+    ``M`` has a non-finite entry (LAPACK may return any number for it) or
+    eigvalsh fails."""
+    if not np.isfinite(M).all():
+        return float("nan")
     try:
         return float(np.linalg.eigvalsh((M + M.conj().T) / 2)[0])
     except np.linalg.LinAlgError:
         return float("nan")
+
+
+def min_eig_stack(M: np.ndarray) -> np.ndarray:
+    """``min_eig`` of every matrix of a (..., n, n) stack, from one batched
+    eigvalsh; the result has the stack's shape.
+
+    A matrix with a non-finite entry skips eigvalsh and reads NaN. If the
+    batched eigvalsh fails, the finite matrices are judged again one at a
+    time, so only the one that fails reads NaN.
+    """
+    M = np.asarray(M)
+    stack = M.reshape((-1,) + M.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    A = stack[finite]
+    value = np.full(len(stack), np.nan)
+    try:
+        value[finite] = np.linalg.eigvalsh((A + A.conj().transpose(0, 2, 1)) / 2)[:, 0]
+    except np.linalg.LinAlgError:
+        # error path only: one matrix at a time
+        value[finite] = [min_eig(B) for B in A]
+    return value.reshape(M.shape[:-2])
 
 
 def check_cond(M: np.ndarray, exc: type[Exception], what: str) -> None:
@@ -55,15 +95,13 @@ def _cond_or_nan(M: np.ndarray) -> float:
         return np.nan
 
 
-def check_cond_stack(M: np.ndarray, exc: type[Exception], name) -> None:
-    """``policy.check`` of cond against cond_limit for every matrix of a
-    (..., n, n) stack, judged with one batched SVD.
+def cond_stack(M: np.ndarray) -> np.ndarray:
+    """Condition number of every matrix of a (..., n, n) stack, flattened to
+    one axis in C order, from one batched SVD.
 
     A matrix with a non-finite entry skips the SVD (LAPACK rejects it) and
     reads as ``numpy.linalg.cond`` reports it, NaN with a NaN entry and inf
-    without; a matrix whose SVD fails reads NaN. Both fail. The first failing
-    matrix in C order of the stack raises ``exc``, named by ``name`` of its
-    flat stack index.
+    without; a matrix whose SVD fails reads NaN.
     """
     stack = np.asarray(M).reshape((-1,) + np.shape(M)[-2:])
     finite = np.isfinite(stack).all(axis=(1, 2))
@@ -71,12 +109,20 @@ def check_cond_stack(M: np.ndarray, exc: type[Exception], name) -> None:
     try:
         value[finite] = np.linalg.cond(stack[finite])
     except np.linalg.LinAlgError:
-        # error path only: one matrix at a time, so the one that failed is named
+        # error path only: one matrix at a time, so only the one that failed reads NaN
         value[finite] = [_cond_or_nan(A) for A in stack[finite]]
-    passed = passes(value, 1.0, DEFAULT_POLICY.cond_limit)
-    if not passed.all():
-        i = int(np.argmin(passed))
-        check(value[i], 1.0, exc, f"condition number of {name(i)}", DEFAULT_POLICY.cond_limit)
+    return value
+
+
+def check_cond_stack(M: np.ndarray, exc: type[Exception], name) -> None:
+    """``policy.check`` of cond against cond_limit for every matrix of a
+    (..., n, n) stack, judged with one batched SVD (``cond_stack``).
+
+    NaN and inf fail. The first failing matrix in C order of the stack
+    raises ``exc``, named by ``name`` of its flat stack index.
+    """
+    check_stack([(cond_stack(M), 1.0, exc, lambda i: f"condition number of {name(i)}",
+                  DEFAULT_POLICY.cond_limit)])
 
 
 @dataclass(frozen=True)
@@ -131,25 +177,38 @@ def rank_p_factor(G: np.ndarray, p: int) -> np.ndarray:
     The factor is built from the top-``p`` eigenpairs as Lambda^{1/2} V*. To make
     the result deterministic the eigenvalues are ordered descending and each
     eigenvector's phase is fixed so its first nonzero entry is real positive.
+    ``G`` may also be an (s, 2p, 2p) stack, factored with one batched eigh
+    into an (s, p, 2p) stack; each matrix gives the bits it gives alone, and
+    the first matrix that fails a gate raises as it would alone.
     """
     G = np.asarray(G, dtype=complex)
-    if G.shape[0] != 2 * p:
+    if G.shape[-2:] != (2 * p, 2 * p):
         raise ValueError(f"expected a {2 * p} x {2 * p} matrix, got {G.shape}")
-    scale = max(np.linalg.norm(G), 1.0)
-    check(herm_residual(G), scale, NotPositiveDefinite, "asymmetry")
-    w, V = np.linalg.eigh((G + G.conj().T) / 2)
-    check(-w[0], scale, NotPositiveDefinite, "-min_eig", DEFAULT_POLICY.tau_pd)
-    w, V = w[::-1], V[:, ::-1]  # descending
-    top, what = max(w[0], 1e-300), f"numerical rank is not {p}:"
-    check(-w[p - 1], top, RankMismatch, f"{what} -eigenvalue {p}", -DEFAULT_POLICY.tau_rank)
-    check(w[p], top, RankMismatch, f"{what} eigenvalue {p + 1}", DEFAULT_POLICY.tau_rank)
-    V = V[:, :p].copy()
-    for col in range(p):
-        v = V[:, col]
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
-        phase = v[nz[0]] / abs(v[nz[0]])
-        V[:, col] = v / phase
-    return (np.sqrt(w[:p])[:, None]) * V.conj().T
+    stack = G.reshape((-1, 2 * p, 2 * p))
+    GH = stack.conj().transpose(0, 2, 1)
+    scale = np.maximum(norm_stack(stack), 1.0)
+    # a non-finite matrix skips eigh (LAPACK may not converge on it) and fails the first gate
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    w, V = np.full(stack.shape[:2], np.nan), np.full(stack.shape, np.nan, dtype=complex)
+    w[finite], V[finite] = np.linalg.eigh((stack[finite] + GH[finite]) / 2)
+    w, V = w[:, ::-1], V[:, :, ::-1]  # descending
+    top, what = np.maximum(w[:, 0], 1e-300), f"numerical rank is not {p}:"
+    check_stack([
+        (norm_stack(stack - GH), scale, NotPositiveDefinite,
+         lambda i: "asymmetry", DEFAULT_POLICY.tau),
+        (-w[:, -1], scale, NotPositiveDefinite, lambda i: "-min_eig", DEFAULT_POLICY.tau_pd),
+        (-w[:, p - 1], top, RankMismatch, lambda i: f"{what} -eigenvalue {p}",
+         -DEFAULT_POLICY.tau_rank),
+        (w[:, p], top, RankMismatch, lambda i: f"{what} eigenvalue {p + 1}",
+         DEFAULT_POLICY.tau_rank),
+    ])
+    V = V[:, :, :p]
+    mag = np.abs(V)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=1, keepdims=True), axis=1)  # (s, p)
+    lead = np.take_along_axis(V, first[:, None, :], axis=1)
+    V = V / (lead / np.abs(lead))
+    return (np.sqrt(w[:, :p])[:, :, None] * V.conj().transpose(0, 2, 1)).reshape(
+        G.shape[:-2] + (p, 2 * p))
 
 
 def block_toeplitz(alpha: list[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -196,9 +255,15 @@ def block_levinson(alpha: list[np.ndarray] | np.ndarray):
     """
     a = np.asarray(alpha, dtype=complex)
     ah = a.conj().transpose(0, 2, 1)
-    fwd = bwd = np.eye(a.shape[1], dtype=complex)[None]
+    p = a.shape[1]
+
+    def times(X, M):
+        # an (n, p, p) stack times one p x p matrix as one flat product
+        return (X.reshape(-1, p) @ M).reshape(X.shape)
+
+    fwd = bwd = np.eye(p, dtype=complex)[None]
     pf = pb = a[0] + ah[0]
-    yield bwd @ np.linalg.inv(pb)
+    yield times(bwd, np.linalg.inv(pb))
     for r in range(1, len(a)):
         # block row r of S(r) times [fwd; 0]; block row 0 times [0; bwd] is its adjoint
         delta = np.einsum("lab,lbc->ac", a[r:0:-1], fwd)
@@ -207,14 +272,14 @@ def block_levinson(alpha: list[np.ndarray] | np.ndarray):
         new_fwd = np.zeros((r + 1,) + delta.shape, dtype=complex)
         new_bwd = np.zeros_like(new_fwd)
         new_fwd[:r] = fwd
-        new_fwd[1:] -= bwd @ kf
+        new_fwd[1:] -= times(bwd, kf)
         new_bwd[1:] = bwd
-        new_bwd[:r] -= fwd @ kb
+        new_bwd[:r] -= times(fwd, kb)
         fwd, bwd = new_fwd, new_bwd
         pf = pf - delta.conj().T @ kf
         pb = pb - delta @ kb
         pf, pb = (pf + pf.conj().T) / 2, (pb + pb.conj().T) / 2
-        yield bwd @ np.linalg.inv(pb)
+        yield times(bwd, np.linalg.inv(pb))
 
 
 def block_levinson_solve(alpha: list[np.ndarray], B: np.ndarray) -> np.ndarray:

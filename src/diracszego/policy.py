@@ -6,8 +6,9 @@ each product, as in the standard backward-error bounds): C j C - j is judged
 against ||C||^2, not a constant, because the Dirac coefficients and the
 fundamental solutions grow geometrically with the step. The comparison is
 written in its passing form, so a NaN fails it, in ``passes``, which also
-judges arrays elementwise. ``check`` raises on failure;
-``failure`` returns the verdict as a line, for reports that list them all.
+judges arrays elementwise. ``check`` raises on failure, and ``check_stack``
+on the first failure over a stack; ``failure`` returns the verdict as a
+line, for reports that list them all.
 A lower bound lambda_min > t * scale is the same rule negated, ``tau=-t``.
 
 ``DEFAULT_POLICY`` is the one fixed policy; nothing takes a per-call override.
@@ -21,6 +22,8 @@ for a numerical rank, and a condition number above ``cond_limit`` is singular.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,3 +57,19 @@ def check(measured: float, scale: float, exc: type[Exception], what: str,
     line = failure(measured, scale, what, tau)
     if line is not None:
         raise exc(line)
+
+
+def check_stack(gates) -> None:
+    """``check`` of several gates judged elementwise over one 1-D stack.
+
+    Each gate is (measured, scale, exc, what, tau): ``measured`` is an array
+    over the stack, ``scale`` an array or a number and ``what(i)`` names the
+    quantity at stack index i. The first index that fails any gate raises
+    the first gate that fails there, so a stack fails as its members checked
+    one at a time in order, each through all the gates, would.
+    """
+    ok = np.logical_and.reduce([passes(m, s, tau) for m, s, _, _, tau in gates])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        for measured, scale, exc, what, tau in gates:
+            check(measured[i], np.broadcast_to(scale, ok.shape)[i], exc, what(i), tau)

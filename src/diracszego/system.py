@@ -18,7 +18,8 @@ from .errors import (
     SingularDenominator,
     SingularShift,
 )
-from .linalg import SignatureContext, check_cond, check_cond_stack, herm_residual, min_eig
+from .linalg import (SignatureContext, check_cond, check_cond_stack, min_eig, min_eig_stack,
+                     norm_stack)
 from .policy import DEFAULT_POLICY, check, failure
 
 __all__ = [
@@ -125,21 +126,21 @@ def validate(sys: PotentialSequence) -> ValidationReport:
     """Per-step residual report for the structure relations C = C*, C j C = j,
     C > 0 and C +- j >= 0. Never raises; callers decide pass/fail. C > 0
     follows from the other three, so min_eig(C) (about 1/||C||, below its own
-    rounding error at large ||C||) is judged >= -tau like those of C +- j."""
+    rounding error at large ||C||) is judged >= -tau like those of C +- j.
+    Every residual is taken over the whole stack of coefficients at once, the
+    smallest eigenvalues of C, C + j and C - j with one batched eigvalsh."""
     j = sys.ctx.j
-    steps = []
-    for k, C in enumerate(sys.C):
-        norm = np.linalg.norm(C)
-        scale = max(norm, 1.0)
-        steps.append(StepReport(
-            k=k,
-            herm_residual=herm_residual(C) / scale,
-            junitary_residual=float(np.linalg.norm(C @ j @ C - j)) / max(norm ** 2, 1.0),
-            min_eig=min_eig(C) / scale,
-            min_eig_plus_j=min_eig(C + j) / scale,
-            min_eig_minus_j=min_eig(C - j) / scale,
-        ))
-    return ValidationReport(steps=tuple(steps))
+    C = np.stack(sys.C)
+    norm = norm_stack(C)
+    scale = np.maximum(norm, 1.0)
+    herm = norm_stack(C - C.conj().transpose(0, 2, 1)) / scale
+    junitary = norm_stack(C @ j @ C - j) / np.maximum(norm ** 2, 1.0)
+    eig = min_eig_stack(np.stack([C, C + j, C - j])) / scale
+    return ValidationReport(steps=tuple(
+        StepReport(k=k, herm_residual=float(herm[k]), junitary_residual=float(junitary[k]),
+                   min_eig=float(eig[0, k]), min_eig_plus_j=float(eig[1, k]),
+                   min_eig_minus_j=float(eig[2, k]))
+        for k in range(len(C))))
 
 
 def _solutions(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:

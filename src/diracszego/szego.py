@@ -22,7 +22,8 @@ from .errors import (
     NotPositiveDefinite,
     PoleAtInput,
 )
-from .linalg import SignatureContext, herm_residual, hermitian_sqrt, min_eig
+from .linalg import (SignatureContext, herm_residual, hermitian_sqrt, min_eig_stack,
+                     norm_stack)
 from .policy import check
 from .system import PotentialSequence
 
@@ -135,9 +136,11 @@ def dirac_to_szego(sys: PotentialSequence, theta_rule=None) -> SzegoSequence:
     j, norm_j = ctx.j, np.linalg.norm(ctx.j)
     R_out, theta_out = [], []
     U = np.eye(ctx.m, dtype=complex)
+    C_all = np.stack(sys.C)
+    norms, lows = norm_stack(C_all), min_eig_stack(C_all)
     for k, C in enumerate(sys.C):
-        norm_c = np.linalg.norm(C)
-        check(-min_eig(C), max(norm_c, 1.0), NotPositiveDefinite, f"-min_eig(C_{k})")
+        norm_c = norms[k]
+        check(-lows[k], max(norm_c, 1.0), NotPositiveDefinite, f"-min_eig(C_{k})")
         M = U.conj().T @ C @ U
         check(herm_residual(M), np.linalg.norm(U) ** 2 * norm_c, NotHermitian,
               f"asymmetry of U_{k}* C_{k} U_{k}")

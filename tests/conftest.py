@@ -5,7 +5,10 @@ import pytest
 import scipy.linalg
 
 import diracszego as dz
-from diracszego.errors import AnalyticityViolation, DiracSzegoError
+from diracszego.errors import (AnalyticityViolation, DiracSzegoError, InvariantViolated,
+                               NotHermitian, NotPositiveDefinite, RankMismatch)
+from diracszego.linalg import herm_residual, min_eig
+from diracszego.policy import check
 
 
 @pytest.fixture
@@ -164,3 +167,138 @@ def dense_inverse_potentials(alpha):
         Cr = 2 * K.conj().T @ G @ K - j
         C.append((Cr + Cr.conj().T) / 2)
     return C
+
+
+# Per-step forms of the stages the library runs on stacks: one NumPy call per
+# block or per coefficient. They are kept only as the references the batched
+# equivalence tests compare against.
+
+def loop_block_levinson(alpha):
+    """``linalg.block_levinson`` with a stacked (r, p, p) @ (p, p) product
+    for every predictor update."""
+    a = np.asarray(alpha, dtype=complex)
+    ah = a.conj().transpose(0, 2, 1)
+    fwd = bwd = np.eye(a.shape[1], dtype=complex)[None]
+    pf = pb = a[0] + ah[0]
+    yield bwd @ np.linalg.inv(pb)
+    for r in range(1, len(a)):
+        delta = np.einsum("lab,lbc->ac", a[r:0:-1], fwd)
+        kf = np.linalg.solve(pb, delta)
+        kb = np.linalg.solve(pf, delta.conj().T)
+        new_fwd = np.zeros((r + 1,) + delta.shape, dtype=complex)
+        new_bwd = np.zeros_like(new_fwd)
+        new_fwd[:r] = fwd
+        new_fwd[1:] -= bwd @ kf
+        new_bwd[1:] = bwd
+        new_bwd[:r] -= fwd @ kb
+        fwd, bwd = new_fwd, new_bwd
+        pf = pf - delta.conj().T @ kf
+        pb = pb - delta @ kb
+        pf, pb = (pf + pf.conj().T) / 2, (pb + pb.conj().T) / 2
+        yield bwd @ np.linalg.inv(pb)
+
+
+def loop_rank_p_factor(G, p):
+    """``linalg.rank_p_factor`` on one matrix, one eigh and four checks."""
+    G = np.asarray(G, dtype=complex)
+    scale = max(np.linalg.norm(G), 1.0)
+    check(herm_residual(G), scale, NotPositiveDefinite, "asymmetry")
+    w, V = np.linalg.eigh((G + G.conj().T) / 2)
+    check(-w[0], scale, NotPositiveDefinite, "-min_eig", dz.DEFAULT_POLICY.tau_pd)
+    w, V = w[::-1], V[:, ::-1]
+    top, what = max(w[0], 1e-300), f"numerical rank is not {p}:"
+    check(-w[p - 1], top, RankMismatch, f"{what} -eigenvalue {p}", -dz.DEFAULT_POLICY.tau_rank)
+    check(w[p], top, RankMismatch, f"{what} eigenvalue {p + 1}", dz.DEFAULT_POLICY.tau_rank)
+    V = V[:, :p].copy()
+    for col in range(p):
+        v = V[:, col]
+        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
+        phase = v[nz[0]] / abs(v[nz[0]])
+        V[:, col] = v / phase
+    return (np.sqrt(w[:p])[:, None]) * V.conj().T
+
+
+def loop_beta_from_potentials(sys):
+    """``beta_from_potentials`` one coefficient at a time."""
+    ctx = sys.ctx
+    norm_J, norm_I = np.linalg.norm(ctx.J), np.sqrt(ctx.p)
+    betas = []
+    for k, C in enumerate(sys.C):
+        G = (C + ctx.j) / 2
+        try:
+            bhat = loop_rank_p_factor(G, ctx.p)
+        except (NotPositiveDefinite, RankMismatch) as exc:
+            raise type(exc)(f"C_{k} is not a valid potential: {exc}") from exc
+        b = bhat @ ctx.K.conj().T
+        check(np.linalg.norm(b @ ctx.J @ b.conj().T - np.eye(ctx.p)),
+              np.linalg.norm(b) ** 2 * norm_J + norm_I, InvariantViolated,
+              f"C_{k} is not a valid potential: beta({k}) J-normalization residual")
+        betas.append(b)
+    return dz.BetaSequence(ctx=ctx, beta=tuple(betas))
+
+
+def loop_inverse_potentials(alpha):
+    """``inverse_potentials`` with the solve, the J-normalization check and
+    C_r formed at each r inside the Levinson loop."""
+    ctx = dz.SignatureContext(p=alpha.p)
+    p, J, K, j, norm_J = alpha.p, ctx.J, ctx.K, ctx.j, np.linalg.norm(ctx.J)
+    failed = dz.inverse._first_not_pd(dz.block_toeplitz(alpha.alpha), p)
+    stop = alpha.N + 1 if failed is None else failed[0]
+    psi = np.cumsum(np.stack(alpha.alpha), axis=0)
+    C = []
+    for r, last in enumerate(loop_block_levinson(alpha.alpha)):
+        if r == stop:
+            break
+        lastH = last.conj().transpose(0, 2, 1)
+        core = np.hstack([lastH.sum(axis=0), np.einsum("lab,lbc->ac", lastH, psi[:r + 1])])
+        small = last[r]
+        G = core.conj().T @ np.linalg.solve(small, core)
+        check(np.linalg.norm(core @ J @ core.conj().T - small),
+              np.linalg.norm(core) ** 2 * norm_J + np.linalg.norm(small),
+              InvariantViolated, f"J-normalization residual at r={r}")
+        Cr = 2 * K.conj().T @ G @ K - j
+        C.append((Cr + Cr.conj().T) / 2)
+    if failed is not None:
+        raise dz.ToeplitzNotPD(f"block Toeplitz matrix S({failed[0]}) is not positive "
+                               f"definite: {failed[1]}", failing_index=failed[0])
+    return dz.PotentialSequence(ctx=ctx, C=tuple(C))
+
+
+def loop_dirac_to_szego(sys):
+    """``dirac_to_szego`` (default theta rule) with min_eig(C_k) and ||C_k||
+    taken at step k."""
+    ctx = sys.ctx
+    j, norm_j = ctx.j, np.linalg.norm(ctx.j)
+    R_out, theta_out = [], []
+    U = np.eye(ctx.m, dtype=complex)
+    for k, C in enumerate(sys.C):
+        norm_c = np.linalg.norm(C)
+        check(-min_eig(C), max(norm_c, 1.0), NotPositiveDefinite, f"-min_eig(C_{k})")
+        M = U.conj().T @ C @ U
+        check(herm_residual(M), np.linalg.norm(U) ** 2 * norm_c, NotHermitian,
+              f"asymmetry of U_{k}* C_{k} U_{k}")
+        R = dz.hermitian_sqrt((M + M.conj().T) / 2)
+        check(np.linalg.norm(R @ j @ R - j), np.linalg.norm(R) ** 2 + norm_j,
+              InvariantViolated, f"R_{k} j R_{k} - j residual")
+        if ctx.p == 1:
+            rho = -R[0, 1] / R[0, 0]
+            theta = float(np.sqrt(1 - abs(rho) ** 2))
+        else:
+            theta = 1.0
+        R_out.append(R)
+        theta_out.append(theta)
+        U = dz.szego._rotate(U, R, j)
+    return dz.SzegoSequence(ctx=ctx, R=tuple(R_out), theta=tuple(theta_out))
+
+
+def loop_validate(sys):
+    """``validate``'s five fields per coefficient, one matrix at a time."""
+    j = sys.ctx.j
+    rows = []
+    for C in sys.C:
+        norm = np.linalg.norm(C)
+        scale = max(norm, 1.0)
+        rows.append((herm_residual(C) / scale,
+                     float(np.linalg.norm(C @ j @ C - j)) / max(norm ** 2, 1.0),
+                     min_eig(C) / scale, min_eig(C + j) / scale, min_eig(C - j) / scale))
+    return rows

@@ -1,0 +1,225 @@
+"""The stages that run on stacks (one NumPy call per recursion step or per
+stage) against their per-step forms in conftest: the same bits where the
+arithmetic is unchanged, the same error where a gate fails, and a bounded
+number of LAPACK calls."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import diracszego as dz
+from diracszego import linalg
+from diracszego.system import StepReport, ValidationReport
+from diracszego.errors import (
+    InvariantViolated,
+    NotPositiveDefinite,
+    RankMismatch,
+    SingularLeadingBlock,
+    SingularVMinus,
+)
+from diracszego.policy import DEFAULT_POLICY
+from conftest import (
+    dense_taylor_from_beta,
+    loop_beta_from_potentials,
+    loop_block_levinson,
+    loop_dirac_to_szego,
+    loop_inverse_potentials,
+    loop_validate,
+)
+
+
+def random_system(rng, p, N, scale=0.1):
+    return dz.szego_to_dirac(dz.random_szego_sequence(rng, p, N, scale))
+
+
+def benchmark_draws(seed, count=4):
+    """The spectral-roundtrip workload's inputs: p = 2, N = 128, scale 0.05."""
+    rng = np.random.default_rng(seed)
+    return [dz.szego_to_dirac(dz.random_szego_sequence(rng, 2, 128, 0.05))
+            for _ in range(count)]
+
+
+def identical(seq_a, seq_b):
+    return len(seq_a) == len(seq_b) and all(np.array_equal(a, b) for a, b in zip(seq_a, seq_b))
+
+
+def same_error(call, reference):
+    """Run both; they must raise the same type with the same message."""
+    with pytest.raises(Exception) as expected:
+        reference()
+    with pytest.raises(type(expected.value)) as got:
+        call()
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    return got.value
+
+
+RANDOM_CASES = [(p, N, seed) for p in (1, 2, 3) for N, seed in ((0, 1), (1, 2), (9, 3), (37, 4))]
+
+
+@pytest.fixture(scope="module")
+def bench_systems():
+    return benchmark_draws(7)
+
+
+class TestBatchedEquivalence:
+    @pytest.mark.parametrize("p, N, seed", RANDOM_CASES)
+    def test_random_inputs(self, p, N, seed):
+        sys_in = random_system(np.random.default_rng(seed), p, N)
+        self.assert_equivalent(sys_in)
+
+    def test_benchmark_draws(self, bench_systems):
+        for sys_in in bench_systems:
+            self.assert_equivalent(sys_in)
+
+    @staticmethod
+    def assert_equivalent(sys_in):
+        assert identical(dz.beta_from_potentials(sys_in).beta,
+                         loop_beta_from_potentials(sys_in).beta)
+        alpha = dz.direct_taylor(sys_in)
+        got, ref = list(linalg.block_levinson(alpha.alpha)), list(loop_block_levinson(alpha.alpha))
+        assert identical(got, ref)
+        assert identical(dz.inverse_potentials(alpha).C, loop_inverse_potentials(alpha).C)
+        got, ref = dz.dirac_to_szego(sys_in), loop_dirac_to_szego(sys_in)
+        assert identical(got.R, ref.R) and got.theta == ref.theta
+        assert_validate_matches(sys_in)
+
+    def test_direct_taylor_matches_dense_reference(self, bench_systems):
+        """The V_- recursion sums in a new order; its blocks stay within
+        rounding of the dense formulation."""
+        sys_in = bench_systems[0]
+        got = dz.direct_taylor(sys_in).alpha
+        ref = dense_taylor_from_beta(dz.beta_from_potentials(sys_in))
+        assert max(float(np.linalg.norm(a - b) / np.linalg.norm(b))
+                   for a, b in zip(got, ref)) < 1e-12
+
+
+FIELDS = ("herm_residual", "junitary_residual", "min_eig", "min_eig_plus_j", "min_eig_minus_j")
+
+
+def assert_validate_matches(sys_in):
+    """Every field within 4.5e-16 relative (NaN where the reference is NaN),
+    and the same failure lines."""
+    report = dz.validate(sys_in)
+    rows = loop_validate(sys_in)
+    got = np.array([[getattr(s, f) for f in FIELDS] for s in report.steps])
+    ref = np.array(rows)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    both = ~np.isnan(ref)
+    assert np.all(np.abs(got - ref)[both] <= 4.5e-16 * np.abs(ref)[both])
+    ref_report = ValidationReport(steps=tuple(StepReport(k, *row) for k, row in enumerate(rows)))
+    assert report.failures() == ref_report.failures()
+    return report
+
+
+class TestBatchedGateErrors:
+    """A failing gate on a stack raises the type, message and first index
+    the per-step form raises."""
+
+    @pytest.fixture
+    def system8(self):
+        return random_system(np.random.default_rng(5), 2, 7)
+
+    def replaced(self, sys_in, **blocks):
+        C = list(sys_in.C)
+        for key, value in blocks.items():
+            C[int(key[1:])] = value
+        return dz.PotentialSequence(ctx=sys_in.ctx, C=tuple(C))
+
+    def test_rank_break(self, system8):
+        broken = self.replaced(system8, C3=3 * np.eye(4, dtype=complex), C6=np.eye(4) * 5)
+        err = same_error(lambda: dz.beta_from_potentials(broken),
+                         lambda: loop_beta_from_potentials(broken))
+        assert isinstance(err, RankMismatch)
+        assert str(err).startswith("C_3 is not a valid potential")
+
+    def test_first_coefficient_through_all_its_gates(self, system8):
+        """C_1 passes the rank gates but is not j-unitary; C_5 fails a rank
+        gate. C_1 is named, as in a loop that judges each C_k fully first."""
+        broken = self.replaced(system8, C1=np.diag([2.0, 2.0, 1.0, 1.0]).astype(complex),
+                               C5=np.eye(4, dtype=complex) * 3)
+        err = same_error(lambda: dz.beta_from_potentials(broken),
+                         lambda: loop_beta_from_potentials(broken))
+        assert isinstance(err, InvariantViolated)
+        assert str(err).startswith("C_1 is not a valid potential: beta(1) J-normalization")
+
+    def test_indefinite_coefficient_in_szego_conversion(self, system8):
+        broken = self.replaced(system8, C4=-system8.C[4], C6=-system8.C[6])
+        err = same_error(lambda: dz.dirac_to_szego(broken), lambda: loop_dirac_to_szego(broken))
+        assert isinstance(err, NotPositiveDefinite)
+        assert str(err).startswith("-min_eig(C_4)")
+
+    def test_nan_entry_in_validate(self, ex41_params):
+        sys4, _ = dz.generate(ex41_params, 4)
+        C = [c.copy() for c in sys4.C]
+        C[2][0, 1] = np.nan
+        report = assert_validate_matches(dz.PotentialSequence(ctx=sys4.ctx, C=tuple(C)))
+        assert not report.passed
+        assert all(np.isnan(getattr(report.steps[2], f)) for f in FIELDS)
+
+    @staticmethod
+    def v_minus_singular_at_2(small):
+        """p = 2 factors with v_-(0) = I, v_-(1) = I and v_-(2) = diag(1, small) / 2."""
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        good = np.hstack([eye, eye / 2])
+        bad = np.hstack([np.diag([1.0, small]), zero])
+        return dz.BetaSequence(ctx=dz.SignatureContext(p=2), beta=(good, good, bad, good, good))
+
+    @pytest.mark.parametrize("small, cond", [(0.0, np.inf), (1e-13, 1e13)])
+    def test_singular_v_minus(self, small, cond):
+        beta = self.v_minus_singular_at_2(small)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularVMinus) as info:
+                dz.taylor_from_beta(beta)
+        limit = DEFAULT_POLICY.cond_limit
+        assert str(info.value) == (f"condition number of v_-(2) is {cond:.3e}, "
+                                   f"allowed at most {limit:.3e}")
+
+    def test_leading_block_is_judged_before_v_minus(self):
+        beta = self.v_minus_singular_at_2(0.0)
+        first = np.hstack([np.diag([1.0, 0.0]), np.eye(2) / 2])
+        beta = dz.BetaSequence(ctx=beta.ctx, beta=(first,) + beta.beta[1:])
+        with pytest.raises(SingularLeadingBlock, match=r"^condition number of the first block"):
+            dz.taylor_from_beta(beta)
+
+
+class TestBatchedCallCount:
+    """Counts LAPACK eigenvalue and SVD calls, so that a return to
+    per-coefficient or per-step calls shows without timing anything."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"eigvalsh": 0, "eigh": 0, "cond": 0}
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        return calls
+
+    def per_stage(self, counts, N):
+        sys_in = random_system(np.random.default_rng(N), 2, N)
+        beta = dz.beta_from_potentials(sys_in)
+        out = {}
+        for stage, run in (("validate", lambda: dz.validate(sys_in)),
+                           ("beta", lambda: dz.beta_from_potentials(sys_in)),
+                           ("taylor", lambda: dz.taylor_from_beta(beta))):
+            counts.update(dict.fromkeys(counts, 0))
+            run()
+            out[stage] = dict(counts)
+        return out
+
+    def test_independent_of_length(self, counts):
+        short, long = self.per_stage(counts, 8), self.per_stage(counts, 64)
+        for stage in ("validate", "beta"):
+            assert short[stage] == long[stage]
+            assert short[stage]["eigvalsh"] + short[stage]["eigh"] == 1
+        assert short["taylor"]["cond"] <= 1 and long["taylor"]["cond"] <= 1

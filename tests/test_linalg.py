@@ -3,8 +3,8 @@ import pytest
 
 import diracszego as dz
 from diracszego.errors import NotHermitian, NotPositiveDefinite, RankMismatch
-from diracszego.linalg import check_cond, check_cond_stack
-from diracszego.policy import DEFAULT_POLICY, failure, passes
+from diracszego.linalg import check_cond, check_cond_stack, min_eig, min_eig_stack, norm_stack
+from diracszego.policy import DEFAULT_POLICY, check_stack, failure, passes
 
 
 def random_hpd(rng, n, shift=0.5):
@@ -73,6 +73,84 @@ class TestRankPFactor:
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveDefinite):
             dz.rank_p_factor(np.diag([1.0, 1.0, -0.5, 0.0]), 2)
+
+
+    def test_stack_gives_the_bits_of_each_matrix(self, rng):
+        for p in (1, 2, 3):
+            b = rng.standard_normal((5, p, 2 * p)) + 1j * rng.standard_normal((5, p, 2 * p))
+            G = b.conj().transpose(0, 2, 1) @ b
+            f = dz.rank_p_factor(G, p)
+            assert f.shape == (5, p, 2 * p)
+            assert all(np.array_equal(f[i], dz.rank_p_factor(G[i], p)) for i in range(5))
+
+    def test_stack_raises_as_its_first_failing_matrix(self, rng):
+        b = rng.standard_normal((4, 2, 4)) + 1j * rng.standard_normal((4, 2, 4))
+        G = b.conj().transpose(0, 2, 1) @ b
+        G[1] = np.diag([1.0, 1.0, 1.0, 0.0])          # rank 3
+        G[3] = np.diag([1.0, 1.0, -0.5, 0.0])         # indefinite
+        with pytest.raises(RankMismatch) as alone:
+            dz.rank_p_factor(G[1], 2)
+        with pytest.raises(RankMismatch) as stacked:
+            dz.rank_p_factor(G, 2)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(NotPositiveDefinite):
+            dz.rank_p_factor(G[2:], 2)
+
+
+class TestStackHelpers:
+    def test_norm_stack_has_the_bits_of_numpy_norm(self, rng):
+        for shape in ((7, 2, 2), (3, 4, 4, 4), (5, 2, 6)):
+            M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            M *= 10.0 ** rng.uniform(-5, 5, shape[:-2] + (1, 1))
+            got = norm_stack(M)
+            assert got.shape == shape[:-2]
+            ref = np.array([np.linalg.norm(A) for A in M.reshape((-1,) + shape[-2:])])
+            assert np.array_equal(got.ravel(), ref)
+            real = np.ascontiguousarray(M.real)
+            assert np.array_equal(norm_stack(real).ravel(),
+                                  [np.linalg.norm(A) for A in real.reshape(ref.size, *shape[-2:])])
+
+    def test_min_eig_stack_has_the_bits_of_min_eig(self, rng):
+        M = np.stack([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                      for _ in range(6)]).reshape(2, 3, 3, 3)
+        got = min_eig_stack(M)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, [[min_eig(A) for A in row] for row in M])
+
+    def test_non_finite_matrix_reads_nan(self, rng):
+        stack = np.stack([random_hpd(rng, 2) for _ in range(4)])
+        stack[1, 0, 0] = np.nan      # eigvalsh would return a finite number here
+        stack[2, 0, 1] = np.inf
+        got = min_eig_stack(stack)
+        assert np.isnan(got[1:3]).all() and np.isfinite(got[[0, 3]]).all()
+        assert np.isnan(min_eig(stack[1])) and np.isnan(min_eig(stack[2]))
+
+    def test_failed_eigvalsh_reads_nan_for_that_matrix_only(self, rng, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def fails_on_marked(x, *args, **kwargs):
+            if (np.asarray(x)[..., 0, 0] == 7.0).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails_on_marked)
+        stack = np.stack([random_hpd(rng, 2) for _ in range(3)])
+        stack[1, 0, 0] = 7.0
+        got = min_eig_stack(stack)
+        assert np.isnan(got[1]) and np.isfinite(got[[0, 2]]).all()
+
+    def test_check_stack_names_first_index_then_first_gate(self):
+        a = np.array([0.0, 0.0, 5.0, 5.0])
+        b = np.array([0.0, 5.0, 5.0, 0.0])
+        gates = [(a, 1.0, ValueError, lambda i: f"a at {i}", 1.0),
+                 (b, np.ones(4), KeyError, lambda i: f"b at {i}", 1.0)]
+        with pytest.raises(KeyError, match="b at 1 is 5.000e"):
+            check_stack(gates)
+        with pytest.raises(ValueError, match="a at 0 is 5.000e"):
+            check_stack([(a[2:], 1.0, ValueError, lambda i: f"a at {i}", 1.0),
+                         (b[2:], 1.0, KeyError, lambda i: f"b at {i}", 1.0)])
+        check_stack([(a[:2], 1.0, ValueError, lambda i: f"a at {i}", 1.0)])
+        check_stack([(np.zeros(0), 1.0, ValueError, str, 1.0)])
 
 
 class TestBlockToeplitz:
