@@ -25,7 +25,7 @@ from .errors import (
     SingularVMinus,
     ToeplitzNotPD,
 )
-from .inverse import direct_taylor, inverse_potentials, toeplitz_positivity
+from .inverse import direct_taylor, inverse_potentials
 from .policy import failure
 from .pseudoexp import example41_params, explicit_weyl, generate
 from .system import _solutions, _summation_defects, herglotz_map, propagate, validate
@@ -94,8 +94,7 @@ def cmd_direct(args) -> int:
     system = io.potentials_from_doc(io.read_doc(args.system))
     if not args.no_validate and (code := _exit_code(validate(system).failures())):
         return code
-    alpha = direct_taylor(system)
-    io.write_doc(args.out, io.taylor_to_doc(alpha, toeplitz_positivity(alpha)))
+    io.write_doc(args.out, io.taylor_to_doc(direct_taylor(system)))
     return EXIT_OK
 
 
@@ -118,11 +117,15 @@ def cmd_verify(args) -> int:
                          for r in sorted({N // 2, N}))
         failures.extend(failure(resid, 1.0, f"summation defect at lambda={lam}, r={r}")
                         for r, resid in enumerate(defects))
+        # W(lam) and W(conj(lam)) are divided by their norms before the product,
+        # whose norm overflows at long N while W itself is finite
         Wn, Wc = W[-1], propagate(system, np.conj(lam), N + 1)
+        nn, nc, norm_j = np.linalg.norm(Wn), np.linalg.norm(Wc), np.linalg.norm(j)
         factor = ((lam + 1j) * (lam - 1j) / lam**2) ** (N + 1)
-        resid = float(np.linalg.norm(Wn @ j @ Wc.conj().T - factor * j))
-        relative = resid / ((np.linalg.norm(Wn) * np.linalg.norm(Wc) + abs(factor))
-                            * np.linalg.norm(j))
+        f = factor / (nn * nc)
+        relative = float(np.linalg.norm((Wn / nn) @ j @ (Wc / nc).conj().T - f * j)
+                         / ((1 + abs(f)) * norm_j))
+        resid = relative * (nn * nc + abs(factor)) * norm_j
         det_checks.append({"lambda": io.complex_to_json(lam), "residual": resid,
                            "relative_residual": relative})
         failures.append(failure(relative, 1.0, f"determinant defect at lambda={lam}, k={N + 1}"))

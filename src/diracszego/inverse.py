@@ -21,15 +21,13 @@ from .errors import (
     AnalyticityViolation,
     DiracSzegoError,
     InvariantViolated,
-    NotPositiveDefinite,
     Phi1Mismatch,
-    RankMismatch,
     SingularLeadingBlock,
     SingularVMinus,
     ToeplitzNotPD,
 )
-from .linalg import (SignatureContext, block_levinson, block_toeplitz, cond_stack, min_eig,
-                     norm_stack, rank_p_factor)
+from .linalg import (SignatureContext, _rank_p_factor_gates, block_levinson, block_toeplitz,
+                     cond_stack, min_eig, norm_stack)
 from .policy import DEFAULT_POLICY, check, check_stack, failure
 from .pseudoexp import BdtParameters, WeylRealization, explicit_weyl
 from .system import PotentialSequence, herglotz_map
@@ -104,33 +102,19 @@ def beta_from_potentials(sys: PotentialSequence) -> BetaSequence:
     beta(k) is the canonical rank-p factor of (C_k + j)/2 rotated by K*; the
     J-normalization beta J beta* = I_p follows from C j C = j and is asserted
     at the scale ||beta||^2 ||J|| + ||I_p||, not imposed. All coefficients
-    are factored and judged as one stack. When a gate fails they are judged
-    again one at a time, so the error names the first C_k that fails, with
-    the first of its gates that fails.
+    are factored as one stack and every gate is judged in one pass: the
+    error names the first C_k that fails, with the first of its gates that
+    fails.
     """
     ctx = sys.ctx
-    norm_J, norm_I = np.linalg.norm(ctx.J), np.sqrt(ctx.p)
-
-    def factors(G, first):
-        """beta(first), beta(first + 1), ... of a stack of (C_k + j)/2."""
-        b = rank_p_factor(G, ctx.p) @ ctx.K.conj().T
-        resid = b @ ctx.J @ b.conj().transpose(0, 2, 1) - np.eye(ctx.p)
-        check_stack([(norm_stack(resid), norm_stack(b) ** 2 * norm_J + norm_I, InvariantViolated,
-                      lambda i: f"beta({first + i}) J-normalization residual", DEFAULT_POLICY.tau)])
-        return b
-
-    G = (np.stack(sys.C) + ctx.j) / 2
-    invalid = (NotPositiveDefinite, RankMismatch, InvariantViolated)
-    try:
-        b = factors(G, 0)
-    except invalid:
-        # error path only: one coefficient at a time, so the first C_k that fails is named
-        for k in range(len(G)):
-            try:
-                factors(G[k, None], k)
-            except invalid as exc:
-                raise type(exc)(f"C_{k} is not a valid potential: {exc}") from exc
-        raise
+    f, gates = _rank_p_factor_gates((np.stack(sys.C) + ctx.j) / 2, ctx.p)
+    b = f @ ctx.K.conj().T
+    resid = b @ ctx.J @ b.conj().transpose(0, 2, 1) - np.eye(ctx.p)
+    gates.append((norm_stack(resid), norm_stack(b) ** 2 * np.linalg.norm(ctx.J) + np.sqrt(ctx.p),
+                  InvariantViolated, lambda k: f"beta({k}) J-normalization residual",
+                  DEFAULT_POLICY.tau))
+    check_stack([(m, s, exc, lambda k, what=what: f"C_{k} is not a valid potential: {what(k)}",
+                  tau) for m, s, exc, what, tau in gates])
     return BetaSequence(ctx=ctx, beta=tuple(b))
 
 

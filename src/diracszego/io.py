@@ -97,10 +97,8 @@ def bdt_params_from_doc(doc: dict) -> BdtParameters:
     return BdtParameters(ctx=SignatureContext(p=p), **mats)
 
 
-def taylor_to_doc(alpha: TaylorSequence, min_eigs: list[float] | None = None) -> dict:
+def taylor_to_doc(alpha: TaylorSequence) -> dict:
     payload = {"alpha": [matrix_to_json(a) for a in alpha.alpha]}
-    if min_eigs is not None:
-        payload["toeplitz_min_eigs"] = [float(v) for v in min_eigs]
     return _envelope("taylor", payload, p=alpha.p, N=alpha.N)
 
 

@@ -182,6 +182,15 @@ def rank_p_factor(G: np.ndarray, p: int) -> np.ndarray:
     the first matrix that fails a gate raises as it would alone.
     """
     G = np.asarray(G, dtype=complex)
+    beta, gates = _rank_p_factor_gates(G, p)
+    check_stack(gates)
+    return beta.reshape(G.shape[:-2] + (p, 2 * p))
+
+
+def _rank_p_factor_gates(G: np.ndarray, p: int):
+    """``rank_p_factor`` of G flattened to an (s, 2p, 2p) stack, unchecked:
+    the (s, p, 2p) factors, valid only where all four gates pass, and those
+    gates in ``check_stack`` form."""
     if G.shape[-2:] != (2 * p, 2 * p):
         raise ValueError(f"expected a {2 * p} x {2 * p} matrix, got {G.shape}")
     stack = G.reshape((-1, 2 * p, 2 * p))
@@ -193,7 +202,7 @@ def rank_p_factor(G: np.ndarray, p: int) -> np.ndarray:
     w[finite], V[finite] = np.linalg.eigh((stack[finite] + GH[finite]) / 2)
     w, V = w[:, ::-1], V[:, :, ::-1]  # descending
     top, what = np.maximum(w[:, 0], 1e-300), f"numerical rank is not {p}:"
-    check_stack([
+    gates = [
         (norm_stack(stack - GH), scale, NotPositiveDefinite,
          lambda i: "asymmetry", DEFAULT_POLICY.tau),
         (-w[:, -1], scale, NotPositiveDefinite, lambda i: "-min_eig", DEFAULT_POLICY.tau_pd),
@@ -201,14 +210,15 @@ def rank_p_factor(G: np.ndarray, p: int) -> np.ndarray:
          -DEFAULT_POLICY.tau_rank),
         (w[:, p], top, RankMismatch, lambda i: f"{what} eigenvalue {p + 1}",
          DEFAULT_POLICY.tau_rank),
-    ])
+    ]
     V = V[:, :, :p]
     mag = np.abs(V)
     first = np.argmax(mag > 1e-12 * mag.max(axis=1, keepdims=True), axis=1)  # (s, p)
     lead = np.take_along_axis(V, first[:, None, :], axis=1)
-    V = V / (lead / np.abs(lead))
-    return (np.sqrt(w[:, :p])[:, :, None] * V.conj().transpose(0, 2, 1)).reshape(
-        G.shape[:-2] + (p, 2 * p))
+    # a matrix the gates reject may carry NaN eigenvectors or negative eigenvalues here
+    with np.errstate(invalid="ignore"):
+        V = V / (lead / np.abs(lead))
+        return np.sqrt(w[:, :p])[:, :, None] * V.conj().transpose(0, 2, 1), gates
 
 
 def block_toeplitz(alpha: list[np.ndarray] | np.ndarray) -> np.ndarray:

@@ -186,16 +186,17 @@ def random_szego_sequence(rng, p: int, N: int, scale: float = 0.15) -> SzegoSequ
     Hermitian exponential is automatically positive definite. ``scale``
     controls conditioning of the induced Dirac coefficients: the accumulated
     rotations compound, so large values degrade downstream Toeplitz inversion.
+    With h = U S V*, exp(H) = [[U cosh S U*, U sinh S V*], [V sinh S U*, V cosh S V*]],
+    formed from one batched SVD.
     """
-    from scipy.linalg import expm
-
-    ctx = SignatureContext(p=p)
-    zero = np.zeros((p, p))
-    R = []
-    for _ in range(N + 1):
-        h = scale * (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
-        R.append(expm(np.block([[zero, h], [h.conj().T, zero]])))
-    return SzegoSequence(ctx=ctx, R=tuple(R), theta=tuple(1.0 for _ in range(N + 1)))
+    h = np.stack([scale * (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+                  for _ in range(N + 1)])
+    U, s, Vh = np.linalg.svd(h)
+    UH, V = U.conj().transpose(0, 2, 1), Vh.conj().transpose(0, 2, 1)
+    ch, sh = np.cosh(s)[:, None, :], np.sinh(s)[:, None, :]
+    R = np.block([[(U * ch) @ UH, (U * sh) @ Vh], [(V * sh) @ UH, (V * ch) @ Vh]])
+    return SzegoSequence(ctx=SignatureContext(p=p), R=tuple(R),
+                         theta=tuple(1.0 for _ in range(N + 1)))
 
 
 def cayley_lambda_of_z(z):

@@ -223,3 +223,15 @@ class TestBatchedCallCount:
             assert short[stage] == long[stage]
             assert short[stage]["eigvalsh"] + short[stage]["eigh"] == 1
         assert short["taylor"]["cond"] <= 1 and long["taylor"]["cond"] <= 1
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_failing_stack_is_judged_in_one_pass(self, counts, k):
+        """A coefficient that fails its rank gate is named after one batched
+        eigh, with no replay one coefficient at a time."""
+        sys_in = random_system(np.random.default_rng(5), 2, 7)
+        C = list(sys_in.C)
+        C[k] = 3 * np.eye(4, dtype=complex)
+        broken = dz.PotentialSequence(ctx=sys_in.ctx, C=tuple(C))
+        with pytest.raises(RankMismatch, match=rf"^C_{k} is not a valid potential"):
+            dz.beta_from_potentials(broken)
+        assert counts["eigh"] == 1

@@ -19,8 +19,8 @@ from diracszego.policy import DEFAULT_POLICY, NumericPolicy, check, failure
 SRC = Path(__file__).resolve().parents[1] / "src" / "diracszego"
 
 ALLOWED = {
-    ("linalg.py", "rank_p_factor", 1e-12),          # phase pick of eigenvector entries
-    ("linalg.py", "rank_p_factor", 1e-300),         # floor under the largest eigenvalue
+    ("linalg.py", "_rank_p_factor_gates", 1e-12),   # phase pick of eigenvector entries
+    ("linalg.py", "_rank_p_factor_gates", 1e-300),  # floor under the largest eigenvalue
     ("inverse.py", "borg_marchenko_check", 1e-8),   # public coeff_tol default
     ("pseudoexp.py", "random_bdt_parameters", 1e-6),  # rejection of ill-conditioned draws
 }

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import diracszego as dz
 from diracszego.errors import (
@@ -89,6 +90,20 @@ class TestRandomSequence:
             assert np.linalg.norm(R - R.conj().T) < 1e-13
             assert dz.linalg.min_eig(R) > 0
             assert np.linalg.norm(R @ j @ R - j) < 1e-13
+
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [0.05, 0.15, 1.0])
+    def test_closed_form_matches_expm(self, p, scale):
+        """exp([[0, h], [h*, 0]]) from the SVD of h, against SciPy's expm of
+        the same draws of h."""
+        sz = dz.random_szego_sequence(np.random.default_rng(11), p, 20, scale)
+        rng, zero, j = np.random.default_rng(11), np.zeros((p, p)), sz.ctx.j
+        for R in sz.R:
+            h = scale * (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+            ref = scipy.linalg.expm(np.block([[zero, h], [h.conj().T, zero]]))
+            assert np.linalg.norm(R - ref) <= 1e-14 * np.linalg.norm(ref)
+            assert np.linalg.norm(R @ j @ R - j) <= 1e-14 * (np.linalg.norm(R) ** 2 + 1)
 
 
 class TestCayleyMaps:
