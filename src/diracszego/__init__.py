@@ -20,6 +20,7 @@ from .system import (
     MoebiusPair,
     PotentialSequence,
     ValidationReport,
+    fundamental_solutions,
     herglotz_map,
     propagate,
     q_weight,

@@ -28,7 +28,8 @@ from .errors import (
 from .inverse import direct_taylor, inverse_potentials
 from .policy import failure
 from .pseudoexp import example41_params, explicit_weyl, generate
-from .system import _solutions, _summation_defects, herglotz_map, propagate, validate
+from .system import (_summation_defects, fundamental_solutions, herglotz_map, propagate,
+                     validate)
 from .szego import dirac_to_szego, schur_coeffs, schur_to_R, szego_to_dirac, SchurCoefficients
 
 EXIT_OK = 0
@@ -111,7 +112,7 @@ def cmd_verify(args) -> int:
     failures = report.failures()
     summation, det_checks = [], []
     for lam in grid:
-        W = _solutions(system, lam, N + 1)
+        W = fundamental_solutions(system, lam, N + 1)
         defects = _summation_defects(system, lam, W)
         summation.extend({"lambda": io.complex_to_json(lam), "r": r, "residual": float(defects[r])}
                          for r in sorted({N // 2, N}))
@@ -243,19 +244,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the first class an error belongs to sets its exit code
+_EXIT_CODES = (
+    (ToeplitzNotPD, EXIT_TOEPLITZ),
+    ((SingularLeadingBlock, SingularVMinus, Phi1Mismatch), EXIT_SINGULAR),
+    (DiracSzegoError, EXIT_INVARIANT),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DocumentError, OSError) as exc:
         code, message = EXIT_IO, str(exc)
-    except ToeplitzNotPD as exc:
-        where = "" if exc.failing_index is None else f" (first failing index {exc.failing_index})"
-        code, message = EXIT_TOEPLITZ, f"{exc}{where}"
-    except (SingularLeadingBlock, SingularVMinus, Phi1Mismatch) as exc:
-        code, message = EXIT_SINGULAR, str(exc)
     except DiracSzegoError as exc:
-        code, message = EXIT_INVARIANT, str(exc)
+        code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        # only an error found by scanning the steps (the Toeplitz gate) names
+        # its first failing index; a stack gate's message names its step
+        where = getattr(exc, "failing_index", None)
+        message = str(exc) if where is None else f"{exc} (first failing index {where})"
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -2,7 +2,14 @@
 
 
 class DiracSzegoError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A failed gate (``policy.check``) sets ``measured`` and ``allowed``, and a
+    gate judged on a stack (``policy.check_stack``) also the stack ``index``
+    of the member that failed; each reads None where it does not apply.
+    """
+
+    measured = allowed = index = None
 
 
 class NotHermitian(DiracSzegoError):
@@ -86,9 +93,16 @@ class AnalyticityViolation(DiracSzegoError):
 
 
 class ToeplitzNotPD(DiracSzegoError):
-    def __init__(self, message, failing_index=None):
+    """S(r) fails the positivity gate; ``index`` is the first such r."""
+
+    def __init__(self, message, index=None):
         super().__init__(message)
-        self.failing_index = failing_index
+        self.index = index
+
+    @property
+    def failing_index(self):
+        """The first r whose S(r) fails, as ``index``."""
+        return self.index
 
 
 class DocumentError(DiracSzegoError):

@@ -149,7 +149,8 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     cond = cond_stack(v)
     check(cond[0], 1.0, SingularLeadingBlock, "condition number of the first block of beta(0)",
           DEFAULT_POLICY.cond_limit)
-    check_stack([(cond[1:], 1.0, SingularVMinus, lambda i: f"condition number of v_-({i + 1})",
+    # cond[0] passed just above, so the stack index of a failure is its k
+    check_stack([(cond, 1.0, SingularVMinus, lambda k: f"condition number of v_-({k})",
                   DEFAULT_POLICY.cond_limit)])
     T = np.zeros((2 * p, N + 1, p), dtype=complex)  # sum_l beta(l)* V_-[l, :], block columns
     Pi = np.zeros((N + 1, p, 2 * p), dtype=complex)  # block rows of V_-^{-1} [beta(0); ...]
@@ -186,18 +187,45 @@ def taylor_pi(alpha: TaylorSequence, r: int) -> np.ndarray:
 def _first_not_pd(S: np.ndarray, p: int):
     """First r at which S(r) fails the positivity gate, with its failure line.
 
-    The gate passes when min_eig(S(r)) > tau_pd * max(||S(r)||_F, 1); NaN
-    fails. S(r) is a leading principal block of S(r+1), so its smallest
+    The gate passes when min_eig(S(r)) > t_r = tau_pd * max(||S(r)||_F, 1);
+    NaN fails. S(r) is a leading principal block of S(r+1), so its smallest
     eigenvalue does not increase with r (Cauchy interlacing) while the norm
-    does not decrease: once the gate fails it fails for every larger r. One
-    eigenvalue problem on S(N) decides the passing case (None is returned),
-    and bisection finds the first failure.
+    does not decrease: once the gate fails it fails for every larger r, and
+    min_eig(S(N)) > t_N makes it pass at every r (None is returned).
+
+    One Cholesky factorization, O(n^3 / 3) for n = (N + 1) p, decides most
+    passing inputs. If L L* = fl(H - t' I) completes, with H the Hermitian
+    part of S and t' = t_N + delta, then L L* = H - t' I + E with
+    ||E||_2 <= gamma ||L||_F^2 and gamma = gamma_{n+4} = (n+4)u / (1 - (n+4)u):
+    gamma_{n+1} of the backward error of Cholesky (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3), two more for
+    complex arithmetic (ibid., sec. 3.6) and one for forming H - t' I. So
+    min_eig(H) >= t' - gamma ||L||_F^2, and the gate passes when that is at
+    least t_N; the check takes 2 gamma to cover the rounding of ||L||_F^2 and
+    of the comparison. As ||L||_F^2 is about trace(H) - n t', the shift
+    delta = 2 gamma trace(H) leaves room for it. Inputs it does not certify,
+    those within that margin of t_N included, go to the exact test: one
+    eigenvalue problem on S(N), and bisection to the first failure.
     """
     def verdict(r):
         Sr = S[:(r + 1) * p, :(r + 1) * p]
         return failure(-min_eig(Sr), max(np.linalg.norm(Sr), 1.0),
                        f"-min_eig(S({r}))", -DEFAULT_POLICY.tau_pd)
 
+    if np.isfinite(S).all():
+        n = len(S)
+        t = DEFAULT_POLICY.tau_pd * max(np.linalg.norm(S), 1.0)
+        u = np.finfo(float).eps / 2             # unit roundoff
+        gamma = (n + 4) * u / (1 - (n + 4) * u)
+        H = (S + S.conj().T) / 2
+        shift = t + 2 * gamma * np.trace(H).real
+        H[np.diag_indices(n)] -= shift
+        try:
+            certified = shift - 2 * gamma * np.linalg.norm(np.linalg.cholesky(H)) ** 2 >= t
+        except np.linalg.LinAlgError:
+            certified = False
+        if certified:
+            return None
     N = S.shape[0] // p - 1
     if verdict(N) is None:
         return None
@@ -223,7 +251,8 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     loop only collects core and small; one stacked solve then forms every
     G, core J core* = small is asserted at the scale
     ||core||^2 ||J|| + ||small|| and the first r that fails is named.
-    The recursion costs O(N^2 p^3); the gate adds one eigenvalue problem.
+    The recursion costs O(N^2 p^3); the gate adds one Cholesky factorization
+    on a passing input, and an eigenvalue problem where that does not decide.
     """
     ctx = SignatureContext(p=alpha.p)
     p, J, K, j = alpha.p, ctx.J, ctx.K, ctx.j
@@ -248,7 +277,7 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     if failed is not None:
         r, line = failed
         raise ToeplitzNotPD(f"block Toeplitz matrix S({r}) is not positive definite: {line}",
-                            failing_index=r)
+                            r)
     return PotentialSequence(ctx=ctx, C=tuple(C))
 
 

@@ -8,7 +8,9 @@ fundamental solutions grow geometrically with the step. The comparison is
 written in its passing form, so a NaN fails it, in ``passes``, which also
 judges arrays elementwise. ``check`` raises on failure, and ``check_stack``
 on the first failure over a stack; ``failure`` returns the verdict as a
-line, for reports that list them all.
+line, for reports that list them all. The exception raised carries the
+numbers of its line as attributes: ``measured``, ``allowed`` (tau * scale)
+and, from ``check_stack``, the stack ``index`` of the failing member.
 A lower bound lambda_min > t * scale is the same rule negated, ``tau=-t``.
 
 ``DEFAULT_POLICY`` is the one fixed policy; nothing takes a per-call override.
@@ -51,12 +53,23 @@ def failure(measured: float, scale: float, what: str,
     return f"{what} is {measured:.3e}, allowed at most {tau * scale:.3e}"
 
 
+def _error(measured, scale, exc: type[Exception], what: str, tau: float):
+    """The exception ``check`` raises, with ``measured`` and ``allowed`` set;
+    None when the gate passes."""
+    line = failure(measured, scale, what, tau)
+    if line is None:
+        return None
+    err = exc(line)
+    err.measured, err.allowed = float(measured), float(tau * scale)
+    return err
+
+
 def check(measured: float, scale: float, exc: type[Exception], what: str,
           tau: float = DEFAULT_POLICY.tau) -> None:
     """Raise ``exc`` with the ``failure`` line when the gate fails."""
-    line = failure(measured, scale, what, tau)
-    if line is not None:
-        raise exc(line)
+    err = _error(measured, scale, exc, what, tau)
+    if err is not None:
+        raise err
 
 
 def check_stack(gates) -> None:
@@ -65,11 +78,15 @@ def check_stack(gates) -> None:
     Each gate is (measured, scale, exc, what, tau): ``measured`` is an array
     over the stack, ``scale`` an array or a number and ``what(i)`` names the
     quantity at stack index i. The first index that fails any gate raises
-    the first gate that fails there, so a stack fails as its members checked
-    one at a time in order, each through all the gates, would.
+    the first gate that fails there, with ``index`` set to that stack index,
+    so a stack fails as its members checked one at a time in order, each
+    through all the gates, would.
     """
     ok = np.logical_and.reduce([passes(m, s, tau) for m, s, _, _, tau in gates])
     if not ok.all():
         i = int(np.argmin(ok))
         for measured, scale, exc, what, tau in gates:
-            check(measured[i], np.broadcast_to(scale, ok.shape)[i], exc, what(i), tau)
+            err = _error(measured[i], np.broadcast_to(scale, ok.shape)[i], exc, what(i), tau)
+            if err is not None:
+                err.index = i
+                raise err

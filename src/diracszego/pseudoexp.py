@@ -105,21 +105,35 @@ def _s_solve(S: np.ndarray, B: np.ndarray, pd_path: bool) -> np.ndarray:
     return np.linalg.solve(S, B)
 
 
+def _norm(M: np.ndarray) -> float:
+    """Frobenius norm of M, taken from M divided by its largest modulus so
+    that the sum of squares cannot overflow while M is finite."""
+    top = np.abs(M).max()
+    if top == 0:
+        return 0.0
+    return float(top * np.linalg.norm(M / top))   # NaN and inf entries read NaN
+
+
 def _states(params: BdtParameters, count: int) -> list[BdtState]:
     """Run the recursion, returning states for k = 0..count-1 and re-verifying
     the step identity A S_k - S_k A* = i Pi_k j Pi_k* at the scale
     2 ||A|| ||S_k|| + ||Pi_k||^2. With S0 > 0 every S_k > 0 exactly, but
     min_eig(S_k) / ||S_k|| can decay geometrically; below tau_pd, S_k is
-    singular to working precision and the recursion stops (``SingularS``)."""
+    singular to working precision and the recursion stops (``SingularS``).
+    S_k grows geometrically too, and the recursion also stops, with a
+    ``SingularS`` naming k, where its entries overflow; the norms are taken
+    overflow-safe, so a finite S_k is judged at its true scale."""
     A, j = params.A, params.ctx.j
     Ainv = np.linalg.inv(A)
     Pi, S = params.Pi0, params.S0
     pd_path = params.s0_positive
     out = []
     for k in range(count):
-        norm_s = np.linalg.norm(S)
-        check(np.linalg.norm(A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().T),
-              2 * np.linalg.norm(A) * norm_s + np.linalg.norm(Pi) ** 2, IdentityViolated,
+        if not np.isfinite(S).all():
+            raise SingularS(f"S_{k} overflows: its entries exceed the floating-point range")
+        norm_s = _norm(S)
+        check(_norm(A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().T),
+              2 * _norm(A) * norm_s + _norm(Pi) ** 2, IdentityViolated,
               f"step identity residual at k={k}")
         if pd_path:
             lo = min_eig(S)
@@ -127,9 +141,11 @@ def _states(params: BdtParameters, count: int) -> list[BdtState]:
                   f"S_{k} is singular to working precision (min_eig/||S_k|| = {lo / norm_s:.1e}); "
                   f"precision is exhausted: -min_eig(S_{k})", -DEFAULT_POLICY.tau_pd)
         out.append(BdtState(k=k, Pi=Pi, S=(S + S.conj().T) / 2))
-        Pi_next = Pi + 1j * Ainv @ Pi @ j
-        S_next = S + Ainv @ S @ Ainv.conj().T + Ainv @ (Pi @ Pi.conj().T) @ Ainv.conj().T
-        Pi, S = Pi_next, (S_next + S_next.conj().T) / 2
+        # past the range the next state reads inf, and the check above stops there
+        with np.errstate(over="ignore", invalid="ignore"):
+            Pi_next = Pi + 1j * Ainv @ Pi @ j
+            S_next = S + Ainv @ S @ Ainv.conj().T + Ainv @ (Pi @ Pi.conj().T) @ Ainv.conj().T
+            Pi, S = Pi_next, (S_next + S_next.conj().T) / 2
     return out
 
 

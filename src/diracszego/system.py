@@ -28,6 +28,7 @@ __all__ = [
     "StepReport",
     "ValidationReport",
     "validate",
+    "fundamental_solutions",
     "propagate",
     "q_weight",
     "summation_residual",
@@ -143,9 +144,11 @@ def validate(sys: PotentialSequence) -> ValidationReport:
         for k in range(len(C))))
 
 
-def _solutions(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:
+def fundamental_solutions(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:
     """Stack W_0(lambda)..W_k(lambda) of fundamental solutions, shape
-    (k+1, m, m), built by left-multiplying one-step factors from W_0 = I."""
+    (k+1, m, m), built by left-multiplying one-step factors from W_0 = I.
+    The one propagation kernel: ``propagate``, the summation and partial Weyl
+    sums and ``verify`` all read their W_k from it."""
     if lam == 0:
         raise LambdaZero("the system has a pole at lambda = 0")
     if k < 0 or k > sys.N + 1:
@@ -160,7 +163,7 @@ def _solutions(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:
 
 def propagate(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:
     """Fundamental solution W_k(lambda), normalized to W_0 = I."""
-    return _solutions(sys, lam, k)[k]
+    return fundamental_solutions(sys, lam, k)[k]
 
 
 def q_weight(lam: complex) -> float:
@@ -185,13 +188,13 @@ def summation_residual(sys: PotentialSequence, lam: complex, r: int) -> float:
     """
     if r > sys.N:
         raise ValueError(f"r={r} exceeds sequence length N={sys.N}")
-    return float(_summation_defects(sys, lam, _solutions(sys, lam, r + 1))[r])
+    return float(_summation_defects(sys, lam, fundamental_solutions(sys, lam, r + 1))[r])
 
 
 def _summation_defects(sys: PotentialSequence, lam: complex, W: np.ndarray) -> np.ndarray:
     """``summation_residual`` at every r = 0..len(W) - 2 from one stack
-    W_0, W_1, ... of ``_solutions``: the left side and the first term of the
-    scale are running sums over k."""
+    W_0, W_1, ... of ``fundamental_solutions``: the left side and the first
+    term of the scale are running sums over k."""
     if lam.imag == 0:
         raise RealLambda("summation formula requires Im(lambda) != 0")
     j = sys.ctx.j
@@ -261,7 +264,7 @@ def weyl_partial_sum(sys: PotentialSequence, phi, lam: complex, r: int,
         col = np.vstack([val, np.eye(p, dtype=complex)])
     else:
         col = sys.ctx.K.conj().T @ np.vstack([-1j * val, np.eye(p, dtype=complex)])
-    u = _solutions(sys, lam, r) @ col               # u_k = W_k col, (r+1, m, p)
+    u = fundamental_solutions(sys, lam, r) @ col    # u_k = W_k col, (r+1, m, p)
     acc = np.einsum("k,kba,kbc,kcd->ad", q_weight(lam) ** np.arange(r + 1), u.conj(),
                     np.stack(sys.C[: r + 1]), u)
     return (acc + acc.conj().T) / 2

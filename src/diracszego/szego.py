@@ -16,15 +16,15 @@ import numpy as np
 
 from .errors import (
     BlockSizeNotOne,
+    DiracSzegoError,
     InvariantViolated,
     ModulusAtLeastOne,
     NotHermitian,
     NotPositiveDefinite,
     PoleAtInput,
 )
-from .linalg import (SignatureContext, herm_residual, hermitian_sqrt, min_eig_stack,
-                     norm_stack)
-from .policy import check
+from .linalg import SignatureContext, min_eig_stack, norm_stack
+from .policy import DEFAULT_POLICY, check_stack
 from .system import PotentialSequence
 
 
@@ -127,37 +127,74 @@ def dirac_to_szego(sys: PotentialSequence, theta_rule=None) -> SzegoSequence:
     """Szego factors R_k = (U_k* C_k U_k)^{1/2} with U_{k+1} = U_k (i j R_k).
 
     Requires C_k > 0 (judged like ``validate``). U_k* C_k U_k is checked
-    Hermitian at ||U_k||^2 ||C_k|| and R j R = j at ||R||^2 + ||j||: a failure
+    Hermitian at ||U_k||^2 ||C_k||, its Hermitian part passes the gates of
+    ``hermitian_sqrt``, and R j R = j is checked at ||R||^2 + ||j||: a failure
     means the input is outside the positive-definite subclass or the rotation
     ran out of digits. The theta weights come from ``theta_rule(R_k)``; the
     default is the scalar Schur rule for p = 1 and the constant 1 for p > 1.
+
+    The recursion runs first, with the arithmetic of ``hermitian_sqrt``, and
+    all five gates of every step are then judged in one pass on stacks, in
+    the order a per-step loop checks them: the error names the first step
+    that fails, with the first of its gates that fails. ``theta_rule`` runs
+    only for the steps before it. A LinAlgError of the eigensolver at step k
+    is raised once the gates before it pass.
     """
     ctx = sys.ctx
     j, norm_j = ctx.j, np.linalg.norm(ctx.j)
-    R_out, theta_out = [], []
-    U = np.eye(ctx.m, dtype=complex)
-    C_all = np.stack(sys.C)
-    norms, lows = norm_stack(C_all), min_eig_stack(C_all)
-    for k, C in enumerate(sys.C):
-        norm_c = norms[k]
-        check(-lows[k], max(norm_c, 1.0), NotPositiveDefinite, f"-min_eig(C_{k})")
-        M = U.conj().T @ C @ U
-        check(herm_residual(M), np.linalg.norm(U) ** 2 * norm_c, NotHermitian,
-              f"asymmetry of U_{k}* C_{k} U_{k}")
-        R = hermitian_sqrt((M + M.conj().T) / 2)
-        check(np.linalg.norm(R @ j @ R - j), np.linalg.norm(R) ** 2 + norm_j,
-              InvariantViolated, f"R_{k} j R_{k} - j residual")
+    C = np.stack(sys.C)
+    U, M, R = np.empty_like(C), np.empty_like(C), np.empty_like(C)
+    low = np.empty(len(C))                      # smallest eigenvalue of each Hermitian part
+    u, error = np.eye(ctx.m, dtype=complex), None
+    # the steps after a failing one may run on NaN or inf; that step's gate raises first
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(len(C)):
+            U[k] = u
+            M[k] = u.conj().T @ C[k] @ u
+            H = (M[k] + M[k].conj().T) / 2
+            try:
+                w, V = np.linalg.eigh((H + H.conj().T) / 2)
+            except np.linalg.LinAlgError as exc:
+                # values that pass the gates after the eigensolver: its error stands for them
+                error, low[k], R[k] = exc, np.inf, np.eye(ctx.m)
+                break
+            r = (V * np.sqrt(w)) @ V.conj().T
+            R[k], low[k] = (r + r.conj().T) / 2, w[0]
+            u = _rotate(u, R[k], j)
+    n = k + 1
+    U, M, R, C, low = U[:n], M[:n], R[:n], C[:n], low[:n]
+    H = (M + M.conj().transpose(0, 2, 1)) / 2
+    norm_c, norm_h = norm_stack(C), np.maximum(norm_stack(H), 1.0)
+    tau, tau_pd = DEFAULT_POLICY.tau, DEFAULT_POLICY.tau_pd
+    # float_power squares with libm pow, as ``norm ** 2`` of one matrix does
+    gates = [
+        (-min_eig_stack(C), np.maximum(norm_c, 1.0), NotPositiveDefinite,
+         lambda k: f"-min_eig(C_{k})", tau),
+        (norm_stack(M - M.conj().transpose(0, 2, 1)), np.float_power(norm_stack(U), 2) * norm_c,
+         NotHermitian, lambda k: f"asymmetry of U_{k}* C_{k} U_{k}", tau),
+        (norm_stack(H - H.conj().transpose(0, 2, 1)), norm_h, NotHermitian,
+         lambda k: "asymmetry", tau),
+        (-low, norm_h, NotPositiveDefinite, lambda k: "-min_eig", -tau_pd),
+        (norm_stack(R @ j @ R - j), np.float_power(norm_stack(R), 2) + norm_j,
+         InvariantViolated, lambda k: f"R_{k} j R_{k} - j residual", tau),
+    ]
+    stop = n - (error is not None)              # the steps that formed their R
+    try:
+        check_stack(gates)
+    except DiracSzegoError as exc:
+        error, stop = exc, exc.index
+    theta = []
+    for Rk in R[:stop]:
         if theta_rule is not None:
-            theta = complex(theta_rule(R))
+            theta.append(complex(theta_rule(Rk)))
         elif ctx.p == 1:
-            rho = -R[0, 1] / R[0, 0]
-            theta = float(np.sqrt(1 - abs(rho) ** 2))
+            rho = -Rk[0, 1] / Rk[0, 0]
+            theta.append(float(np.sqrt(1 - abs(rho) ** 2)))
         else:
-            theta = 1.0
-        R_out.append(R)
-        theta_out.append(theta)
-        U = _rotate(U, R, j)
-    return SzegoSequence(ctx=ctx, R=tuple(R_out), theta=tuple(theta_out))
+            theta.append(1.0)
+    if error is not None:
+        raise error
+    return SzegoSequence(ctx=ctx, R=tuple(R), theta=tuple(theta))
 
 
 def schur_to_R(rho: SchurCoefficients) -> SzegoSequence:

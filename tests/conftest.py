@@ -260,7 +260,7 @@ def loop_inverse_potentials(alpha):
         C.append((Cr + Cr.conj().T) / 2)
     if failed is not None:
         raise dz.ToeplitzNotPD(f"block Toeplitz matrix S({failed[0]}) is not positive "
-                               f"definite: {failed[1]}", failing_index=failed[0])
+                               f"definite: {failed[1]}", failed[0])
     return dz.PotentialSequence(ctx=ctx, C=tuple(C))
 
 

@@ -150,6 +150,43 @@ class TestBatchedGateErrors:
         assert isinstance(err, NotPositiveDefinite)
         assert str(err).startswith("-min_eig(C_4)")
 
+    def test_szego_gates_judged_after_the_recursion(self, system8):
+        """The steps after a failing one run on NaN without a warning, and
+        theta_rule sees only the steps before it."""
+        broken = self.replaced(system8, C3=-system8.C[3])
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match=r"^-min_eig\(C_3\)") as info:
+                dz.dirac_to_szego(broken, theta_rule=lambda R: seen.append(R) or 1.0)
+        assert len(seen) == 3 and info.value.index == 3
+        ref = loop_dirac_to_szego(system8)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, ref.R))
+
+    @pytest.mark.parametrize("fail_at, C1", [(4, None), (4, "indefinite"), (0, None)])
+    def test_eigensolver_error_after_the_gates_before_it(self, system8, monkeypatch,
+                                                         fail_at, C1):
+        """A LinAlgError of eigh at step k is raised where a per-step loop
+        raises it: after the gates of the steps before k, and of step k
+        before the eigensolver, pass."""
+        sys_in = system8 if C1 is None else self.replaced(system8, C1=-system8.C[1])
+        eigh = np.linalg.eigh
+
+        def failing_eigh(calls):
+            def wrapper(a, *args, **kwargs):
+                calls.append(1)
+                if len(calls) == fail_at + 1:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return eigh(a, *args, **kwargs)
+            return wrapper
+
+        def run(convert):
+            monkeypatch.setattr(np.linalg, "eigh", failing_eigh([]))
+            return convert(sys_in)
+
+        err = same_error(lambda: run(dz.dirac_to_szego), lambda: run(loop_dirac_to_szego))
+        assert isinstance(err, NotPositiveDefinite if C1 else np.linalg.LinAlgError)
+
     def test_nan_entry_in_validate(self, ex41_params):
         sys4, _ = dz.generate(ex41_params, 4)
         C = [c.copy() for c in sys4.C]
@@ -176,6 +213,11 @@ class TestBatchedGateErrors:
         limit = DEFAULT_POLICY.cond_limit
         assert str(info.value) == (f"condition number of v_-(2) is {cond:.3e}, "
                                    f"allowed at most {limit:.3e}")
+
+    def test_singular_v_minus_carries_its_step_as_index(self):
+        with pytest.raises(SingularVMinus) as info:
+            dz.taylor_from_beta(self.v_minus_singular_at_2(1e-13))
+        assert info.value.index == 2 and info.value.measured > info.value.allowed
 
     def test_leading_block_is_judged_before_v_minus(self):
         beta = self.v_minus_singular_at_2(0.0)
@@ -223,6 +265,23 @@ class TestBatchedCallCount:
             assert short[stage] == long[stage]
             assert short[stage]["eigvalsh"] + short[stage]["eigh"] == 1
         assert short["taylor"]["cond"] <= 1 and long["taylor"]["cond"] <= 1
+
+    def test_szego_norm_calls_independent_of_length(self, monkeypatch):
+        """dirac_to_szego takes its gate norms as stacks, not per step."""
+        calls = []
+        norm = np.linalg.norm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return norm(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        per_length = []
+        for N in (8, 64):
+            sys_in = random_system(np.random.default_rng(N), 2, N)
+            calls.clear()
+            dz.dirac_to_szego(sys_in)
+            per_length.append(len(calls))
+        assert per_length[0] == per_length[1]
 
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_failing_stack_is_judged_in_one_pass(self, counts, k):

@@ -61,6 +61,26 @@ class TestPipeline:
         assert run(["inverse", "--taylor", tay, "--out", tmp_path / "o.json"]) == 4
         assert "index 1" in capsys.readouterr().err
 
+    def test_only_the_toeplitz_error_line_names_a_first_failing_index(self, tmp_path, capsys):
+        alpha = dz.TaylorSequence(p=1, alpha=(np.eye(1), 5 * np.eye(1)))
+        with pytest.raises(dz.errors.ToeplitzNotPD) as info:
+            dz.inverse_potentials(alpha)
+        tay = tmp_path / "bad.json"
+        io.write_doc(str(tay), io.taylor_to_doc(alpha))
+        run(["inverse", "--taylor", tay, "--out", tmp_path / "o.json"])
+        assert capsys.readouterr().err == f"error: {info.value} (first failing index 1)\n"
+        system, _ = dz.generate(dz.example41_params(1.0, 1.0, 1.0), 6)
+        C = list(system.C)
+        C[4] = -C[4]
+        broken = dz.PotentialSequence(system.ctx, tuple(C))
+        with pytest.raises(dz.errors.NotPositiveDefinite) as info:
+            dz.dirac_to_szego(broken)
+        assert info.value.index == 4
+        path = tmp_path / "broken.json"
+        io.write_doc(str(path), io.potentials_to_doc(broken))
+        assert run(["szego", "--to-szego", "--in", path, "--out", tmp_path / "o.json"]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
     def test_direct_writes_alpha_only(self, tmp_path, sys_doc, monkeypatch):
         # the positivity profile costs O(N^4 p^3) and no reader uses it
         calls = []

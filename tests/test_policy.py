@@ -11,10 +11,11 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diracszego.errors import DiracSzegoError
-from diracszego.policy import DEFAULT_POLICY, NumericPolicy, check, failure
+from diracszego.policy import DEFAULT_POLICY, NumericPolicy, check, check_stack, failure
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diracszego"
 
@@ -80,3 +81,19 @@ class TestRule:
         tau_pd = DEFAULT_POLICY.tau_pd
         assert failure(-1e-3, 1.0, "-min_eig", -tau_pd) is None
         assert failure(-1e-12, 1.0, "-min_eig", -tau_pd) is not None
+
+    def test_error_carries_measured_and_allowed(self):
+        with pytest.raises(DiracSzegoError) as info:
+            check(3e-9, 5.0, DiracSzegoError, "C_4 residual")
+        err = info.value
+        assert (err.measured, err.allowed, err.index) == (3e-9, DEFAULT_POLICY.tau * 5.0, None)
+
+    def test_stack_error_carries_its_index(self):
+        tau = DEFAULT_POLICY.tau
+        gates = [(np.array([0.0, 0.0, 1.0, 2.0]), 1.0, DiracSzegoError, lambda i: f"r_{i}", tau),
+                 (np.array([0.0, 1.0, 0.0, 0.0]), 2.0, ValueError, lambda i: f"s_{i}", tau)]
+        with pytest.raises(ValueError) as info:
+            check_stack(gates)
+        err = info.value
+        assert (err.index, err.measured, err.allowed) == (1, 1.0, tau * 2.0)
+        assert str(err).startswith("s_1 is")

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,24 @@ class TestGenerate:
         assert 28 < k < 45
         assert "min_eig/||S_k||" in msg and "precision is exhausted" in msg
         assert "lost positive definiteness" not in msg
+
+    @pytest.mark.parametrize("N", [503, 1000])
+    def test_runs_while_s_is_finite(self, ex41_params, N):
+        """||S_k||_F overflows in a plain sum of squares from k = 504 on, while
+        S_k itself stays finite to k = 1013."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys_out, _ = dz.generate(ex41_params, N)
+        assert dz.validate(sys_out).passed
+        assert max(np.abs(C - dz.example41(1.0, 1.0, 1.0, k)[0]).max()
+                   for k, C in enumerate(sys_out.C)) < 1e-10
+
+    def test_stops_where_s_overflows(self, ex41_params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dz.generate(ex41_params, 1012)
+            with pytest.raises(SingularS, match=r"^S_1014 overflows"):
+                dz.generate(ex41_params, 1013)
 
     def test_closed_form_family_is_junitary(self):
         j = np.diag([1.0, -1.0])

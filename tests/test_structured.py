@@ -105,9 +105,77 @@ class TestComplexityGuard:
         dz.inverse_potentials(alpha)
         assert counts["block_toeplitz"] <= 1
         assert counts["pd_solve"] == 0
-        assert counts["min_eig"] == 1
+        assert counts["min_eig"] == 0
+
+    @pytest.mark.parametrize("N, k", [(40, 0), (40, 17), (40, 40), (64, 33)])
+    def test_failing_input_bisects(self, rng, counts, N, k):
+        """The exact test runs one eigenvalue problem on S(N), then bisects."""
+        alpha = list(random_taylor(rng, 2, N).alpha)
+        alpha[k] = 25 * alpha[k] if k else -25 * alpha[k]
+        broken = dz.TaylorSequence(p=2, alpha=tuple(alpha))
+        counts.update(dict.fromkeys(counts, 0))
+        with pytest.raises(ToeplitzNotPD) as info:
+            dz.inverse_potentials(broken)
+        assert info.value.index == dense_first_not_pd(broken)
+        assert 1 <= counts["min_eig"] <= int(np.ceil(np.log2(N + 1))) + 2
 
     def test_direct_does_not_build_structured_a(self, rng, counts):
         sys_in = dz.szego_to_dirac(dz.random_szego_sequence(rng, 2, 40, 0.1))
         dz.direct_taylor(sys_in)
         assert counts["structured_a"] == 0
+
+
+def at_threshold(alpha, factor):
+    """alpha with alpha_0 -> alpha_0 - (c/2) I, which shifts S(N) by -c I,
+    and c chosen so that min_eig(S(N)) = factor * tau_pd * max(||S(N)||_F, 1)."""
+    S = dense_block_toeplitz(alpha.alpha)
+    low, eye = np.linalg.eigvalsh(S)[0], np.eye(len(S))
+    c = 0.0
+    for _ in range(20):  # a contraction: the norm moves by c * sqrt(n) per unit of c
+        c = low - factor * dz.DEFAULT_POLICY.tau_pd * max(np.linalg.norm(S - c * eye), 1.0)
+    blocks = list(alpha.alpha)
+    blocks[0] = blocks[0] - (c / 2) * np.eye(alpha.p)
+    return dz.TaylorSequence(p=alpha.p, alpha=tuple(blocks))
+
+
+class TestPositivityThreshold:
+    """The Cholesky certificate of the positivity gate against the dense scan
+    with min_eig(S(N)) placed just above and just below the threshold."""
+
+    @pytest.fixture
+    def min_eig_calls(self, monkeypatch):
+        calls = []
+
+        def counted(M):
+            calls.append(M.shape[0])
+            return linalg.min_eig(M)
+        monkeypatch.setattr(inverse, "min_eig", counted)
+        return calls
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_verdict_matches_dense_scan(self, rng, min_eig_calls, p, k, side):
+        alpha = at_threshold(random_taylor(rng, p, 20), 1 + side * 10.0 ** -k)
+        first = dense_first_not_pd(alpha)
+        assert (first is None) == (side > 0)
+        if first is None:
+            dz.inverse_potentials(alpha)
+        else:
+            with pytest.raises(ToeplitzNotPD) as info:
+                dz.inverse_potentials(alpha)
+            assert info.value.index == info.value.failing_index == first
+        if side > 0 and k <= 2:
+            assert min_eig_calls == []    # certified by the factorization alone
+        if k >= 4:
+            assert min_eig_calls          # within the rounding margin: the exact test decides
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_takes_the_exact_path(self, rng, min_eig_calls, bad):
+        blocks = list(random_taylor(rng, 2, 12).alpha)
+        blocks[5] = blocks[5].copy()
+        blocks[5][1, 0] = bad
+        with pytest.raises(ToeplitzNotPD) as info:
+            dz.inverse_potentials(dz.TaylorSequence(p=2, alpha=tuple(blocks)))
+        assert info.value.index == 5
+        assert min_eig_calls[0] == 26     # S(N) first, as the exact test does

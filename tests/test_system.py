@@ -57,6 +57,12 @@ class TestPropagate:
         with pytest.raises(LambdaZero):
             dz.propagate(trivial_system, 0.0, 1)
 
+    def test_public_kernel_gives_every_step(self, ex41_system):
+        lam = 1 - 1j
+        W = dz.fundamental_solutions(ex41_system, lam, ex41_system.N + 1)
+        assert W.shape == (ex41_system.N + 2, 2, 2)
+        assert all(np.array_equal(W[k], dz.propagate(ex41_system, lam, k)) for k in range(len(W)))
+
     def test_range_check(self, trivial_system):
         with pytest.raises(ValueError):
             dz.propagate(trivial_system, 1 - 1j, trivial_system.N + 2)
