@@ -26,8 +26,8 @@ from .errors import (
     SingularVMinus,
     ToeplitzNotPD,
 )
-from .linalg import (SignatureContext, _rank_p_factor_gates, block_levinson, block_toeplitz,
-                     cond_stack, min_eig, norm_stack)
+from .linalg import (SignatureContext, _block_stack, _rank_p_factor_gates, block_levinson,
+                     block_toeplitz, cond_stack, min_eig, norm_stack)
 from .policy import DEFAULT_POLICY, check, check_stack, failure
 from .pseudoexp import BdtParameters, WeylRealization, explicit_weyl
 from .system import PotentialSequence, herglotz_map
@@ -45,25 +45,21 @@ __all__ = [
     "toeplitz_positivity",
     "rational_taylor",
     "borg_marchenko_check",
-    "taylor_pi",
 ]
 
 
 @dataclass(frozen=True)
 class TaylorSequence:
-    """Blocks alpha_0..alpha_N of the Weyl function in the Cayley variable;
-    ``rational_taylor`` also records its truncation error estimate."""
+    """Blocks alpha_0..alpha_N of the Weyl function in the Cayley variable,
+    one read-only (N+1, p, p) array (at p = 1 a sequence of scalars is also
+    accepted); ``rational_taylor`` also records its truncation error estimate."""
 
     p: int
-    alpha: tuple = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
     truncation_estimate: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        alpha = tuple(np.atleast_2d(np.asarray(a, dtype=complex)) for a in self.alpha)
-        for k, a in enumerate(alpha):
-            if a.shape != (self.p, self.p):
-                raise ValueError(f"alpha_{k} has shape {a.shape}, expected ({self.p}, {self.p})")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _block_stack(self.alpha, (self.p, self.p), "alpha"))
 
     @property
     def N(self) -> int:
@@ -72,18 +68,14 @@ class TaylorSequence:
 
 @dataclass(frozen=True)
 class BetaSequence:
-    """J-normalized factors beta(k) (p x 2p) with beta J beta* = I_p."""
+    """J-normalized factors beta(k) with beta J beta* = I_p, one read-only
+    (N+1, p, 2p) array."""
 
     ctx: SignatureContext
-    beta: tuple = field(repr=False)
+    beta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        beta = tuple(np.asarray(b, dtype=complex) for b in self.beta)
-        p, m = self.ctx.p, self.ctx.m
-        for k, b in enumerate(beta):
-            if b.shape != (p, m):
-                raise ValueError(f"beta({k}) has shape {b.shape}, expected ({p}, {m})")
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _block_stack(self.beta, (self.ctx.p, self.ctx.m), "beta"))
 
     @property
     def N(self) -> int:
@@ -107,7 +99,7 @@ def beta_from_potentials(sys: PotentialSequence) -> BetaSequence:
     fails.
     """
     ctx = sys.ctx
-    f, gates = _rank_p_factor_gates((np.stack(sys.C) + ctx.j) / 2, ctx.p)
+    f, gates = _rank_p_factor_gates((sys.C + ctx.j) / 2, ctx.p)
     b = f @ ctx.K.conj().T
     resid = b @ ctx.J @ b.conj().transpose(0, 2, 1) - np.eye(ctx.p)
     gates.append((norm_stack(resid), norm_stack(b) ** 2 * np.linalg.norm(ctx.J) + np.sqrt(ctx.p),
@@ -115,7 +107,7 @@ def beta_from_potentials(sys: PotentialSequence) -> BetaSequence:
                   DEFAULT_POLICY.tau))
     check_stack([(m, s, exc, lambda k, what=what: f"C_{k} is not a valid potential: {what(k)}",
                   tau) for m, s, exc, what, tau in gates])
-    return BetaSequence(ctx=ctx, beta=tuple(b))
+    return BetaSequence(ctx=ctx, beta=b)
 
 
 def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
@@ -139,7 +131,7 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     ctx = beta.ctx
     p, J = ctx.p, ctx.J
     N = beta.N
-    b = np.stack(beta.beta)                      # (N+1, p, 2p)
+    b = beta.beta                                # (N+1, p, 2p)
     bH = b.conj().transpose(0, 2, 1)
     bJ = b @ J
     v = np.empty((N + 1, p, p), dtype=complex)   # the diagonal blocks v_-(k)
@@ -168,20 +160,12 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     check(np.linalg.norm(Pi[:, :, :p] - np.eye(p)), np.linalg.norm(b) ** 2, Phi1Mismatch,
           "deviation of the first block column from the identity stack")
     alpha = np.diff(Pi[:, :, p:], axis=0, prepend=np.zeros((1, p, p)))
-    return TaylorSequence(p=p, alpha=tuple(alpha))
+    return TaylorSequence(p=p, alpha=alpha)
 
 
 def direct_taylor(sys: PotentialSequence) -> TaylorSequence:
     """Direct spectral problem: potentials to Weyl Taylor coefficients."""
     return taylor_from_beta(beta_from_potentials(sys))
-
-
-def taylor_pi(alpha: TaylorSequence, r: int) -> np.ndarray:
-    """The (r+1)p x 2p matrix [Phi_1 Phi_2] of cumulative coefficient sums."""
-    p = alpha.p
-    eye = np.eye(p, dtype=complex)
-    phi2 = np.cumsum(np.stack(alpha.alpha[: r + 1]), axis=0)
-    return np.hstack([np.vstack([eye] * (r + 1)), phi2.reshape((r + 1) * p, p)])
 
 
 def _first_not_pd(S: np.ndarray, p: int):
@@ -258,7 +242,7 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     p, J, K, j = alpha.p, ctx.J, ctx.K, ctx.j
     failed = _first_not_pd(block_toeplitz(alpha.alpha), p)
     stop = alpha.N + 1 if failed is None else failed[0]
-    psi = np.cumsum(np.stack(alpha.alpha), axis=0)
+    psi = np.cumsum(alpha.alpha, axis=0)
     core = np.empty((stop, p, 2 * p), dtype=complex)   # P S(r)^{-1} Pi(r)
     small = np.empty((stop, p, p), dtype=complex)      # P S(r)^{-1} P*
     for r, last in enumerate(islice(block_levinson(alpha.alpha), stop)):
@@ -278,22 +262,23 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
         r, line = failed
         raise ToeplitzNotPD(f"block Toeplitz matrix S({r}) is not positive definite: {line}",
                             r)
-    return PotentialSequence(ctx=ctx, C=tuple(C))
+    return PotentialSequence(ctx=ctx, C=C)
 
 
 def lyapunov_residual(alpha: TaylorSequence) -> float:
     """Norm of A S - S A* - i Pi J Pi* for the structured lower-triangular A,
-    the induced block Toeplitz S, and the cumulative-sum Pi.
+    the induced block Toeplitz S, and Pi = [Phi_1 Phi_2], a stack of
+    identities beside the cumulative sums of the blocks.
 
     An algebraic identity of the construction: small for any Hermitian-symbol
     input, positive definiteness not required.
     """
     p = alpha.p
-    N = alpha.N
     ctx = SignatureContext(p=p)
     S = block_toeplitz(alpha.alpha)
-    A = structured_a(N + 1, p)
-    Pi = taylor_pi(alpha, N)
+    A = structured_a(alpha.N + 1, p)
+    Pi = np.hstack([np.tile(np.eye(p), (alpha.N + 1, 1)),
+                    np.cumsum(alpha.alpha, axis=0).reshape(-1, p)])
     return float(np.linalg.norm(A @ S - S @ A.conj().T - 1j * Pi @ ctx.J @ Pi.conj().T))
 
 
@@ -343,7 +328,7 @@ def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512) -> 
     spectrum = np.fft.fft(vals, axis=0) / samples  # coefficient k at index k
     alpha = [spectrum[k] / radius**k for k in range(N + 1)]
     tail = np.linalg.norm(spectrum[N + 1] / radius ** (N + 1)) * radius
-    return TaylorSequence(p=p, alpha=tuple(alpha), truncation_estimate=float(tail))
+    return TaylorSequence(p=p, alpha=alpha, truncation_estimate=float(tail))
 
 
 def borg_marchenko_check(sysA: PotentialSequence, sysB: PotentialSequence, N: int,

@@ -73,7 +73,7 @@ def potentials_from_doc(doc: dict) -> PotentialSequence:
     for k, c in enumerate(C):
         if c.shape != (2 * p, 2 * p):
             raise DocumentError(f"payload.C[{k}]: shape {c.shape} inconsistent with p={p}")
-    return PotentialSequence(ctx=SignatureContext(p=p), C=tuple(C))
+    return PotentialSequence(ctx=SignatureContext(p=p), C=C)
 
 
 def bdt_params_to_doc(params: BdtParameters) -> dict:
@@ -107,7 +107,7 @@ def taylor_from_doc(doc: dict) -> TaylorSequence:
     p = _dim(doc, "p")
     alpha = [matrix_from_json(a, f"payload.alpha[{k}]")
              for k, a in enumerate(_payload_list(doc, "alpha"))]
-    return TaylorSequence(p=p, alpha=tuple(alpha))
+    return TaylorSequence(p=p, alpha=alpha)
 
 
 def szego_to_doc(sz: SzegoSequence) -> dict:
@@ -124,7 +124,7 @@ def szego_from_doc(doc: dict) -> SzegoSequence:
     R = [matrix_from_json(r, f"payload.R[{k}]") for k, r in enumerate(_payload_list(doc, "R"))]
     theta = [complex_from_json(t, f"payload.theta[{k}]")
              for k, t in enumerate(_payload_list(doc, "theta"))]
-    return SzegoSequence(ctx=SignatureContext(p=p), R=tuple(R), theta=tuple(theta))
+    return SzegoSequence(ctx=SignatureContext(p=p), R=R, theta=theta)
 
 
 def report_payload(report: ValidationReport) -> dict:

@@ -9,7 +9,8 @@ modules go through the helpers below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,26 +135,53 @@ class SignatureContext:
     """
 
     p: int
-    j: np.ndarray = field(init=False, repr=False, compare=False)
-    J: np.ndarray = field(init=False, repr=False, compare=False)
-    K: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("block size must be a positive integer")
-        p = self.p
-        eye = np.eye(p)
-        zero = np.zeros((p, p))
-        j = np.block([[eye, zero], [zero, -eye]]).astype(complex)
-        J = np.block([[zero, eye], [eye, zero]]).astype(complex)
-        K = np.block([[eye, -eye], [eye, eye]]).astype(complex) / np.sqrt(2.0)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "K", K)
 
     @property
     def m(self) -> int:
         return 2 * self.p
+
+    def _block(self, rows) -> np.ndarray:
+        """The m x m matrix whose p x p blocks are c I_p, c read from ``rows``."""
+        return np.block([[c * np.eye(self.p) for c in row] for row in rows]).astype(complex)
+
+    @cached_property
+    def j(self) -> np.ndarray:
+        return self._block([[1, 0], [0, -1]])
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        return self._block([[0, 1], [1, 0]])
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return self._block([[1, -1], [1, 1]]) / np.sqrt(2.0)
+
+
+def _block_stack(blocks, shape: tuple, name: str) -> np.ndarray:
+    """The blocks of a sequence field as one read-only complex array of
+    shape (N+1,) + ``shape``, N >= 0.
+
+    ``blocks`` is an array or a sequence of equally shaped blocks; for 1 x 1
+    blocks, a sequence of scalars is read as one scalar per block. A wrong
+    or empty shape raises ``ValueError`` naming the field. The result is a
+    read-only view (a C-ordered copy only where the input is not already a
+    C-ordered complex array), so the caller's own array stays writable.
+    """
+    try:
+        a = np.ascontiguousarray(blocks, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: the blocks do not form one array: {exc}") from exc
+    if a.ndim == 1 and shape == (1, 1):
+        a = a.reshape(-1, 1, 1)
+    if a.shape[1:] != shape or a.shape[:1] == (0,):
+        raise ValueError(f"{name} has shape {a.shape}, expected (N+1,) + {shape} with N >= 0")
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 def hermitian_sqrt(M: np.ndarray) -> np.ndarray:

@@ -122,24 +122,30 @@ def _states(params: BdtParameters, count: int) -> list[BdtState]:
     singular to working precision and the recursion stops (``SingularS``).
     S_k grows geometrically too, and the recursion also stops, with a
     ``SingularS`` naming k, where its entries overflow; the norms are taken
-    overflow-safe, so a finite S_k is judged at its true scale."""
+    overflow-safe, so a finite S_k is judged at its true scale. Each of these
+    errors carries k as its ``index``, as a gate judged on a stack does."""
     A, j = params.A, params.ctx.j
     Ainv = np.linalg.inv(A)
     Pi, S = params.Pi0, params.S0
     pd_path = params.s0_positive
     out = []
     for k in range(count):
-        if not np.isfinite(S).all():
-            raise SingularS(f"S_{k} overflows: its entries exceed the floating-point range")
-        norm_s = _norm(S)
-        check(_norm(A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().T),
-              2 * _norm(A) * norm_s + _norm(Pi) ** 2, IdentityViolated,
-              f"step identity residual at k={k}")
-        if pd_path:
-            lo = min_eig(S)
-            check(-lo, max(norm_s, 1.0), SingularS,
-                  f"S_{k} is singular to working precision (min_eig/||S_k|| = {lo / norm_s:.1e}); "
-                  f"precision is exhausted: -min_eig(S_{k})", -DEFAULT_POLICY.tau_pd)
+        try:
+            if not np.isfinite(S).all():
+                raise SingularS(f"S_{k} overflows: its entries exceed the floating-point range")
+            norm_s = _norm(S)
+            check(_norm(A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().T),
+                  2 * _norm(A) * norm_s + _norm(Pi) ** 2, IdentityViolated,
+                  f"step identity residual at k={k}")
+            if pd_path:
+                lo = min_eig(S)
+                check(-lo, max(norm_s, 1.0), SingularS,
+                      f"S_{k} is singular to working precision (min_eig/||S_k|| = "
+                      f"{lo / norm_s:.1e}); precision is exhausted: -min_eig(S_{k})",
+                      -DEFAULT_POLICY.tau_pd)
+        except (SingularS, IdentityViolated) as err:
+            err.index = k
+            raise
         out.append(BdtState(k=k, Pi=Pi, S=(S + S.conj().T) / 2))
         # past the range the next state reads inf, and the check above stops there
         with np.errstate(over="ignore", invalid="ignore"):
@@ -158,13 +164,9 @@ def generate(params: BdtParameters, N: int):
     """
     states = _states(params, N + 2)
     pd_path = params.s0_positive
-    m = params.ctx.m
-    terms = [st.Pi.conj().T @ _s_solve(st.S, st.Pi, pd_path) for st in states]
-    C = []
-    for k in range(N + 1):
-        Ck = np.eye(m, dtype=complex) + terms[k] - terms[k + 1]
-        C.append((Ck + Ck.conj().T) / 2)
-    return PotentialSequence(ctx=params.ctx, C=tuple(C)), states
+    terms = np.stack([st.Pi.conj().T @ _s_solve(st.S, st.Pi, pd_path) for st in states])
+    C = np.eye(params.ctx.m, dtype=complex) + terms[:-1] - terms[1:]
+    return PotentialSequence(ctx=params.ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2), states
 
 
 def normalize(params: BdtParameters) -> BdtParameters:
@@ -374,8 +376,7 @@ def example41(a: float, Phi: complex, Psi: complex, k: int):
 
 
 def random_bdt_parameters(rng: np.random.Generator, n: int, p: int,
-                          normalized: bool = False,
-                          max_tries: int = 500) -> BdtParameters:
+                          normalized: bool = False) -> BdtParameters:
     """Random parameter triple with S0 > 0.
 
     S0 (positive definite) and Pi0 are drawn freely. Splitting A S0 into a
@@ -388,11 +389,12 @@ def random_bdt_parameters(rng: np.random.Generator, n: int, p: int,
     invariant under (A, S0, Pi0) -> (c A, S0, sqrt(c) Pi0) for real c > 0;
     that freedom is used to pin the smallest singular value of A at 1, which
     keeps the generating recursion (driven by powers of A^{-1}) from blowing
-    up over the step counts the tests use. Ill-conditioned draws are rejected.
+    up over the step counts the tests use. Ill-conditioned draws are
+    rejected, and 500 rejections in a row raise ``RuntimeError``.
     """
     ctx = SignatureContext(p=p)
     j = ctx.j
-    for _ in range(max_tries):
+    for _ in range(500):
         W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         S0 = W @ W.conj().T + 0.5 * np.eye(n)
         X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -18,8 +18,8 @@ from .errors import (
     SingularDenominator,
     SingularShift,
 )
-from .linalg import (SignatureContext, check_cond, check_cond_stack, min_eig, min_eig_stack,
-                     norm_stack)
+from .linalg import (SignatureContext, _block_stack, check_cond, check_cond_stack, min_eig,
+                     min_eig_stack, norm_stack)
 from .policy import DEFAULT_POLICY, check, failure
 
 __all__ = [
@@ -40,20 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PotentialSequence:
-    """Sequence {C_k}, k = 0..N, of m x m Hermitian j-unitary coefficients."""
+    """Sequence {C_k}, k = 0..N, of m x m Hermitian j-unitary coefficients,
+    stored as one read-only (N+1, m, m) array."""
 
     ctx: SignatureContext
-    C: tuple = field(repr=False)
+    C: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        C = tuple(np.asarray(c, dtype=complex) for c in self.C)
-        if not C:
-            raise ValueError("need at least one coefficient matrix")
-        m = self.ctx.m
-        for k, c in enumerate(C):
-            if c.shape != (m, m):
-                raise ValueError(f"C_{k} has shape {c.shape}, expected ({m}, {m})")
-        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "C", _block_stack(self.C, (self.ctx.m, self.ctx.m), "C"))
 
     @property
     def N(self) -> int:
@@ -130,8 +124,7 @@ def validate(sys: PotentialSequence) -> ValidationReport:
     rounding error at large ||C||) is judged >= -tau like those of C +- j.
     Every residual is taken over the whole stack of coefficients at once, the
     smallest eigenvalues of C, C + j and C - j with one batched eigvalsh."""
-    j = sys.ctx.j
-    C = np.stack(sys.C)
+    j, C = sys.ctx.j, sys.C
     norm = norm_stack(C)
     scale = np.maximum(norm, 1.0)
     herm = norm_stack(C - C.conj().transpose(0, 2, 1)) / scale
@@ -199,7 +192,7 @@ def _summation_defects(sys: PotentialSequence, lam: complex, W: np.ndarray) -> n
         raise RealLambda("summation formula requires Im(lambda) != 0")
     j = sys.ctx.j
     weights = q_weight(lam) ** np.arange(len(W))
-    C = np.stack(sys.C[: len(W) - 1])
+    C = sys.C[: len(W) - 1]
     Wh = W.conj().transpose(0, 2, 1)
     lhs = np.cumsum(weights[:-1, None, None] * (Wh[:-1] @ C @ W[:-1]), axis=0)
     coef = (abs(lam) ** 2 + 1) / (1j * (lam - np.conj(lam)))
@@ -266,5 +259,5 @@ def weyl_partial_sum(sys: PotentialSequence, phi, lam: complex, r: int,
         col = sys.ctx.K.conj().T @ np.vstack([-1j * val, np.eye(p, dtype=complex)])
     u = fundamental_solutions(sys, lam, r) @ col    # u_k = W_k col, (r+1, m, p)
     acc = np.einsum("k,kba,kbc,kcd->ad", q_weight(lam) ** np.arange(r + 1), u.conj(),
-                    np.stack(sys.C[: r + 1]), u)
+                    sys.C[: r + 1], u)
     return (acc + acc.conj().T) / 2

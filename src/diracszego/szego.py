@@ -16,14 +16,13 @@ import numpy as np
 
 from .errors import (
     BlockSizeNotOne,
-    DiracSzegoError,
     InvariantViolated,
     ModulusAtLeastOne,
     NotHermitian,
     NotPositiveDefinite,
     PoleAtInput,
 )
-from .linalg import SignatureContext, min_eig_stack, norm_stack
+from .linalg import SignatureContext, _block_stack, min_eig_stack, norm_stack
 from .policy import DEFAULT_POLICY, check_stack
 from .system import PotentialSequence
 
@@ -61,22 +60,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SzegoSequence:
-    """Hermitian PD j-unitary factors R_k plus the scalar weights theta_k."""
+    """Hermitian PD j-unitary factors R_k plus the scalar weights theta_k,
+    stored as one read-only (N+1, m, m) array and one read-only (N+1,) array."""
 
     ctx: SignatureContext
-    R: tuple = field(repr=False)
-    theta: tuple = field(repr=False)
+    R: np.ndarray = field(repr=False)
+    theta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        R = tuple(np.asarray(r, dtype=complex) for r in self.R)
-        theta = tuple(complex(t) for t in self.theta)
+        R = _block_stack(self.R, (self.ctx.m, self.ctx.m), "R")
+        theta = _block_stack(self.theta, (), "theta")
         if len(R) != len(theta):
             raise ValueError("R and theta must have equal length")
-        m = self.ctx.m
-        for k, r in enumerate(R):
-            if r.shape != (m, m):
-                raise ValueError(f"R_{k} has shape {r.shape}, expected ({m}, {m})")
-        if any(t == 0 for t in theta):
+        if (theta == 0).any():
             raise ValueError("theta_k must be nonzero")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "theta", theta)
@@ -120,29 +116,29 @@ def szego_to_dirac(sz: SzegoSequence) -> PotentialSequence:
         Ck = Uinv.conj().T @ (R @ R) @ Uinv
         C.append((Ck + Ck.conj().T) / 2)
         U = _rotate(U, R, j)
-    return PotentialSequence(ctx=ctx, C=tuple(C))
+    return PotentialSequence(ctx=ctx, C=C)
 
 
-def dirac_to_szego(sys: PotentialSequence, theta_rule=None) -> SzegoSequence:
+def dirac_to_szego(sys: PotentialSequence) -> SzegoSequence:
     """Szego factors R_k = (U_k* C_k U_k)^{1/2} with U_{k+1} = U_k (i j R_k).
 
     Requires C_k > 0 (judged like ``validate``). U_k* C_k U_k is checked
     Hermitian at ||U_k||^2 ||C_k||, its Hermitian part passes the gates of
     ``hermitian_sqrt``, and R j R = j is checked at ||R||^2 + ||j||: a failure
     means the input is outside the positive-definite subclass or the rotation
-    ran out of digits. The theta weights come from ``theta_rule(R_k)``; the
-    default is the scalar Schur rule for p = 1 and the constant 1 for p > 1.
+    ran out of digits. The theta weights are sqrt(1 - |rho_k|^2) with the
+    scalar Schur coefficient rho_k for p = 1 and the constant 1 for p > 1;
+    other weights can be set with ``dataclasses.replace(sz, theta=...)``.
 
     The recursion runs first, with the arithmetic of ``hermitian_sqrt``, and
     all five gates of every step are then judged in one pass on stacks, in
     the order a per-step loop checks them: the error names the first step
-    that fails, with the first of its gates that fails. ``theta_rule`` runs
-    only for the steps before it. A LinAlgError of the eigensolver at step k
-    is raised once the gates before it pass.
+    that fails, with the first of its gates that fails. A LinAlgError of the
+    eigensolver at step k is raised once the gates before it pass.
     """
     ctx = sys.ctx
     j, norm_j = ctx.j, np.linalg.norm(ctx.j)
-    C = np.stack(sys.C)
+    C = sys.C
     U, M, R = np.empty_like(C), np.empty_like(C), np.empty_like(C)
     low = np.empty(len(C))                      # smallest eigenvalue of each Hermitian part
     u, error = np.eye(ctx.m, dtype=complex), None
@@ -178,23 +174,12 @@ def dirac_to_szego(sys: PotentialSequence, theta_rule=None) -> SzegoSequence:
         (norm_stack(R @ j @ R - j), np.float_power(norm_stack(R), 2) + norm_j,
          InvariantViolated, lambda k: f"R_{k} j R_{k} - j residual", tau),
     ]
-    stop = n - (error is not None)              # the steps that formed their R
-    try:
-        check_stack(gates)
-    except DiracSzegoError as exc:
-        error, stop = exc, exc.index
-    theta = []
-    for Rk in R[:stop]:
-        if theta_rule is not None:
-            theta.append(complex(theta_rule(Rk)))
-        elif ctx.p == 1:
-            rho = -Rk[0, 1] / Rk[0, 0]
-            theta.append(float(np.sqrt(1 - abs(rho) ** 2)))
-        else:
-            theta.append(1.0)
+    check_stack(gates)
     if error is not None:
         raise error
-    return SzegoSequence(ctx=ctx, R=tuple(R), theta=tuple(theta))
+    # sqrt(1 - |rho_k|^2) with scalar arithmetic: the array forms of abs and ** 2 round differently
+    theta = [np.sqrt(1 - abs(-r[0, 1] / r[0, 0]) ** 2) for r in R] if ctx.p == 1 else np.ones(n)
+    return SzegoSequence(ctx=ctx, R=R, theta=theta)
 
 
 def schur_to_R(rho: SchurCoefficients) -> SzegoSequence:
@@ -205,7 +190,7 @@ def schur_to_R(rho: SchurCoefficients) -> SzegoSequence:
         t = np.sqrt(1 - abs(r) ** 2)
         R.append(np.array([[1.0, -r], [-np.conj(r), 1.0]], dtype=complex) / t)
         theta.append(t)
-    return SzegoSequence(ctx=ctx, R=tuple(R), theta=tuple(theta))
+    return SzegoSequence(ctx=ctx, R=R, theta=theta)
 
 
 def schur_coeffs(sz: SzegoSequence) -> SchurCoefficients:
@@ -232,8 +217,7 @@ def random_szego_sequence(rng, p: int, N: int, scale: float = 0.15) -> SzegoSequ
     UH, V = U.conj().transpose(0, 2, 1), Vh.conj().transpose(0, 2, 1)
     ch, sh = np.cosh(s)[:, None, :], np.sinh(s)[:, None, :]
     R = np.block([[(U * ch) @ UH, (U * sh) @ Vh], [(V * sh) @ UH, (V * ch) @ Vh]])
-    return SzegoSequence(ctx=SignatureContext(p=p), R=tuple(R),
-                         theta=tuple(1.0 for _ in range(N + 1)))
+    return SzegoSequence(ctx=SignatureContext(p=p), R=R, theta=np.ones(N + 1))
 
 
 def cayley_lambda_of_z(z):

@@ -149,6 +149,14 @@ def dense_first_not_pd(alpha, policy=dz.DEFAULT_POLICY):
     return None
 
 
+def taylor_pi(alpha, r):
+    """The (r+1)p x 2p matrix [Phi_1 Phi_2] of cumulative coefficient sums."""
+    p = alpha.p
+    eye = np.eye(p, dtype=complex)
+    phi2 = np.cumsum(alpha.alpha[: r + 1], axis=0)
+    return np.hstack([np.vstack([eye] * (r + 1)), phi2.reshape((r + 1) * p, p)])
+
+
 def dense_inverse_potentials(alpha):
     """Inverse problem with two Cholesky solves against each assembled S(r)."""
     ctx = dz.SignatureContext(p=alpha.p)
@@ -157,7 +165,7 @@ def dense_inverse_potentials(alpha):
     for r in range(alpha.N + 1):
         S = dense_block_toeplitz(alpha.alpha[: r + 1])
         factor = scipy.linalg.cho_factor(S, lower=True)
-        Pi = dz.inverse.taylor_pi(alpha, r)
+        Pi = taylor_pi(alpha, r)
         last = slice(r * p, (r + 1) * p)
         core = scipy.linalg.cho_solve(factor, Pi)[last, :]
         unit = np.zeros(((r + 1) * p, p), dtype=complex)

@@ -186,7 +186,7 @@ def test_criterion_07_uniqueness(rng_module):
     for _ in range(5):
         base = dz.szego_to_dirac(dz.schur_to_R(random_schur(rng_module, 15)))
         alt = dz.szego_to_dirac(dz.schur_to_R(random_schur(rng_module, 15)))
-        mix = dz.PotentialSequence(ctx=base.ctx, C=base.C[:13] + alt.C[13:])
+        mix = dz.PotentialSequence(ctx=base.ctx, C=np.concatenate([base.C[:13], alt.C[13:]]))
         agree, dev, _ = dz.borg_marchenko_check(base, mix, 12)
         ok = ok and agree and dev < 1e-8
         worst = max(worst, dev if dev is not None else np.inf)

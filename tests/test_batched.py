@@ -82,7 +82,7 @@ class TestBatchedEquivalence:
         assert identical(got, ref)
         assert identical(dz.inverse_potentials(alpha).C, loop_inverse_potentials(alpha).C)
         got, ref = dz.dirac_to_szego(sys_in), loop_dirac_to_szego(sys_in)
-        assert identical(got.R, ref.R) and got.theta == ref.theta
+        assert identical(got.R, ref.R) and np.array_equal(got.theta, ref.theta)
         assert_validate_matches(sys_in)
 
     def test_direct_taylor_matches_dense_reference(self, bench_systems):
@@ -151,17 +151,13 @@ class TestBatchedGateErrors:
         assert str(err).startswith("-min_eig(C_4)")
 
     def test_szego_gates_judged_after_the_recursion(self, system8):
-        """The steps after a failing one run on NaN without a warning, and
-        theta_rule sees only the steps before it."""
+        """The steps after a failing one run on NaN without a warning."""
         broken = self.replaced(system8, C3=-system8.C[3])
-        seen = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefinite, match=r"^-min_eig\(C_3\)") as info:
-                dz.dirac_to_szego(broken, theta_rule=lambda R: seen.append(R) or 1.0)
-        assert len(seen) == 3 and info.value.index == 3
-        ref = loop_dirac_to_szego(system8)
-        assert all(np.array_equal(a, b) for a, b in zip(seen, ref.R))
+                dz.dirac_to_szego(broken)
+        assert info.value.index == 3
 
     @pytest.mark.parametrize("fail_at, C1", [(4, None), (4, "indefinite"), (0, None)])
     def test_eigensolver_error_after_the_gates_before_it(self, system8, monkeypatch,
@@ -222,7 +218,7 @@ class TestBatchedGateErrors:
     def test_leading_block_is_judged_before_v_minus(self):
         beta = self.v_minus_singular_at_2(0.0)
         first = np.hstack([np.diag([1.0, 0.0]), np.eye(2) / 2])
-        beta = dz.BetaSequence(ctx=beta.ctx, beta=(first,) + beta.beta[1:])
+        beta = dz.BetaSequence(ctx=beta.ctx, beta=(first, *beta.beta[1:]))
         with pytest.raises(SingularLeadingBlock, match=r"^condition number of the first block"):
             dz.taylor_from_beta(beta)
 

@@ -324,7 +324,7 @@ class TestBorgMarchenko:
     def test_shared_prefix_detected(self, rng):
         base = dz.szego_to_dirac(dz.schur_to_R(random_schur(rng, 15)))
         alt = dz.szego_to_dirac(dz.schur_to_R(random_schur(rng, 15)))
-        mix = dz.PotentialSequence(ctx=base.ctx, C=base.C[:13] + alt.C[13:])
+        mix = dz.PotentialSequence(ctx=base.ctx, C=np.concatenate([base.C[:13], alt.C[13:]]))
         agree, dev, first = dz.borg_marchenko_check(base, mix, 12)
         assert agree and dev < 1e-8 and first is None
         agree, dev, first = dz.borg_marchenko_check(base, mix, 15)

@@ -89,7 +89,7 @@ class TestGenerate:
             dz.generate(params, 120)
         msg = str(info.value)
         k = int(re.search(r"S_(\d+) ", msg).group(1))
-        assert 28 < k < 45
+        assert 28 < k < 45 and info.value.index == k
         assert "min_eig/||S_k||" in msg and "precision is exhausted" in msg
         assert "lost positive definiteness" not in msg
 
@@ -108,8 +108,9 @@ class TestGenerate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dz.generate(ex41_params, 1012)
-            with pytest.raises(SingularS, match=r"^S_1014 overflows"):
+            with pytest.raises(SingularS, match=r"^S_1014 overflows") as info:
                 dz.generate(ex41_params, 1013)
+        assert info.value.index == 1014
 
     def test_closed_form_family_is_junitary(self):
         j = np.diag([1.0, -1.0])

@@ -7,6 +7,21 @@ from diracszego.errors import LambdaZero, RealLambda, SingularShift
 LAMBDAS = (1 - 1j, -2j, 3 - 0.5j)
 
 
+class TestPotentialSequence:
+    def test_stored_as_one_read_only_stack(self):
+        ctx = dz.SignatureContext(p=1)
+        C = np.stack([np.eye(2, dtype=complex)] * 3)
+        sys_in = dz.PotentialSequence(ctx=ctx, C=C)
+        assert sys_in.C.shape == (3, 2, 2)
+        C[0, 0, 1] = 0.5                     # the caller's own array stays writable
+        with pytest.raises(ValueError, match="read-only"):
+            sys_in.C[1][0, 0] = 2.0
+        for bad in (np.ones((3, 2, 3)), np.empty((0, 2, 2)), [np.eye(2), np.eye(3)]):
+            with pytest.raises(ValueError, match=r"^C\b"):
+                dz.PotentialSequence(ctx=ctx, C=bad)
+        assert dz.TaylorSequence(p=1, alpha=[1.0, 0.5]).alpha.shape == (2, 1, 1)
+
+
 class TestValidate:
     def test_identity_sequence_passes(self, trivial_system):
         report = dz.validate(trivial_system)

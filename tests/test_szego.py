@@ -76,11 +76,6 @@ class TestConversionBijection:
         with pytest.raises(NotPositiveDefinite):
             dz.dirac_to_szego(broken)
 
-    def test_theta_rule_override(self, rng):
-        sysd = dz.szego_to_dirac(dz.random_szego_sequence(rng, 1, 4))
-        sz = dz.dirac_to_szego(sysd, theta_rule=lambda R: 2.0)
-        assert all(t == 2.0 for t in sz.theta)
-
 
 class TestRandomSequence:
     def test_invariants(self, rng):
