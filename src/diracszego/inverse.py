@@ -2,12 +2,13 @@
 
 Direct: potentials -> Taylor coefficients of the Weyl function in the Cayley
 variable, through the block lower-triangular V_- recursion and block forward
-substitution. Inverse: coefficients -> potentials, through the last block
-columns of the nested Hermitian block Toeplitz inverses S(r)^{-1}, which the
-block Levinson engine of ``linalg`` yields one r at a time. Both recursions
-cost O(N^2 p^3). Also houses the structural Lyapunov self-test, Toeplitz
-positivity, FFT-based coefficient extraction for rational Weyl functions, and
-the two-system uniqueness check.
+substitution. Inverse: coefficients -> potentials, through the backward
+predictors B_r and pivots P_r of the nested Hermitian block Toeplitz matrices
+S(r) (B_r P_r^{-1} is the last block column of S(r)^{-1}), which the block
+Levinson engine of ``linalg`` yields one r at a time. Both recursions cost
+O(N^2 p^3). Also houses the structural Lyapunov self-test, Toeplitz positivity,
+FFT-based coefficient extraction for rational Weyl functions, and the
+two-system uniqueness check.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     # cond[0] passed just above, so the stack index of a failure is its k
     check_stack([(cond, 1.0, SingularVMinus, lambda k: f"condition number of v_-({k})",
                   DEFAULT_POLICY.cond_limit)])
-    T = np.zeros((2 * p, N + 1, p), dtype=complex)  # sum_l beta(l)* V_-[l, :], block columns
+    T = np.ascontiguousarray((bH @ v).transpose(1, 0, 2))  # sum_l beta(l)* V_-[l, :], by column
     Pi = np.zeros((N + 1, p, 2 * p), dtype=complex)  # block rows of V_-^{-1} [beta(0); ...]
-    T[:, 0] = bH[0] @ v[0]
     Pi[0] = np.linalg.solve(v[0], b[0])
     for k in range(1, N + 1):
         M = (bJ[k] @ T[:, :k].reshape(2 * p, k * p)).reshape(p, k, p)
@@ -155,7 +155,6 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
         X[:, 1:] = M[:, :-1] - M[:, 1:]
         X = X.reshape(p, k * p)
         T[:, :k] += (bH[k] @ X).reshape(2 * p, k, p)
-        T[:, k] = bH[k] @ v[k]
         Pi[k] = np.linalg.solve(v[k], b[k] - X @ Pi[:k].reshape(k * p, 2 * p))
     check(np.linalg.norm(Pi[:, :, :p] - np.eye(p)), np.linalg.norm(b) ** 2, Phi1Mismatch,
           "deviation of the first block column from the identity stack")
@@ -178,16 +177,17 @@ def _first_not_pd(S: np.ndarray, p: int):
     min_eig(S(N)) > t_N makes it pass at every r (None is returned).
 
     One Cholesky factorization, O(n^3 / 3) for n = (N + 1) p, decides most
-    passing inputs. If L L* = fl(H - t' I) completes, with H the Hermitian
-    part of S and t' = t_N + delta, then L L* = H - t' I + E with
+    passing inputs; it reads only the lower triangle, so S must be exactly
+    Hermitian, as ``block_toeplitz`` builds it. If L L* = fl(S - t' I)
+    completes, with t' = t_N + delta, then L L* = S - t' I + E with
     ||E||_2 <= gamma ||L||_F^2 and gamma = gamma_{n+4} = (n+4)u / (1 - (n+4)u):
     gamma_{n+1} of the backward error of Cholesky (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Thm 10.3), two more for
-    complex arithmetic (ibid., sec. 3.6) and one for forming H - t' I. So
-    min_eig(H) >= t' - gamma ||L||_F^2, and the gate passes when that is at
+    complex arithmetic (ibid., sec. 3.6) and one for forming S - t' I. So
+    min_eig(S) >= t' - gamma ||L||_F^2, and the gate passes when that is at
     least t_N; the check takes 2 gamma to cover the rounding of ||L||_F^2 and
-    of the comparison. As ||L||_F^2 is about trace(H) - n t', the shift
-    delta = 2 gamma trace(H) leaves room for it. Inputs it does not certify,
+    of the comparison. As ||L||_F^2 is about trace(S) - n t', the shift
+    delta = 2 gamma trace(S) leaves room for it. Inputs it does not certify,
     those within that margin of t_N included, go to the exact test: one
     eigenvalue problem on S(N), and bisection to the first failure.
     """
@@ -201,8 +201,8 @@ def _first_not_pd(S: np.ndarray, p: int):
         t = DEFAULT_POLICY.tau_pd * max(np.linalg.norm(S), 1.0)
         u = np.finfo(float).eps / 2             # unit roundoff
         gamma = (n + 4) * u / (1 - (n + 4) * u)
-        H = (S + S.conj().T) / 2
-        shift = t + 2 * gamma * np.trace(H).real
+        shift = t + 2 * gamma * np.trace(S).real
+        H = S.copy()
         H[np.diag_indices(n)] -= shift
         try:
             certified = shift - 2 * gamma * np.linalg.norm(np.linalg.cholesky(H)) ** 2 >= t
@@ -228,13 +228,13 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
 
     For each r the induced block Toeplitz matrix S(r) must be positive
     definite; S(N) is assembled once and the gate is decided on it (see
-    ``_first_not_pd``). With B_r the last block column of S(r)^{-1} from the
-    block Levinson engine, the last-block-row compression of Pi(r)* S(r)^{-1}
-    is core = sum_l B_r[l]* [I, psi_l] and P S(r)^{-1} P* = B_r[r]; they yield
-    the Gram matrix beta(r)* beta(r), and C_r = 2 K* G K - j. The Levinson
-    loop only collects core and small; one stacked solve then forms every
-    G, core J core* = small is asserted at the scale
-    ||core||^2 ||J|| + ||small|| and the first r that fails is named.
+    ``_first_not_pd``). From the block Levinson engine's B_r and P_r, each
+    step forms Y_r = sum_l B_r[l]* [I, psi_l]; then small = P_r^{-1} =
+    P S(r)^{-1} P* and core = small Y_r = P S(r)^{-1} Pi(r) are one stacked
+    call each. They yield the Gram matrix beta(r)* beta(r), and
+    C_r = 2 K* G K - j: one stacked solve forms every G, core J core* = small
+    is asserted at the scale ||core||^2 ||J|| + ||small|| and the first r
+    that fails is named.
     The recursion costs O(N^2 p^3); the gate adds one Cholesky factorization
     on a passing input, and an eigenvalue problem where that does not decide.
     """
@@ -242,14 +242,15 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     p, J, K, j = alpha.p, ctx.J, ctx.K, ctx.j
     failed = _first_not_pd(block_toeplitz(alpha.alpha), p)
     stop = alpha.N + 1 if failed is None else failed[0]
-    psi = np.cumsum(alpha.alpha, axis=0)
-    core = np.empty((stop, p, 2 * p), dtype=complex)   # P S(r)^{-1} Pi(r)
-    small = np.empty((stop, p, p), dtype=complex)      # P S(r)^{-1} P*
-    for r, last in enumerate(islice(block_levinson(alpha.alpha), stop)):
-        lastH = last.conj().transpose(0, 2, 1)
-        core[r, :, :p] = lastH.sum(axis=0)
-        core[r, :, p:] = np.einsum("lab,lbc->ac", lastH, psi[:r + 1])
-        small[r] = last[r]
+    Pi = np.concatenate([np.broadcast_to(np.eye(p), alpha.alpha.shape),  # [I, psi_l] as rows
+                         np.cumsum(alpha.alpha, axis=0)], axis=2).reshape(-1, 2 * p)
+    Y = np.empty((stop, p, 2 * p), dtype=complex)    # B_r* Pi(r)
+    P = np.empty((stop, p, p), dtype=complex)        # the backward pivots
+    for r, (B, pivot) in enumerate(islice(block_levinson(alpha.alpha), stop)):
+        Y[r] = B.reshape((r + 1) * p, p).conj().T @ Pi[:(r + 1) * p]
+        P[r] = pivot
+    small = np.linalg.inv(P)                         # P S(r)^{-1} P*
+    core = small @ Y                                 # P S(r)^{-1} Pi(r)
     coreH = core.conj().transpose(0, 2, 1)
     G = coreH @ np.linalg.solve(small, core)
     check_stack([(norm_stack(core @ J @ coreH - small),

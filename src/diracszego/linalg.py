@@ -253,14 +253,18 @@ def block_toeplitz(alpha: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """Hermitian block Toeplitz matrix with symbol blocks ``alpha``.
 
     Block (k, j) equals s_{j-k} with s_{-r} = alpha_r, s_r = alpha_r* for r > 0
-    and s_0 = alpha_0 + alpha_0*.
+    and s_0 = alpha_0 + alpha_0*: exactly Hermitian. Block row k is the window
+    of the flat symbol [s_{-N} ... s_N] that starts at its block N - k.
     """
     a = np.asarray(alpha, dtype=complex)
     n, p = a.shape[:2]
     ah = a.conj().transpose(0, 2, 1)
     s = np.concatenate([a[:0:-1], (a[0] + ah[0])[None], ah[1:]])  # s[m + n - 1] = s_m
-    offset = np.arange(n)[None, :] - np.arange(n)[:, None] + n - 1
-    return s[offset].transpose(0, 2, 1, 3).reshape(n * p, n * p)
+    flat = s.transpose(1, 0, 2).reshape(p, (2 * n - 1) * p)
+    e = flat.itemsize
+    # the n windows as one strided view on flat's buffer, made without Python temporaries
+    rows = np.ndarray((n, p, n * p), complex, flat, (n - 1) * p * e, (-p * e, flat.strides[0], e))
+    return np.array(rows, order="C").reshape(n * p, n * p)
 
 
 def pd_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -282,42 +286,39 @@ def pd_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def block_levinson(alpha: list[np.ndarray] | np.ndarray):
-    """Yield the last block column of S(r)^{-1} for r = 0, 1, ..., N.
+    """Yield the backward predictor B and pivot P, S(r) B = [0; P], for r = 0..N.
 
     S(r) is ``block_toeplitz(alpha[:r + 1])``, which must be positive definite
-    for every r reached. Each item is an (r+1, p, p) array whose block l is
-    (S(r)^{-1})_{l,r}. Block Levinson/Whittle recursion on the monic forward
-    and backward predictors A, B of S(r) [A; 0] = [Pf; 0], S(r) B = [0; Pb]:
-    step r costs O(r p^3), so running through r = N costs O(N^2 p^3). The
-    last block column is B Pb^{-1}.
+    for every r reached. B is a new (r+1, p, p) array whose last block is
+    exactly I_p and P a new Hermitian p x p array; B P^{-1} is the last block
+    column of S(r)^{-1}. Block Levinson/Whittle recursion on B and the forward
+    predictor A, S(r) [A; 0] = [Pf; 0]: step r costs O(r p^3), so running
+    through r = N costs O(N^2 p^3).
     """
     a = np.asarray(alpha, dtype=complex)
-    ah = a.conj().transpose(0, 2, 1)
-    p = a.shape[1]
-
-    def times(X, M):
-        # an (n, p, p) stack times one p x p matrix as one flat product
-        return (X.reshape(-1, p) @ M).reshape(X.shape)
+    n, p = a.shape[:2]
+    row = a[::-1].transpose(1, 0, 2).reshape(p, n * p)  # alpha_N ... alpha_0 side by side
 
     fwd = bwd = np.eye(p, dtype=complex)[None]
-    pf = pb = a[0] + ah[0]
-    yield times(bwd, np.linalg.inv(pb))
-    for r in range(1, len(a)):
+    pf = pb = a[0] + a[0].conj().T
+    yield bwd, pb
+    for r in range(1, n):
         # block row r of S(r) times [fwd; 0]; block row 0 times [0; bwd] is its adjoint
-        delta = np.einsum("lab,lbc->ac", a[r:0:-1], fwd)
+        delta = row[:, (n - 1 - r) * p:(n - 1) * p] @ fwd.reshape(r * p, p)
         kf = np.linalg.solve(pb, delta)
         kb = np.linalg.solve(pf, delta.conj().T)
         new_fwd = np.zeros((r + 1,) + delta.shape, dtype=complex)
         new_bwd = np.zeros_like(new_fwd)
         new_fwd[:r] = fwd
-        new_fwd[1:] -= times(bwd, kf)
+        # each (r, p, p) predictor times its p x p factor as one flat product
+        new_fwd[1:] -= (bwd.reshape(r * p, p) @ kf).reshape(r, p, p)
         new_bwd[1:] = bwd
-        new_bwd[:r] -= times(fwd, kb)
+        new_bwd[:r] -= (fwd.reshape(r * p, p) @ kb).reshape(r, p, p)
         fwd, bwd = new_fwd, new_bwd
         pf = pf - delta.conj().T @ kf
         pb = pb - delta @ kb
         pf, pb = (pf + pf.conj().T) / 2, (pb + pb.conj().T) / 2
-        yield times(bwd, np.linalg.inv(pb))
+        yield bwd, pb
 
 
 def block_levinson_solve(alpha: list[np.ndarray], B: np.ndarray) -> np.ndarray:
@@ -325,7 +326,7 @@ def block_levinson_solve(alpha: list[np.ndarray], B: np.ndarray) -> np.ndarray:
 
     Runs on ``block_levinson``, the engine of the inverse spectral problem:
     O(N^2 p^3) instead of the O(N^3 p^3) dense factorization. Each step adds
-    the last block column of S(r)^{-1} times the residual of block row r.
+    the last block column of S(r)^{-1}, B P^{-1}, times block row r's residual.
     """
     a = np.asarray(alpha, dtype=complex)
     n, p = a.shape[:2]
@@ -334,7 +335,7 @@ def block_levinson_solve(alpha: list[np.ndarray], B: np.ndarray) -> np.ndarray:
         B = B[:, None]
     rhs = B.reshape(n, p, -1)
     X = np.zeros_like(rhs)
-    for r, last in enumerate(block_levinson(a)):
+    for r, (bwd, pivot) in enumerate(block_levinson(a)):
         resid = rhs[r] - np.einsum("lab,lbc->ac", a[r:0:-1], X[:r])
-        X[:r + 1] += last @ resid
+        X[:r + 1] += (bwd @ np.linalg.inv(pivot)) @ resid
     return X.reshape(n * p, -1)

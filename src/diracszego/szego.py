@@ -105,18 +105,16 @@ def u_rotation(sz_R, ctx: SignatureContext, k: int) -> np.ndarray:
 
 
 def szego_to_dirac(sz: SzegoSequence) -> PotentialSequence:
-    """Dirac coefficients C_k = (U_k*)^{-1} R_k^2 U_k^{-1}."""
-    ctx = sz.ctx
-    j = ctx.j
-    C = []
-    U = np.eye(ctx.m, dtype=complex)
-    for k, R in enumerate(sz.R):
-        # U is j-unitary, so its inverse is available exactly as j U* j
-        Uinv = j @ U.conj().T @ j
-        Ck = Uinv.conj().T @ (R @ R) @ Uinv
-        C.append((Ck + Ck.conj().T) / 2)
-        U = _rotate(U, R, j)
-    return PotentialSequence(ctx=ctx, C=C)
+    """Dirac coefficients C_k = (U_k*)^{-1} R_k^2 U_k^{-1}, one stacked product."""
+    ctx, j = sz.ctx, sz.ctx.j
+    U = np.empty_like(sz.R)
+    U[0] = np.eye(ctx.m)
+    for k in range(1, len(U)):
+        U[k] = _rotate(U[k - 1], sz.R[k - 1], j)
+    # U is j-unitary, so its inverse is available exactly as j U* j
+    Uinv = j @ U.conj().transpose(0, 2, 1) @ j
+    C = Uinv.conj().transpose(0, 2, 1) @ (sz.R @ sz.R) @ Uinv
+    return PotentialSequence(ctx=ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2)
 
 
 def dirac_to_szego(sys: PotentialSequence) -> SzegoSequence:
@@ -147,9 +145,8 @@ def dirac_to_szego(sys: PotentialSequence) -> SzegoSequence:
         for k in range(len(C)):
             U[k] = u
             M[k] = u.conj().T @ C[k] @ u
-            H = (M[k] + M[k].conj().T) / 2
             try:
-                w, V = np.linalg.eigh((H + H.conj().T) / 2)
+                w, V = np.linalg.eigh((M[k] + M[k].conj().T) / 2)
             except np.linalg.LinAlgError as exc:
                 # values that pass the gates after the eigensolver: its error stands for them
                 error, low[k], R[k] = exc, np.inf, np.eye(ctx.m)

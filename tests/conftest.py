@@ -183,14 +183,16 @@ def dense_inverse_potentials(alpha):
 
 def loop_block_levinson(alpha):
     """``linalg.block_levinson`` with a stacked (r, p, p) @ (p, p) product
-    for every predictor update."""
+    for every predictor update; yields (B, P) like the library."""
     a = np.asarray(alpha, dtype=complex)
     ah = a.conj().transpose(0, 2, 1)
-    fwd = bwd = np.eye(a.shape[1], dtype=complex)[None]
+    n, p = a.shape[:2]
+    row = a[::-1].transpose(1, 0, 2).reshape(p, n * p)
+    fwd = bwd = np.eye(p, dtype=complex)[None]
     pf = pb = a[0] + ah[0]
-    yield bwd @ np.linalg.inv(pb)
-    for r in range(1, len(a)):
-        delta = np.einsum("lab,lbc->ac", a[r:0:-1], fwd)
+    yield bwd, pb
+    for r in range(1, n):
+        delta = row[:, (n - 1 - r) * p:(n - 1) * p] @ fwd.reshape(r * p, p)
         kf = np.linalg.solve(pb, delta)
         kb = np.linalg.solve(pf, delta.conj().T)
         new_fwd = np.zeros((r + 1,) + delta.shape, dtype=complex)
@@ -203,7 +205,7 @@ def loop_block_levinson(alpha):
         pf = pf - delta.conj().T @ kf
         pb = pb - delta @ kb
         pf, pb = (pf + pf.conj().T) / 2, (pb + pb.conj().T) / 2
-        yield bwd @ np.linalg.inv(pb)
+        yield bwd, pb
 
 
 def loop_rank_p_factor(G, p):
@@ -246,20 +248,21 @@ def loop_beta_from_potentials(sys):
 
 
 def loop_inverse_potentials(alpha):
-    """``inverse_potentials`` with the solve, the J-normalization check and
-    C_r formed at each r inside the Levinson loop."""
+    """``inverse_potentials`` with Y_r, small, core, the solve, the
+    J-normalization check and C_r formed at each r inside the Levinson loop."""
     ctx = dz.SignatureContext(p=alpha.p)
     p, J, K, j, norm_J = alpha.p, ctx.J, ctx.K, ctx.j, np.linalg.norm(ctx.J)
     failed = dz.inverse._first_not_pd(dz.block_toeplitz(alpha.alpha), p)
     stop = alpha.N + 1 if failed is None else failed[0]
     psi = np.cumsum(np.stack(alpha.alpha), axis=0)
     C = []
-    for r, last in enumerate(loop_block_levinson(alpha.alpha)):
+    for r, (B, P) in enumerate(loop_block_levinson(alpha.alpha)):
         if r == stop:
             break
-        lastH = last.conj().transpose(0, 2, 1)
-        core = np.hstack([lastH.sum(axis=0), np.einsum("lab,lbc->ac", lastH, psi[:r + 1])])
-        small = last[r]
+        Pi = np.hstack([np.vstack([np.eye(p)] * (r + 1)), psi[:r + 1].reshape(-1, p)])
+        Y = B.reshape(-1, p).conj().T @ Pi
+        small = np.linalg.inv(P)
+        core = small @ Y
         G = core.conj().T @ np.linalg.solve(small, core)
         check(np.linalg.norm(core @ J @ core.conj().T - small),
               np.linalg.norm(core) ** 2 * norm_J + np.linalg.norm(small),
@@ -269,6 +272,20 @@ def loop_inverse_potentials(alpha):
     if failed is not None:
         raise dz.ToeplitzNotPD(f"block Toeplitz matrix S({failed[0]}) is not positive "
                                f"definite: {failed[1]}", failed[0])
+    return dz.PotentialSequence(ctx=ctx, C=tuple(C))
+
+
+def loop_szego_to_dirac(sz):
+    """``szego_to_dirac`` with C_k formed at step k inside the rotation loop."""
+    ctx = sz.ctx
+    j = ctx.j
+    C = []
+    U = np.eye(ctx.m, dtype=complex)
+    for R in sz.R:
+        Uinv = j @ U.conj().T @ j
+        Ck = Uinv.conj().T @ (R @ R) @ Uinv
+        C.append((Ck + Ck.conj().T) / 2)
+        U = dz.szego._rotate(U, R, j)
     return dz.PotentialSequence(ctx=ctx, C=tuple(C))
 
 

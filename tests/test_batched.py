@@ -25,6 +25,7 @@ from conftest import (
     loop_block_levinson,
     loop_dirac_to_szego,
     loop_inverse_potentials,
+    loop_szego_to_dirac,
     loop_validate,
 )
 
@@ -34,10 +35,9 @@ def random_system(rng, p, N, scale=0.1):
 
 
 def benchmark_draws(seed, count=4):
-    """The spectral-roundtrip workload's inputs: p = 2, N = 128, scale 0.05."""
+    """The spectral-roundtrip workload's Szego inputs: p = 2, N = 128, scale 0.05."""
     rng = np.random.default_rng(seed)
-    return [dz.szego_to_dirac(dz.random_szego_sequence(rng, 2, 128, 0.05))
-            for _ in range(count)]
+    return [dz.random_szego_sequence(rng, 2, 128, 0.05) for _ in range(count)]
 
 
 def identical(seq_a, seq_b):
@@ -59,18 +59,36 @@ RANDOM_CASES = [(p, N, seed) for p in (1, 2, 3) for N, seed in ((0, 1), (1, 2), 
 
 
 @pytest.fixture(scope="module")
-def bench_systems():
+def bench_szego():
     return benchmark_draws(7)
+
+
+@pytest.fixture(scope="module")
+def bench_systems(bench_szego):
+    return [dz.szego_to_dirac(sz) for sz in bench_szego]
 
 
 class TestBatchedEquivalence:
     @pytest.mark.parametrize("p, N, seed", RANDOM_CASES)
     def test_random_inputs(self, p, N, seed):
-        sys_in = random_system(np.random.default_rng(seed), p, N)
+        sz = dz.random_szego_sequence(np.random.default_rng(seed), p, N, 0.1)
+        sys_in = dz.szego_to_dirac(sz)
+        assert identical(sys_in.C, loop_szego_to_dirac(sz).C)
         self.assert_equivalent(sys_in)
 
-    def test_benchmark_draws(self, bench_systems):
-        for sys_in in bench_systems:
+    def test_benchmark_draws(self, bench_szego, bench_systems):
+        for sz, sys_in in zip(bench_szego, bench_systems):
+            assert identical(sys_in.C, loop_szego_to_dirac(sz).C)
+            self.assert_equivalent(sys_in)
+
+    def test_scalar_draws_of_benchmark_length(self):
+        """p = 1 at N = 128: long enough that a one-ulp change in how theta
+        is rounded shows on some step."""
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            sz = dz.random_szego_sequence(rng, 1, 128, 0.1)
+            sys_in = dz.szego_to_dirac(sz)
+            assert identical(sys_in.C, loop_szego_to_dirac(sz).C)
             self.assert_equivalent(sys_in)
 
     @staticmethod
@@ -79,7 +97,9 @@ class TestBatchedEquivalence:
                          loop_beta_from_potentials(sys_in).beta)
         alpha = dz.direct_taylor(sys_in)
         got, ref = list(linalg.block_levinson(alpha.alpha)), list(loop_block_levinson(alpha.alpha))
-        assert identical(got, ref)
+        assert len(got) == len(ref) == alpha.N + 1
+        assert identical([B for B, _ in got], [B for B, _ in ref])
+        assert identical([P for _, P in got], [P for _, P in ref])
         assert identical(dz.inverse_potentials(alpha).C, loop_inverse_potentials(alpha).C)
         got, ref = dz.dirac_to_szego(sys_in), loop_dirac_to_szego(sys_in)
         assert identical(got.R, ref.R) and np.array_equal(got.theta, ref.theta)
@@ -261,6 +281,28 @@ class TestBatchedCallCount:
             assert short[stage] == long[stage]
             assert short[stage]["eigvalsh"] + short[stage]["eigh"] == 1
         assert short["taylor"]["cond"] <= 1 and long["taylor"]["cond"] <= 1
+
+    def test_inverse_potentials_calls(self, monkeypatch):
+        """inverse_potentials makes no einsum call and takes its inverses as
+        one stack, not per step."""
+        calls = {"einsum": 0, "inv": 0}
+        einsum, inv = np.einsum, np.linalg.inv
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(np, "einsum", counted("einsum", einsum))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+        per_length = []
+        for N in (8, 64):
+            alpha = dz.direct_taylor(random_system(np.random.default_rng(N), 2, N))
+            calls.update(dict.fromkeys(calls, 0))
+            dz.inverse_potentials(alpha)
+            per_length.append(dict(calls))
+        assert per_length[0]["einsum"] == per_length[1]["einsum"] == 0
+        assert per_length[0]["inv"] == per_length[1]["inv"]
 
     def test_szego_norm_calls_independent_of_length(self, monkeypatch):
         """dirac_to_szego takes its gate norms as stacks, not per step."""

@@ -34,13 +34,31 @@ class TestBlockToeplitz:
 class TestLevinsonEngine:
     @pytest.mark.parametrize("p", [1, 2])
     def test_yields_last_block_column_of_each_inverse(self, rng, p):
+        """B P^{-1} is the last block column of S(r)^{-1}."""
         alpha = random_taylor(rng, p, 8).alpha
-        for r, last in enumerate(linalg.block_levinson(alpha)):
+        for r, (B, P) in enumerate(linalg.block_levinson(alpha)):
             S = dense_block_toeplitz(alpha[: r + 1])
             expect = np.linalg.inv(S)[:, r * p:].reshape(r + 1, p, p)
-            assert last.shape == (r + 1, p, p)
+            last = B @ np.linalg.inv(P)
+            assert B.shape == (r + 1, p, p) and P.shape == (p, p)
             assert np.linalg.norm(last - expect) < 1e-10 * np.linalg.norm(expect)
         assert r == len(alpha) - 1
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_yields_monic_backward_predictor_and_pivot(self, rng, p):
+        """The last block of B is exactly I, P is exactly Hermitian and
+        S(r) B = [0; P]."""
+        alpha = random_taylor(rng, p, 8).alpha
+        steps = list(linalg.block_levinson(alpha))
+        assert len(steps) == len(alpha)
+        for r, (B, P) in enumerate(steps):
+            S = dense_block_toeplitz(alpha[: r + 1])
+            assert np.array_equal(B[r], np.eye(p)) and np.array_equal(P, P.conj().T)
+            expect = np.zeros(((r + 1) * p, p), dtype=complex)
+            expect[r * p:] = P
+            flat = B.reshape(-1, p)
+            assert (np.linalg.norm(S @ flat - expect)
+                    <= 1e-10 * np.linalg.norm(S) * np.linalg.norm(flat))
 
 
 class TestEquivalence:
