@@ -78,8 +78,9 @@ def _write_validated(path: str, system) -> int:
 
 def cmd_generate(args) -> int:
     if (args.params is None) == (args.example41 is None):
-        print("generate: exactly one of --params and --example41 is required", file=sys.stderr)
-        return EXIT_IO
+        raise _UsageError("generate: exactly one of --params and --example41 is required")
+    if args.steps < 0:
+        raise _UsageError("generate: --steps must be a nonnegative integer")
     if args.params is not None:
         params = io.bdt_params_from_doc(io.read_doc(args.params))
     else:
@@ -87,7 +88,10 @@ def cmd_generate(args) -> int:
         if len(vals) != 3:
             raise DocumentError("--example41 expects a,phi,psi")
         a, phi, psi = vals
-        params = example41_params(a.real, phi, psi)
+        try:
+            params = example41_params(a.real, phi, psi)
+        except ValueError as exc:
+            raise _UsageError(f"generate --example41: {exc}") from exc
     return _write_validated(args.out, generate(params, args.steps)[0])
 
 
@@ -114,7 +118,7 @@ def cmd_verify(args) -> int:
     for lam in grid:
         W = fundamental_solutions(system, lam, N + 1)
         defects = _summation_defects(system, lam, W)
-        summation.extend({"lambda": io.complex_to_json(lam), "r": r, "residual": float(defects[r])}
+        summation.extend({"lambda": io.to_json(lam), "r": r, "residual": float(defects[r])}
                          for r in sorted({N // 2, N}))
         failures.extend(failure(resid, 1.0, f"summation defect at lambda={lam}, r={r}")
                         for r, resid in enumerate(defects))
@@ -127,7 +131,7 @@ def cmd_verify(args) -> int:
         relative = float(np.linalg.norm((Wn / nn) @ j @ (Wc / nc).conj().T - f * j)
                          / ((1 + abs(f)) * norm_j))
         resid = relative * (nn * nc + abs(factor)) * norm_j
-        det_checks.append({"lambda": io.complex_to_json(lam), "residual": resid,
+        det_checks.append({"lambda": io.to_json(lam), "residual": resid,
                            "relative_residual": relative})
         failures.append(failure(relative, 1.0, f"determinant defect at lambda={lam}, k={N + 1}"))
     failures = [line for line in failures if line is not None]
@@ -148,9 +152,13 @@ def cmd_szego(args) -> int:
     modes = [m for m in ("to_dirac", "to_szego", "schur", "from_schur", "round_trip")
              if getattr(args, m) not in (False, None)]
     if len(modes) != 1:
-        print("szego: exactly one mode flag is required", file=sys.stderr)
-        return EXIT_IO
+        raise _UsageError("szego: exactly one mode flag is required")
     mode = modes[0]
+    writes = mode in ("to_dirac", "to_szego", "from_schur")
+    for flag, given, needed in (("--in", args.infile, mode != "from_schur"),
+                                ("--out", args.out, writes)):
+        if needed and given is None:
+            raise _UsageError(f"szego --{mode.replace('_', '-')}: {flag} is required")
     if mode == "from_schur":
         rho = SchurCoefficients(rho=tuple(_parse_complex_list(args.from_schur)))
         io.write_doc(args.out, io.szego_to_doc(schur_to_R(rho)))
@@ -165,11 +173,8 @@ def cmd_szego(args) -> int:
     if mode == "schur":
         sz = io.szego_from_doc(doc)
         if sz.ctx.p != 1:
-            print("szego --schur: Schur coefficients require block size p = 1",
-                  file=sys.stderr)
-            return EXIT_IO
-        rho = schur_coeffs(sz)
-        print(json.dumps([io.complex_to_json(r) for r in rho.rho]))
+            raise DocumentError("szego --schur: Schur coefficients require block size p = 1")
+        print(json.dumps(io.to_json(schur_coeffs(sz).rho)))
         return EXIT_OK
     # round trip: potentials -> szego -> potentials, report max deviation
     system = io.potentials_from_doc(doc)
@@ -185,12 +190,22 @@ def cmd_weyl(args) -> int:
     value = explicit_weyl(params, lam)
     if args.convention == "K":
         value = herglotz_map(value)
-    print(json.dumps(io.matrix_to_json(value)))
+    print(json.dumps(io.to_json(value)))
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line that names no valid action; ``main`` exits EXIT_IO."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print the usage and exit 2, the code of an invariant failure
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracszego",
         description="Direct and inverse spectral problems for discrete Dirac-type systems.",
     )
@@ -253,10 +268,10 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (DocumentError, OSError) as exc:
+    except (_UsageError, DocumentError, OSError) as exc:
         code, message = EXIT_IO, str(exc)
     except DiracSzegoError as exc:
         code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -5,10 +5,11 @@ variable, through the block lower-triangular V_- recursion and block forward
 substitution. Inverse: coefficients -> potentials, through the backward
 predictors B_r and pivots P_r of the nested Hermitian block Toeplitz matrices
 S(r) (B_r P_r^{-1} is the last block column of S(r)^{-1}), which the block
-Levinson engine of ``linalg`` yields one r at a time. Both recursions cost
-O(N^2 p^3). Also houses the structural Lyapunov self-test, Toeplitz positivity,
-FFT-based coefficient extraction for rational Weyl functions, and the
-two-system uniqueness check.
+Levinson engine of ``linalg`` yields one r at a time: with Y_r = B_r* Pi(r),
+beta(r)* beta(r) = Y_r* P_r^{-1} Y_r, and Y_r J Y_r* = P_r is the
+J-normalization. Both recursions cost O(N^2 p^3). Also houses the structural
+Lyapunov self-test, Toeplitz positivity, FFT-based coefficient extraction for
+rational Weyl functions, and the two-system uniqueness check.
 """
 
 from __future__ import annotations
@@ -229,12 +230,12 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     For each r the induced block Toeplitz matrix S(r) must be positive
     definite; S(N) is assembled once and the gate is decided on it (see
     ``_first_not_pd``). From the block Levinson engine's B_r and P_r, each
-    step forms Y_r = sum_l B_r[l]* [I, psi_l]; then small = P_r^{-1} =
-    P S(r)^{-1} P* and core = small Y_r = P S(r)^{-1} Pi(r) are one stacked
-    call each. They yield the Gram matrix beta(r)* beta(r), and
-    C_r = 2 K* G K - j: one stacked solve forms every G, core J core* = small
-    is asserted at the scale ||core||^2 ||J|| + ||small|| and the first r
-    that fails is named.
+    step forms Y_r = sum_l B_r[l]* [I, psi_l] = B_r* Pi(r). The Gram matrix
+    G_r = beta(r)* beta(r) is Y_r* P_r^{-1} Y_r, one stacked solve for every
+    r, and C_r = 2 K* G_r K - j. The J-normalization Y_r J Y_r* = P_r (the
+    Lyapunov identity A S - S A* = i Pi J Pi* compressed by B_r, since
+    B_r* (A S(r) - S(r) A*) B_r = i P_r) is asserted at the scale
+    ||Y_r||^2 ||J|| + ||P_r||, and the first r that fails is named.
     The recursion costs O(N^2 p^3); the gate adds one Cholesky factorization
     on a passing input, and an eigenvalue problem where that does not decide.
     """
@@ -249,12 +250,10 @@ def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     for r, (B, pivot) in enumerate(islice(block_levinson(alpha.alpha), stop)):
         Y[r] = B.reshape((r + 1) * p, p).conj().T @ Pi[:(r + 1) * p]
         P[r] = pivot
-    small = np.linalg.inv(P)                         # P S(r)^{-1} P*
-    core = small @ Y                                 # P S(r)^{-1} Pi(r)
-    coreH = core.conj().transpose(0, 2, 1)
-    G = coreH @ np.linalg.solve(small, core)
-    check_stack([(norm_stack(core @ J @ coreH - small),
-                  norm_stack(core) ** 2 * np.linalg.norm(J) + norm_stack(small),
+    YH = Y.conj().transpose(0, 2, 1)
+    G = YH @ np.linalg.solve(P, Y)
+    check_stack([(norm_stack(Y @ J @ YH - P),
+                  norm_stack(Y) ** 2 * np.linalg.norm(J) + norm_stack(P),
                   InvariantViolated, lambda r: f"J-normalization residual at r={r}",
                   DEFAULT_POLICY.tau)])
     C = 2 * K.conj().T @ G @ K - j

@@ -1,9 +1,11 @@
 """JSON document envelopes for the command-line tools.
 
 Every document is an object with ``kind``, ``version``, the applicable
-dimensions, and a ``payload`` of matrices. Complex entries are always
-two-element [re, im] arrays, row-major; serialization round-trips bit-for-bit
-on the canonical form.
+dimensions, and a ``payload`` of complex arrays: a matrix, or a whole block
+sequence as one stack. Each is one nested list, row-major, whose complex
+entries are two-element [re, im] lists; serialization round-trips
+bit-for-bit. A reader leaves the shape checks to the constructor of the
+object it builds, so every malformed payload raises ``DocumentError``.
 """
 
 from __future__ import annotations
@@ -25,31 +27,22 @@ FORMAT_VERSION = "1"
 KINDS = ("potentials", "bdt-params", "taylor", "szego", "report")
 
 
-def matrix_to_json(M: np.ndarray) -> list:
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+def to_json(a) -> list:
+    """A complex scalar, matrix or stack of matrices as nested [re, im] pairs."""
+    a = np.asarray(a)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def matrix_from_json(data, path: str) -> np.ndarray:
+def from_json(data, path: str, ndim: int) -> np.ndarray:
+    """Nested [re, im] pairs of numbers as a complex array of ``ndim`` axes,
+    bit for bit; anything else raises ``DocumentError`` naming ``path``."""
     try:
-        rows = [[complex(c[0], c[1]) for c in row] for row in data]
-    except (TypeError, IndexError, ValueError) as exc:
-        raise DocumentError(f"{path}: expected a matrix of [re, im] pairs") from exc
-    M = np.array(rows, dtype=complex)
-    if M.ndim != 2:
-        raise DocumentError(f"{path}: ragged matrix")
-    return M
-
-
-def complex_to_json(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def complex_from_json(data, path: str) -> complex:
-    try:
-        return complex(data[0], data[1])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise DocumentError(f"{path}: expected an [re, im] pair") from exc
+        a = np.array(data)
+    except ValueError as exc:                   # a ragged nesting
+        raise DocumentError(f"{path}: the entries do not form one array") from exc
+    if a.dtype.kind not in "iuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+        raise DocumentError(f"{path}: expected a {ndim}-axis array of [re, im] number pairs")
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def _envelope(kind: str, payload: dict, **dims) -> dict:
@@ -60,7 +53,7 @@ def _envelope(kind: str, payload: dict, **dims) -> dict:
 
 
 def potentials_to_doc(sys: PotentialSequence, report: ValidationReport | None = None) -> dict:
-    payload = {"C": [matrix_to_json(C) for C in sys.C]}
+    payload = {"C": to_json(sys.C)}
     if report is not None:
         payload["validation"] = report_payload(report)
     return _envelope("potentials", payload, p=sys.p, N=sys.N)
@@ -68,63 +61,39 @@ def potentials_to_doc(sys: PotentialSequence, report: ValidationReport | None = 
 
 def potentials_from_doc(doc: dict) -> PotentialSequence:
     _expect_kind(doc, "potentials")
-    p = _dim(doc, "p")
-    C = [matrix_from_json(c, f"payload.C[{k}]") for k, c in enumerate(_payload_list(doc, "C"))]
-    for k, c in enumerate(C):
-        if c.shape != (2 * p, 2 * p):
-            raise DocumentError(f"payload.C[{k}]: shape {c.shape} inconsistent with p={p}")
-    return PotentialSequence(ctx=SignatureContext(p=p), C=C)
+    return _build(PotentialSequence, ctx=SignatureContext(p=_dim(doc, "p")),
+                  C=_field(doc, "C", 3))
 
 
 def bdt_params_to_doc(params: BdtParameters) -> dict:
-    payload = {
-        "A": matrix_to_json(params.A),
-        "S0": matrix_to_json(params.S0),
-        "Pi0": matrix_to_json(params.Pi0),
-    }
+    payload = {name: to_json(getattr(params, name)) for name in ("A", "S0", "Pi0")}
     return _envelope("bdt-params", payload, p=params.ctx.p, n=params.n)
 
 
 def bdt_params_from_doc(doc: dict) -> BdtParameters:
     _expect_kind(doc, "bdt-params")
-    p = _dim(doc, "p")
-    payload = doc.get("payload", {})
-    mats = {}
-    for name in ("A", "S0", "Pi0"):
-        if name not in payload:
-            raise DocumentError(f"payload.{name}: missing")
-        mats[name] = matrix_from_json(payload[name], f"payload.{name}")
-    return BdtParameters(ctx=SignatureContext(p=p), **mats)
+    return _build(BdtParameters, ctx=SignatureContext(p=_dim(doc, "p")),
+                  **{name: _field(doc, name, 2) for name in ("A", "S0", "Pi0")})
 
 
 def taylor_to_doc(alpha: TaylorSequence) -> dict:
-    payload = {"alpha": [matrix_to_json(a) for a in alpha.alpha]}
-    return _envelope("taylor", payload, p=alpha.p, N=alpha.N)
+    return _envelope("taylor", {"alpha": to_json(alpha.alpha)}, p=alpha.p, N=alpha.N)
 
 
 def taylor_from_doc(doc: dict) -> TaylorSequence:
     _expect_kind(doc, "taylor")
-    p = _dim(doc, "p")
-    alpha = [matrix_from_json(a, f"payload.alpha[{k}]")
-             for k, a in enumerate(_payload_list(doc, "alpha"))]
-    return TaylorSequence(p=p, alpha=alpha)
+    return _build(TaylorSequence, p=_dim(doc, "p"), alpha=_field(doc, "alpha", 3))
 
 
 def szego_to_doc(sz: SzegoSequence) -> dict:
-    payload = {
-        "R": [matrix_to_json(R) for R in sz.R],
-        "theta": [complex_to_json(t) for t in sz.theta],
-    }
+    payload = {"R": to_json(sz.R), "theta": to_json(sz.theta)}
     return _envelope("szego", payload, p=sz.ctx.p, N=sz.N)
 
 
 def szego_from_doc(doc: dict) -> SzegoSequence:
     _expect_kind(doc, "szego")
-    p = _dim(doc, "p")
-    R = [matrix_from_json(r, f"payload.R[{k}]") for k, r in enumerate(_payload_list(doc, "R"))]
-    theta = [complex_from_json(t, f"payload.theta[{k}]")
-             for k, t in enumerate(_payload_list(doc, "theta"))]
-    return SzegoSequence(ctx=SignatureContext(p=p), R=R, theta=theta)
+    return _build(SzegoSequence, ctx=SignatureContext(p=_dim(doc, "p")),
+                  R=_field(doc, "R", 3), theta=_field(doc, "theta", 1))
 
 
 def report_payload(report: ValidationReport) -> dict:
@@ -167,16 +136,22 @@ def _expect_kind(doc: dict, kind: str) -> None:
 
 def _dim(doc: dict, name: str) -> int:
     value = doc.get(name)
-    if not isinstance(value, int) or value < 1:
+    if type(value) is not int or value < 1:     # JSON true is a bool, not a dimension
         raise DocumentError(f"{name}: missing or not a positive integer")
     return value
 
 
-def _payload_list(doc: dict, name: str) -> list:
+def _field(doc: dict, name: str, ndim: int) -> np.ndarray:
     payload = doc.get("payload")
     if not isinstance(payload, dict) or name not in payload:
         raise DocumentError(f"payload.{name}: missing")
-    value = payload[name]
-    if not isinstance(value, list) or not value:
-        raise DocumentError(f"payload.{name}: must be a nonempty list")
-    return value
+    return from_json(payload[name], f"payload.{name}", ndim)
+
+
+def _build(cls, **fields):
+    """``cls(**fields)``; the ValueError its constructor raises on fields of
+    the wrong shape or value is reported as a malformed payload."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise DocumentError(f"payload: {exc}") from exc

@@ -248,8 +248,8 @@ def loop_beta_from_potentials(sys):
 
 
 def loop_inverse_potentials(alpha):
-    """``inverse_potentials`` with Y_r, small, core, the solve, the
-    J-normalization check and C_r formed at each r inside the Levinson loop."""
+    """``inverse_potentials`` with Y_r, the solve, the J-normalization check
+    and C_r formed at each r inside the Levinson loop."""
     ctx = dz.SignatureContext(p=alpha.p)
     p, J, K, j, norm_J = alpha.p, ctx.J, ctx.K, ctx.j, np.linalg.norm(ctx.J)
     failed = dz.inverse._first_not_pd(dz.block_toeplitz(alpha.alpha), p)
@@ -261,11 +261,9 @@ def loop_inverse_potentials(alpha):
             break
         Pi = np.hstack([np.vstack([np.eye(p)] * (r + 1)), psi[:r + 1].reshape(-1, p)])
         Y = B.reshape(-1, p).conj().T @ Pi
-        small = np.linalg.inv(P)
-        core = small @ Y
-        G = core.conj().T @ np.linalg.solve(small, core)
-        check(np.linalg.norm(core @ J @ core.conj().T - small),
-              np.linalg.norm(core) ** 2 * norm_J + np.linalg.norm(small),
+        G = Y.conj().T @ np.linalg.solve(P, Y)
+        check(np.linalg.norm(Y @ J @ Y.conj().T - P),
+              np.linalg.norm(Y) ** 2 * norm_J + np.linalg.norm(P),
               InvariantViolated, f"J-normalization residual at r={r}")
         Cr = 2 * K.conj().T @ G @ K - j
         C.append((Cr + Cr.conj().T) / 2)

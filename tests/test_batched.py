@@ -283,8 +283,7 @@ class TestBatchedCallCount:
         assert short["taylor"]["cond"] <= 1 and long["taylor"]["cond"] <= 1
 
     def test_inverse_potentials_calls(self, monkeypatch):
-        """inverse_potentials makes no einsum call and takes its inverses as
-        one stack, not per step."""
+        """inverse_potentials makes no einsum call and no inverse per step."""
         calls = {"einsum": 0, "inv": 0}
         einsum, inv = np.einsum, np.linalg.inv
 

@@ -16,6 +16,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def package_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(dz.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 @pytest.fixture
 def sys_doc(tmp_path):
     path = tmp_path / "sys.json"
@@ -33,6 +40,7 @@ class TestGenerate:
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(["generate", "--steps", "2", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: generate: exactly one of")
 
     def test_params_document_source(self, tmp_path):
         params = dz.example41_params(2.0, 1.0, 1j)
@@ -283,6 +291,91 @@ class TestDocuments:
             io.potentials_from_doc(doc)
 
 
+I1 = [[[1.0, 0.0]]]                                  # 1 x 1 identity as [re, im] pairs
+I2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+# case -> (kind, p, payload); each breaks one rule of the document format
+MALFORMED = {
+    "ragged alpha": ("taylor", 1, {"alpha": [I1, [[[1.0, 0.0], [0.0, 0.0]]]]}),
+    "alpha of the wrong p": ("taylor", 2, {"alpha": [I1, I1]}),
+    "ragged C": ("potentials", 1, {"C": [I2, I1]}),
+    "string entry": ("potentials", 1, {"C": [[[["1.0", 0.0], [0.0, 0.0]], I2[1]]]}),
+    "empty list": ("potentials", 1, {"C": []}),
+    "theta of the wrong length": ("szego", 1, {"R": [I2, I2], "theta": [[1.0, 0.0]]}),
+    "theta zero": ("szego", 1, {"R": [I2], "theta": [[0.0, 0.0]]}),
+    "bdt-params of the wrong shape": ("bdt-params", 1, {"A": I1, "S0": I1, "Pi0": I1}),
+    "p true": ("potentials", True, {"C": [I2]}),
+}
+
+# kind -> (reader, command line that reads the document at {doc} and writes {out})
+READERS = {
+    "potentials": (io.potentials_from_doc, ["direct", "--system", "{doc}", "--out", "{out}"]),
+    "taylor": (io.taylor_from_doc, ["inverse", "--taylor", "{doc}", "--out", "{out}"]),
+    "szego": (io.szego_from_doc, ["szego", "--to-dirac", "--in", "{doc}", "--out", "{out}"]),
+    "bdt-params": (io.bdt_params_from_doc,
+                   ["generate", "--params", "{doc}", "--steps", "2", "--out", "{out}"]),
+}
+
+
+def malformed_command(case, tmp_path):
+    """Write the case's document; return its reader, the document and a command line."""
+    kind, p, payload = MALFORMED[case]
+    doc = {"kind": kind, "version": "1", "p": p, "payload": payload}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    reader, argv = READERS[kind]
+    return reader, doc, [a.format(doc=path, out=tmp_path / "out.json") for a in argv]
+
+
+class TestMalformedDocuments:
+    """A malformed document raises DocumentError; the CLI exits 1 with one line."""
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_reader_raises_document_error(self, case, tmp_path):
+        reader, doc, _ = malformed_command(case, tmp_path)
+        with pytest.raises(dz.errors.DocumentError):
+            reader(doc)
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_cli_prints_one_error_line(self, case, tmp_path, capsys):
+        _, _, argv = malformed_command(case, tmp_path)
+        assert main(argv) == 1
+        TestNonFiniteInput.assert_one_error_line(capsys)
+
+    def test_no_traceback_from_a_fresh_interpreter(self, tmp_path):
+        _, _, argv = malformed_command("theta zero", tmp_path)
+        proc = subprocess.run([sys.executable, "-m", "diracszego.cli", *argv], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+class TestUsageErrors:
+    """A command line that names no valid action exits 1 with one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["generate", "--example41", "1,1,1", "--out", "o.json"],
+        ["generate", "--example41", "1,1,1", "--steps", "two", "--out", "o.json"],
+        ["generate", "--example41", "1,1,1", "--steps", "-1", "--out", "o.json"],
+        ["generate", "--example41", "0,1,1", "--steps", "2", "--out", "o.json"],
+        ["szego", "--to-szego", "--out", "o.json"],
+        ["szego", "--from-schur", "0.3"],
+    ])
+    def test_exits_1_with_one_error_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        TestNonFiniteInput.assert_one_error_line(capsys)
+        assert not (tmp_path / "o.json").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--help"])
+        assert info.value.code == 0
+        assert "--steps" in capsys.readouterr().out
+
+
 class TestColdStart:
     def test_cli_import_does_not_load_scipy(self):
         # SciPy costs about 0.25 s of every command's start; the package,
@@ -296,9 +389,6 @@ class TestColdStart:
             "sz = random_szego_sequence(np.random.default_rng(0), 2, 3)\n"
             "assert len(sz.R) == 4 and 'scipy' not in sys.modules\n"
         )
-        src = str(Path(dz.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
