@@ -187,6 +187,8 @@ def cmd_szego(args) -> int:
 def cmd_weyl(args) -> int:
     params = io.bdt_params_from_doc(io.read_doc(args.params))
     lam = _parse_lambda(args.lam)
+    if lam.imag > 0:
+        raise _UsageError(f"--lambda {lam} is in the upper half-plane; use Im lambda <= 0")
     value = explicit_weyl(params, lam)
     if args.convention == "K":
         value = herglotz_map(value)

@@ -301,8 +301,10 @@ def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512) -> 
     ``herglotz_map``, each gating its whole stack: every A_x - lambda I (or
     theta - lambda I) is judged before any I + phi_I, and the first failing
     sample of the first failing gate is named. A gate failure or a
-    non-finite value raises ``AnalyticityViolation``.
+    non-finite value raises ``AnalyticityViolation``; N >= samples - 1, ``ValueError``.
     """
+    if N >= samples - 1:
+        raise ValueError(f"N must be below samples - 1 = {samples - 1}; got N = {N}")
     if isinstance(source, BdtParameters):
         p = source.ctx.p
         phi_i = lambda lam: explicit_weyl(source, lam)

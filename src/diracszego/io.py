@@ -35,12 +35,14 @@ def to_json(a) -> list:
 
 def from_json(data, path: str, ndim: int) -> np.ndarray:
     """Nested [re, im] pairs of numbers as a complex array of ``ndim`` axes,
-    bit for bit; anything else raises ``DocumentError`` naming ``path``."""
+    bit for bit; anything else, a bool among floats too, raises
+    ``DocumentError`` naming ``path``."""
     try:
         a = np.array(data)
     except ValueError as exc:                   # a ragged nesting
         raise DocumentError(f"{path}: the entries do not form one array") from exc
-    if a.dtype.kind not in "iuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+    if (a.dtype.kind not in "iuf" or a.ndim != ndim + 1 or a.shape[-1] != 2
+            or any(type(x) is bool for x in np.array(data, dtype=object).flat)):
         raise DocumentError(f"{path}: expected a {ndim}-axis array of [re, im] number pairs")
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 

@@ -22,8 +22,8 @@ from .errors import (
     SingularW0,
 )
 from .linalg import (SignatureContext, check_cond, check_cond_stack, herm_residual, hermitian_sqrt,
-                     min_eig, pd_solve)
-from .policy import DEFAULT_POLICY, check
+                     min_eig, min_eig_stack, norm_stack)
+from .policy import DEFAULT_POLICY, check, check_stack
 from .system import PotentialSequence
 
 __all__ = [
@@ -97,75 +97,71 @@ class BdtState:
     S: np.ndarray
 
 
-def _s_solve(S: np.ndarray, B: np.ndarray, pd_path: bool) -> np.ndarray:
-    """Apply S^{-1}: Cholesky when S > 0, LU with condition monitoring else."""
-    if pd_path:
-        return pd_solve(S, B)
-    check_cond(S, SingularS, "S_k")
-    return np.linalg.solve(S, B)
+def _norm(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, taken from it divided by its
+    largest modulus: finite while the matrix is, NaN with a NaN or inf entry."""
+    top = np.abs(M).max(axis=(-2, -1))
+    return top * norm_stack(M / np.where(top > 0, top, 1.0)[..., None, None])
 
 
-def _norm(M: np.ndarray) -> float:
-    """Frobenius norm of M, taken from M divided by its largest modulus so
-    that the sum of squares cannot overflow while M is finite."""
-    top = np.abs(M).max()
-    if top == 0:
-        return 0.0
-    return float(top * np.linalg.norm(M / top))   # NaN and inf entries read NaN
+def _stacks(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pi_k and S_k, k = 0..count-1, as a (count, n, 2p) and a Hermitian
+    (count, n, n) stack. The recursion runs first, on inf and NaN past the
+    floating-point range; one ``check_stack`` then judges at each k: S_k is
+    finite (``SingularS``, "S_k overflows"), the step identity
+    A S_k - S_k A* = i Pi_k j Pi_k* at the scale 2 ||A|| ||S_k|| + ||Pi_k||^2
+    (``IdentityViolated``), and, when S0 > 0, min_eig(S_k) > tau_pd
+    max(||S_k||, 1): S_k > 0 exactly, but min_eig(S_k) / ||S_k|| can decay
+    geometrically, and below tau_pd S_k is singular to working precision
+    (``SingularS``). The norms are overflow-safe (``_norm``)."""
+    A, j = params.A, params.ctx.j
+    Ainv = np.linalg.inv(A)
+    Pi = np.empty((count,) + params.Pi0.shape, dtype=complex)
+    S = np.empty((count,) + params.S0.shape, dtype=complex)
+    Pi[0], S[0] = params.Pi0, params.S0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(count - 1):
+            Pi[k + 1] = Pi[k] + 1j * Ainv @ Pi[k] @ j
+            S_next = (S[k] + Ainv @ S[k] @ Ainv.conj().T
+                      + Ainv @ (Pi[k] @ Pi[k].conj().T) @ Ainv.conj().T)
+            S[k + 1] = (S_next + S_next.conj().T) / 2
+        part = np.abs(S.view(float))   # a NaN part reads inf in the overflow gate
+        norm_s = _norm(S)
+        step = A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().transpose(0, 2, 1)
+        gates = [(np.where(np.isnan(part), np.inf, part).max(axis=(1, 2)), np.finfo(float).max,
+                  SingularS, lambda k: f"S_{k} overflows: its largest real or imaginary part", 1.0),
+                 (_norm(step), 2 * _norm(A) * norm_s + _norm(Pi) ** 2, IdentityViolated,
+                  lambda k: f"step identity residual at k={k}", DEFAULT_POLICY.tau)]
+        if params.s0_positive:
+            lo = min_eig_stack(S)
+            gates.append((-lo, np.maximum(norm_s, 1.0), SingularS,
+                          lambda k: f"S_{k} is singular to working precision (min_eig/||S_k|| = "
+                          f"{lo[k] / norm_s[k]:.1e}); precision is exhausted: -min_eig(S_{k})",
+                          -DEFAULT_POLICY.tau_pd))
+        check_stack(gates)
+    S[0] = (S[0] + S[0].conj().T) / 2
+    return Pi, S
 
 
 def _states(params: BdtParameters, count: int) -> list[BdtState]:
-    """Run the recursion, returning states for k = 0..count-1 and re-verifying
-    the step identity A S_k - S_k A* = i Pi_k j Pi_k* at the scale
-    2 ||A|| ||S_k|| + ||Pi_k||^2. With S0 > 0 every S_k > 0 exactly, but
-    min_eig(S_k) / ||S_k|| can decay geometrically; below tau_pd, S_k is
-    singular to working precision and the recursion stops (``SingularS``).
-    S_k grows geometrically too, and the recursion also stops, with a
-    ``SingularS`` naming k, where its entries overflow; the norms are taken
-    overflow-safe, so a finite S_k is judged at its true scale. Each of these
-    errors carries k as its ``index``, as a gate judged on a stack does."""
-    A, j = params.A, params.ctx.j
-    Ainv = np.linalg.inv(A)
-    Pi, S = params.Pi0, params.S0
-    pd_path = params.s0_positive
-    out = []
-    for k in range(count):
-        try:
-            if not np.isfinite(S).all():
-                raise SingularS(f"S_{k} overflows: its entries exceed the floating-point range")
-            norm_s = _norm(S)
-            check(_norm(A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().T),
-                  2 * _norm(A) * norm_s + _norm(Pi) ** 2, IdentityViolated,
-                  f"step identity residual at k={k}")
-            if pd_path:
-                lo = min_eig(S)
-                check(-lo, max(norm_s, 1.0), SingularS,
-                      f"S_{k} is singular to working precision (min_eig/||S_k|| = "
-                      f"{lo / norm_s:.1e}); precision is exhausted: -min_eig(S_{k})",
-                      -DEFAULT_POLICY.tau_pd)
-        except (SingularS, IdentityViolated) as err:
-            err.index = k
-            raise
-        out.append(BdtState(k=k, Pi=Pi, S=(S + S.conj().T) / 2))
-        # past the range the next state reads inf, and the check above stops there
-        with np.errstate(over="ignore", invalid="ignore"):
-            Pi_next = Pi + 1j * Ainv @ Pi @ j
-            S_next = S + Ainv @ S @ Ainv.conj().T + Ainv @ (Pi @ Pi.conj().T) @ Ainv.conj().T
-            Pi, S = Pi_next, (S_next + S_next.conj().T) / 2
-    return out
+    """``_stacks`` as one ``BdtState`` per k, each a view of the stacks."""
+    Pi, S = _stacks(params, count)
+    return [BdtState(k, Pi[k], S[k]) for k in range(count)]
 
 
 def generate(params: BdtParameters, N: int):
     """Pseudo-exponential potentials C_0..C_N with their recursion states.
 
-    C_k = I + Pi_k* S_k^{-1} Pi_k - Pi_{k+1}* S_{k+1}^{-1} Pi_{k+1}. With
+    C_k = I + Pi_k* S_k^{-1} Pi_k - Pi_{k+1}* S_{k+1}^{-1} Pi_{k+1}, every
+    S_k^{-1} Pi_k by one stacked solve after one ``check_cond_stack``. With
     S0 > 0 every S_k and C_k is positive definite and the output passes
     ``system.validate``.
     """
-    states = _states(params, N + 2)
-    pd_path = params.s0_positive
-    terms = np.stack([st.Pi.conj().T @ _s_solve(st.S, st.Pi, pd_path) for st in states])
+    Pi, S = _stacks(params, N + 2)
+    check_cond_stack(S, SingularS, lambda k: f"S_{k}")
+    terms = Pi.conj().transpose(0, 2, 1) @ np.linalg.solve(S, Pi)
     C = np.eye(params.ctx.m, dtype=complex) + terms[:-1] - terms[1:]
+    states = [BdtState(k, Pi[k], S[k]) for k in range(N + 2)]
     return PotentialSequence(ctx=params.ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2), states
 
 
@@ -197,20 +193,19 @@ def _resolvent_solve(M: np.ndarray, lam, B: np.ndarray, name: str, why: str) -> 
 def transfer(params: BdtParameters, state: BdtState, lam: complex) -> np.ndarray:
     """Transfer matrix function w_A(k, lambda) = I - i j Pi_k* S_k^{-1} (A - lambda I)^{-1} Pi_k."""
     X = _resolvent_solve(params.A, lam, state.Pi, "A", "near the spectrum of A")
-    Y = _s_solve(state.S, X, params.s0_positive)
+    check_cond(state.S, SingularS, f"S_{state.k}")
+    Y = np.linalg.solve(state.S, X)
     return np.eye(params.ctx.m, dtype=complex) - 1j * params.ctx.j @ state.Pi.conj().T @ Y
 
 
-def explicit_fundamental(params: BdtParameters, k: int, lam: complex,
-                         states=None) -> np.ndarray:
+def explicit_fundamental(params: BdtParameters, k: int, lam: complex) -> np.ndarray:
     """Closed-form fundamental solution
     W_k(lambda) = w_A(k, lambda) (I - (i/lambda) j)^k w_A(0, lambda)^{-1}."""
     if lam == 0:
         raise LambdaZero("lambda must be nonzero")
     if k < 1:
         raise ValueError("explicit representation starts at k = 1")
-    if states is None:
-        states = _states(params, k + 1)
+    states = _states(params, k + 1)
     p = params.ctx.p
     w_k = transfer(params, states[k], lam)
     w_0 = transfer(params, states[0], lam)
@@ -242,8 +237,7 @@ def explicit_weyl(params: BdtParameters, lam) -> np.ndarray:
     return -1j * params.Phi.conj().T @ S0_inv @ X
 
 
-def explicit_partial_sum(params: BdtParameters, lam: complex, r: int,
-                         states=None) -> np.ndarray:
+def explicit_partial_sum(params: BdtParameters, lam: complex, r: int) -> np.ndarray:
     """Partial Weyl sum of the generated system with its own Weyl function,
     evaluated through the transfer matrix instead of step-by-step propagation.
 
@@ -268,8 +262,7 @@ def explicit_partial_sum(params: BdtParameters, lam: complex, r: int,
         raise ValueError("partial Weyl sums are evaluated in the open lower half-plane")
     if not params.s0_positive:
         raise NotPositiveDefinite("the Weyl function requires S0 > 0")
-    if states is None:
-        states = _states(params, r + 2)
+    states = _states(params, r + 2)
     p = params.ctx.p
     j = params.ctx.j
     phi = explicit_weyl(params, lam)

@@ -32,10 +32,9 @@ def _rotate(U: np.ndarray, R: np.ndarray, j: np.ndarray) -> np.ndarray:
     first-order projection back onto the j-unitary manifold: V (I - E/2)
     with V = U (i j R) and E = j V* j V - I.
 
-    The forward accumulation amplifies any departure from j-unitarity
-    geometrically (the error roughly doubles per step), so without the
-    projection the conversion round trip loses ~6 digits by k = 20. With it,
-    drift stays at rounding level.
+    ``dirac_to_szego`` needs it: R_k comes from U_k* C_k U_k, so a drift off
+    the manifold feeds back, doubles per step and stops the conversion near
+    k = 20. Where the R_k are given the projection only adds rounding.
     """
     V = U @ (1j * j @ R)
     E = j @ V.conj().T @ j @ V - np.eye(V.shape[0])

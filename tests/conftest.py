@@ -5,9 +5,10 @@ import pytest
 import scipy.linalg
 
 import diracszego as dz
-from diracszego.errors import (AnalyticityViolation, DiracSzegoError, InvariantViolated,
-                               NotHermitian, NotPositiveDefinite, RankMismatch)
-from diracszego.linalg import herm_residual, min_eig
+from diracszego.errors import (AnalyticityViolation, DiracSzegoError, IdentityViolated,
+                               InvariantViolated, NotHermitian, NotPositiveDefinite, RankMismatch,
+                               SingularS)
+from diracszego.linalg import check_cond, herm_residual, min_eig, pd_solve
 from diracszego.policy import check
 
 
@@ -325,3 +326,60 @@ def loop_validate(sys):
                      float(np.linalg.norm(C @ j @ C - j)) / max(norm ** 2, 1.0),
                      min_eig(C) / scale, min_eig(C + j) / scale, min_eig(C - j) / scale))
     return rows
+
+
+def _safe_norm(M):
+    """Frobenius norm of one matrix, taken from M over its largest modulus."""
+    top = np.abs(M).max()
+    if top == 0:
+        return 0.0
+    return float(top * np.linalg.norm(M / top))
+
+
+def loop_states(params, count):
+    """The generating recursion with each state's gates judged at its step,
+    stopping at the first failure with k set as the error's ``index``."""
+    A, j = params.A, params.ctx.j
+    Ainv = np.linalg.inv(A)
+    Pi, S = params.Pi0, params.S0
+    pd_path = params.s0_positive
+    out = []
+    for k in range(count):
+        try:
+            if not np.isfinite(S).all():
+                raise SingularS(f"S_{k} overflows: its entries exceed the floating-point range")
+            norm_s = _safe_norm(S)
+            check(_safe_norm(A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().T),
+                  2 * _safe_norm(A) * norm_s + _safe_norm(Pi) ** 2, IdentityViolated,
+                  f"step identity residual at k={k}")
+            if pd_path:
+                lo = min_eig(S)
+                check(-lo, max(norm_s, 1.0), SingularS,
+                      f"S_{k} is singular to working precision (min_eig/||S_k|| = "
+                      f"{lo / norm_s:.1e}); precision is exhausted: -min_eig(S_{k})",
+                      -dz.DEFAULT_POLICY.tau_pd)
+        except (SingularS, IdentityViolated) as err:
+            err.index = k
+            raise
+        out.append(dz.BdtState(k=k, Pi=Pi, S=(S + S.conj().T) / 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            Pi_next = Pi + 1j * Ainv @ Pi @ j
+            S_next = S + Ainv @ S @ Ainv.conj().T + Ainv @ (Pi @ Pi.conj().T) @ Ainv.conj().T
+            Pi, S = Pi_next, (S_next + S_next.conj().T) / 2
+    return out
+
+
+def loop_generate(params, N):
+    """``generate`` on ``loop_states``, solving each S_k on its own: by
+    Cholesky when S0 > 0, else by LU after a condition check."""
+    states = loop_states(params, N + 2)
+    terms = []
+    for st in states:
+        if params.s0_positive:
+            X = pd_solve(st.S, st.Pi)
+        else:
+            check_cond(st.S, SingularS, "S_k")
+            X = np.linalg.solve(st.S, st.Pi)
+        terms.append(st.Pi.conj().T @ X)
+    C = [np.eye(params.ctx.m) + terms[k] - terms[k + 1] for k in range(N + 1)]
+    return dz.PotentialSequence(ctx=params.ctx, C=tuple((c + c.conj().T) / 2 for c in C)), states

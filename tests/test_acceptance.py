@@ -74,7 +74,7 @@ def test_criterion_02_fundamental_equivalence(rng_module):
         for lam in LAMBDA_GRID:
             for k in (1, 4, 8):
                 W_prop = dz.propagate(sys_out, lam, k)
-                W_exp = dz.explicit_fundamental(params, k, lam, states=states)
+                W_exp = dz.explicit_fundamental(params, k, lam)
                 worst = max(worst, float(np.linalg.norm(W_prop - W_exp)
                                          / np.linalg.norm(W_prop)))
     report(worst < 1e-9, f"criterion 2: explicit vs propagated solution "
@@ -233,7 +233,7 @@ def test_criterion_10_weyl_bound():
         bound = (abs(lam) ** 2 + 1) / (2 * abs(lam.imag))
         for r in range(0, 201, 10):
             excess = np.linalg.eigvalsh(
-                dz.explicit_partial_sum(params, lam, r, states=states)
+                dz.explicit_partial_sum(params, lam, r)
                 - bound * np.eye(1))[-1]
             worst = max(worst, float(excess))
     bounded = worst <= 1e-10

@@ -16,6 +16,7 @@ from diracszego.errors import (
     NotPositiveDefinite,
     RankMismatch,
     SingularLeadingBlock,
+    SingularS,
     SingularVMinus,
 )
 from diracszego.policy import DEFAULT_POLICY
@@ -24,6 +25,7 @@ from conftest import (
     loop_beta_from_potentials,
     loop_block_levinson,
     loop_dirac_to_szego,
+    loop_generate,
     loop_inverse_potentials,
     loop_szego_to_dirac,
     loop_validate,
@@ -241,6 +243,57 @@ class TestBatchedGateErrors:
         beta = dz.BetaSequence(ctx=beta.ctx, beta=(first, *beta.beta[1:]))
         with pytest.raises(SingularLeadingBlock, match=r"^condition number of the first block"):
             dz.taylor_from_beta(beta)
+
+
+class TestStackedGeneration:
+    """``generate`` runs the recursion into two stacks, judges every state in
+    one pass and forms every S_k^{-1} Pi_k by one stacked solve: the states
+    keep the per-step loop's bits, C_k its value up to rounding, and a failure
+    its type, message prefix and index."""
+
+    @staticmethod
+    def draws():
+        yield dz.example41_params(1.0, 1.0, 1.0), 1012
+        yield dz.example41_params(-0.5, np.exp(1j * np.pi / 5), 1.0), 40
+        rng = np.random.default_rng(3)
+        for n, p in ((3, 2), (4, 1), (3, 1)):
+            for _ in range(2):
+                yield dz.random_bdt_parameters(rng, n, p), 12
+        yield dz.random_bdt_parameters(np.random.default_rng(1), 3, 2, normalized=True), 28
+
+    def test_states_bit_identical_and_potentials_to_rounding(self):
+        for params, N in self.draws():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sys_out, states = dz.generate(params, N)
+            ref_out, ref_states = loop_generate(params, N)
+            assert [st.k for st in states] == list(range(N + 2))
+            assert identical([st.Pi for st in states], [st.Pi for st in ref_states])
+            assert identical([st.S for st in states], [st.S for st in ref_states])
+            # C_k = I + T_k - T_{k+1} cancels: each solve's rounding is
+            # about eps cond(S_k) ||T_k||, T_k = Pi_k* S_k^{-1} Pi_k
+            S = np.stack([st.S for st in states])
+            Pi = np.stack([st.Pi for st in states])
+            T = Pi.conj().transpose(0, 2, 1) @ np.linalg.solve(S, Pi)
+            w = np.maximum(np.linalg.cond(S) * np.linalg.norm(T, axis=(1, 2)), 1.0)
+            dev = np.linalg.norm(np.asarray(sys_out.C) - np.asarray(ref_out.C), axis=(1, 2))
+            assert np.all(dev <= 1e-12 * np.maximum(w[:-1], w[1:]))
+
+    @pytest.mark.parametrize("params, N, k", [
+        (dz.random_bdt_parameters(np.random.default_rng(1), 3, 2, normalized=True), 120, 34),
+        (dz.example41_params(1.0, 1.0, 1.0), 1013, 1014),
+    ], ids=["singular-to-working-precision", "overflow"])
+    def test_failure_matches_per_step_loop(self, params, N, k):
+        with pytest.raises(SingularS) as expected:
+            loop_generate(params, N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularS) as got:
+                dz.generate(params, N)
+        assert got.value.index == expected.value.index == k
+        prefix = str(expected.value).split(":")[0]
+        assert prefix.startswith(f"S_{k} ") and str(got.value).split(":")[0] == prefix
+        assert got.value.measured > got.value.allowed
 
 
 class TestBatchedCallCount:

@@ -260,6 +260,18 @@ class TestWeylCommand:
         val = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert abs(complex(*val[0][0]) - (1 - 2j)) < 1e-12
 
+    @pytest.mark.parametrize("lam, code", [("0,1", 1), ("2,1e-9", 1), ("2,0", 0), ("0,-1", 0)])
+    def test_rejects_the_upper_half_plane(self, tmp_path, capsys, lam, code):
+        ppath = tmp_path / "params.json"
+        io.write_doc(str(ppath), io.bdt_params_to_doc(dz.example41_params(1.0, 1.0, 1.0)))
+        assert run(["weyl", "--params", ppath, "--lambda", lam]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+            assert "upper half-plane" in err
+        else:
+            assert err == "" and len(json.loads(out)) == 1
+
 
 class TestDocuments:
     def test_round_trip_serialization(self, rng):
@@ -305,6 +317,8 @@ MALFORMED = {
     "theta zero": ("szego", 1, {"R": [I2], "theta": [[0.0, 0.0]]}),
     "bdt-params of the wrong shape": ("bdt-params", 1, {"A": I1, "S0": I1, "Pi0": I1}),
     "p true": ("potentials", True, {"C": [I2]}),
+    "bools among numbers": ("potentials", 1, {"C": [[[[True, 0.0], [0.0, 0.0]],
+                                                    [[0.0, 0.0], [1.0, False]]]]}),
 }
 
 # kind -> (reader, command line that reads the document at {doc} and writes {out})

@@ -211,6 +211,16 @@ class TestRationalTaylor:
         with pytest.raises(TypeError):
             dz.rational_taylor(object(), 3)
 
+    @pytest.mark.parametrize("N, samples", [(511, 512), (600, 512), (15, 16)])
+    def test_rejects_n_beyond_the_samples(self, ex41_params, N, samples):
+        with pytest.raises(ValueError, match=rf"^N must be below samples - 1 = {samples - 1}; "
+                           rf"got N = {N}$"):
+            dz.rational_taylor(ex41_params, N, samples=samples)
+
+    def test_longest_sequence_the_samples_give(self, ex41_params):
+        alpha = dz.rational_taylor(ex41_params, 14, samples=16)
+        assert alpha.N == 14 and np.isfinite(alpha.truncation_estimate)
+
     def test_gate_failure_is_chained(self):
         error = ResolventSingular("pole")
         with pytest.raises(AnalyticityViolation) as caught:

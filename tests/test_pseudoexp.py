@@ -170,7 +170,7 @@ class TestExplicitFundamental:
         for lam in LAMBDAS:
             for k in (1, 4, 8):
                 W_prop = dz.propagate(sys_out, lam, k)
-                W_exp = dz.explicit_fundamental(ex41_params, k, lam, states=states)
+                W_exp = dz.explicit_fundamental(ex41_params, k, lam)
                 rel = np.linalg.norm(W_prop - W_exp) / np.linalg.norm(W_prop)
                 assert rel < 1e-9
 
@@ -181,7 +181,7 @@ class TestExplicitFundamental:
             for lam in LAMBDAS:
                 for k in (1, 5, 8):
                     W_prop = dz.propagate(sys_out, lam, k)
-                    W_exp = dz.explicit_fundamental(params, k, lam, states=states)
+                    W_exp = dz.explicit_fundamental(params, k, lam)
                     rel = np.linalg.norm(W_prop - W_exp) / np.linalg.norm(W_prop)
                     assert rel < 1e-9
 
@@ -247,7 +247,7 @@ class TestExplicitPartialSum:
         phi = lambda lam: dz.explicit_weyl(ex41_params, lam)
         for lam in (1 - 1j, -2j):
             naive = dz.weyl_partial_sum(sys_out, phi, lam, 15)
-            stable = dz.explicit_partial_sum(ex41_params, lam, 15, states=states)
+            stable = dz.explicit_partial_sum(ex41_params, lam, 15)
             assert np.abs(naive - stable).max() < 1e-11
 
     def test_bounded_deep_into_sequence(self, ex41_params):
@@ -255,7 +255,7 @@ class TestExplicitPartialSum:
         lam = 0.3 - 0.7j
         bound = (abs(lam) ** 2 + 1) / (2 * abs(lam.imag))
         for r in (50, 120, 200):
-            out = dz.explicit_partial_sum(ex41_params, lam, r, states=states)
+            out = dz.explicit_partial_sum(ex41_params, lam, r)
             assert out[0, 0].real <= bound + 1e-10
 
 
