@@ -17,6 +17,7 @@ from .linalg import (
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .system import (
+    CHECKS,
     MoebiusPair,
     PotentialSequence,
     ValidationReport,
@@ -44,7 +45,6 @@ from .szego import (
 )
 from .pseudoexp import (
     BdtParameters,
-    BdtState,
     WeylRealization,
     example41,
     example41_params,

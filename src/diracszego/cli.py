@@ -5,7 +5,8 @@ Commands compose through JSON documents on disk:
     generate -> direct -> inverse -> verify
 
 Exit codes are a stable contract: 0 pass, 1 I/O or parse error, 2 invariant
-failure, 3 direct-problem singularity, 4 Toeplitz indefiniteness.
+failure (a LAPACK failure too), 3 direct-problem singularity, 4 Toeplitz
+indefiniteness.
 """
 
 from __future__ import annotations
@@ -275,6 +276,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_UsageError, DocumentError, OSError) as exc:
         code, message = EXIT_IO, str(exc)
+    except np.linalg.LinAlgError as exc:
+        code, message = EXIT_INVARIANT, f"linear algebra failure: {exc}"
     except DiracSzegoError as exc:
         code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
         # only an error found by scanning the steps (the Toeplitz gate) names

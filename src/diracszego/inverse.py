@@ -347,12 +347,7 @@ def borg_marchenko_check(sysA: PotentialSequence, sysB: PotentialSequence, N: in
         raise ValueError("N exceeds one of the sequence lengths")
     ta = direct_taylor(PotentialSequence(ctx=sysA.ctx, C=sysA.C[: N + 1]))
     tb = direct_taylor(PotentialSequence(ctx=sysB.ctx, C=sysB.C[: N + 1]))
-    first_mismatch = None
-    for k in range(N + 1):
-        if np.linalg.norm(ta.alpha[k] - tb.alpha[k]) > coeff_tol:
-            first_mismatch = k
-            break
-    if first_mismatch is not None:
-        return False, None, first_mismatch
-    dev = max(float(np.linalg.norm(sysA.C[k] - sysB.C[k])) for k in range(N + 1))
-    return True, dev, None
+    mismatch = norm_stack(ta.alpha - tb.alpha) > coeff_tol
+    if mismatch.any():
+        return False, None, int(np.argmax(mismatch))
+    return True, float(norm_stack(sysA.C[: N + 1] - sysB.C[: N + 1]).max()), None

@@ -10,7 +10,6 @@ object it builds, so every malformed payload raises ``DocumentError``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import DocumentError
 from .inverse import TaylorSequence
 from .linalg import SignatureContext
 from .pseudoexp import BdtParameters
-from .system import PotentialSequence, ValidationReport
+from .system import CHECKS, PotentialSequence, ValidationReport
 from .szego import SzegoSequence
 
 FORMAT_VERSION = "1"
@@ -102,7 +101,8 @@ def report_payload(report: ValidationReport) -> dict:
     failures = report.failures()
     return {
         "passed": not failures,
-        "steps": [dataclasses.asdict(s) for s in report.steps],
+        "steps": [{"k": k, **dict(zip(CHECKS, row))}
+                  for k, row in enumerate(report.residuals.tolist())],
         "failures": failures,
     }
 

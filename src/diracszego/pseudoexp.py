@@ -28,7 +28,6 @@ from .system import PotentialSequence
 
 __all__ = [
     "BdtParameters",
-    "BdtState",
     "WeylRealization",
     "generate",
     "normalize",
@@ -88,15 +87,6 @@ class BdtParameters:
         return min_eig(self.S0) > 0
 
 
-@dataclass(frozen=True)
-class BdtState:
-    """Snapshot (k, Pi_k, S_k) of the generating recursion."""
-
-    k: int
-    Pi: np.ndarray
-    S: np.ndarray
-
-
 def _norm(M: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, taken from it divided by its
     largest modulus: finite while the matrix is, NaN with a NaN or inf entry."""
@@ -105,10 +95,10 @@ def _norm(M: np.ndarray) -> np.ndarray:
 
 
 def _stacks(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pi_k and S_k, k = 0..count-1, as a (count, n, 2p) and a Hermitian
-    (count, n, n) stack. The recursion runs first, on inf and NaN past the
-    floating-point range; one ``check_stack`` then judges at each k: S_k is
-    finite (``SingularS``, "S_k overflows"), the step identity
+    """Pi_k and S_k, k = 0..count-1, as a read-only (count, n, 2p) and a
+    read-only Hermitian (count, n, n) stack. The recursion runs first, on inf
+    and NaN past the floating-point range; one ``check_stack`` then judges at
+    each k: S_k is finite (``SingularS``, "S_k overflows"), the step identity
     A S_k - S_k A* = i Pi_k j Pi_k* at the scale 2 ||A|| ||S_k|| + ||Pi_k||^2
     (``IdentityViolated``), and, when S0 > 0, min_eig(S_k) > tau_pd
     max(||S_k||, 1): S_k > 0 exactly, but min_eig(S_k) / ||S_k|| can decay
@@ -140,17 +130,13 @@ def _stacks(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
                           -DEFAULT_POLICY.tau_pd))
         check_stack(gates)
     S[0] = (S[0] + S[0].conj().T) / 2
+    Pi.flags.writeable = S.flags.writeable = False
     return Pi, S
 
 
-def _states(params: BdtParameters, count: int) -> list[BdtState]:
-    """``_stacks`` as one ``BdtState`` per k, each a view of the stacks."""
-    Pi, S = _stacks(params, count)
-    return [BdtState(k, Pi[k], S[k]) for k in range(count)]
-
-
 def generate(params: BdtParameters, N: int):
-    """Pseudo-exponential potentials C_0..C_N with their recursion states.
+    """Pseudo-exponential potentials C_0..C_N with the recursion stacks
+    (Pi, S) of ``_stacks``, Pi_k and S_k for k = 0..N+1.
 
     C_k = I + Pi_k* S_k^{-1} Pi_k - Pi_{k+1}* S_{k+1}^{-1} Pi_{k+1}, every
     S_k^{-1} Pi_k by one stacked solve after one ``check_cond_stack``. With
@@ -161,8 +147,7 @@ def generate(params: BdtParameters, N: int):
     check_cond_stack(S, SingularS, lambda k: f"S_{k}")
     terms = Pi.conj().transpose(0, 2, 1) @ np.linalg.solve(S, Pi)
     C = np.eye(params.ctx.m, dtype=complex) + terms[:-1] - terms[1:]
-    states = [BdtState(k, Pi[k], S[k]) for k in range(N + 2)]
-    return PotentialSequence(ctx=params.ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2), states
+    return PotentialSequence(ctx=params.ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2), (Pi, S)
 
 
 def normalize(params: BdtParameters) -> BdtParameters:
@@ -190,12 +175,16 @@ def _resolvent_solve(M: np.ndarray, lam, B: np.ndarray, name: str, why: str) -> 
     return np.linalg.solve(res, np.broadcast_to(B, res.shape[:-2] + B.shape))
 
 
-def transfer(params: BdtParameters, state: BdtState, lam: complex) -> np.ndarray:
-    """Transfer matrix function w_A(k, lambda) = I - i j Pi_k* S_k^{-1} (A - lambda I)^{-1} Pi_k."""
-    X = _resolvent_solve(params.A, lam, state.Pi, "A", "near the spectrum of A")
-    check_cond(state.S, SingularS, f"S_{state.k}")
-    Y = np.linalg.solve(state.S, X)
-    return np.eye(params.ctx.m, dtype=complex) - 1j * params.ctx.j @ state.Pi.conj().T @ Y
+def transfer(params: BdtParameters, k: int, lam: complex) -> np.ndarray:
+    """Transfer matrix function w_A(k, lambda) = I - i j Pi_k* S_k^{-1} (A - lambda I)^{-1} Pi_k,
+    after the generating recursion has run to k and passed its gates (``_stacks``)."""
+    if k < 0:
+        raise ValueError(f"step index {k} is negative")
+    Pi, S = (stack[k] for stack in _stacks(params, k + 1))
+    X = _resolvent_solve(params.A, lam, Pi, "A", "near the spectrum of A")
+    check_cond(S, SingularS, f"S_{k}")
+    Y = np.linalg.solve(S, X)
+    return np.eye(params.ctx.m, dtype=complex) - 1j * params.ctx.j @ Pi.conj().T @ Y
 
 
 def explicit_fundamental(params: BdtParameters, k: int, lam: complex) -> np.ndarray:
@@ -205,10 +194,9 @@ def explicit_fundamental(params: BdtParameters, k: int, lam: complex) -> np.ndar
         raise LambdaZero("lambda must be nonzero")
     if k < 1:
         raise ValueError("explicit representation starts at k = 1")
-    states = _states(params, k + 1)
     p = params.ctx.p
-    w_k = transfer(params, states[k], lam)
-    w_0 = transfer(params, states[0], lam)
+    w_k = transfer(params, k, lam)
+    w_0 = transfer(params, 0, lam)
     check_cond(w_0, SingularW0, "w_A(0, lambda)")
     mid = np.diag(np.concatenate([
         np.full(p, (1 - 1j / lam) ** k),
@@ -262,14 +250,12 @@ def explicit_partial_sum(params: BdtParameters, lam: complex, r: int) -> np.ndar
         raise ValueError("partial Weyl sums are evaluated in the open lower half-plane")
     if not params.s0_positive:
         raise NotPositiveDefinite("the Weyl function requires S0 > 0")
-    states = _states(params, r + 2)
     p = params.ctx.p
     j = params.ctx.j
+    w_next = transfer(params, r + 1, lam)
     phi = explicit_weyl(params, lam)
-    w0 = transfer(params, states[0], lam)
-    d = w0[p:, p:]
+    d = transfer(params, 0, lam)[p:, p:]
     check_cond(d, SingularW0, "the lower-right block of w_A(0, lambda)")
-    w_next = transfer(params, states[r + 1], lam)
     col = np.linalg.solve(d, np.eye(p, dtype=complex))
     v = w_next[:, p:] @ col
     rho = abs(lam + 1j) ** 2 / (abs(lam) ** 2 + 1)

@@ -20,12 +20,12 @@ from .errors import (
 )
 from .linalg import (SignatureContext, _block_stack, check_cond, check_cond_stack, min_eig,
                      min_eig_stack, norm_stack)
-from .policy import DEFAULT_POLICY, check, failure
+from .policy import DEFAULT_POLICY, check, failure, passes
 
 __all__ = [
     "PotentialSequence",
     "MoebiusPair",
-    "StepReport",
+    "CHECKS",
     "ValidationReport",
     "validate",
     "fundamental_solutions",
@@ -80,61 +80,52 @@ class MoebiusPair:
         object.__setattr__(self, "Q", Q)
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """Checks on C_k over max(||C||^2, 1) for C j C - j, max(||C||, 1) for the rest."""
-
-    k: int
-    herm_residual: float
-    junitary_residual: float
-    min_eig: float
-    min_eig_plus_j: float
-    min_eig_minus_j: float
+CHECKS = ("herm_residual", "junitary_residual", "min_eig", "min_eig_plus_j",
+          "min_eig_minus_j")
+# per column: the sign that makes it the residual ``policy.failure`` judges,
+# and the quantity its failure line names
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, -1.0])
+_WHAT = ("||C - C*|| / max(||C||, 1)", "||C j C - j|| / max(||C||^2, 1)",
+         "-min_eig(C) / max(||C||, 1)", "-min_eig(C + j) / max(||C||, 1)",
+         "-min_eig(C - j) / max(||C||, 1)")
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    steps: tuple
+    """Checks on every C_k as one (N+1, 5) array, column c holding ``CHECKS[c]``:
+    C j C - j over max(||C||^2, 1), the others over max(||C||, 1)."""
+
+    residuals: np.ndarray = field(repr=False)
 
     @property
     def passed(self) -> bool:
         return not self.failures()
 
     def failures(self) -> list[str]:
-        """One line per failed check, each judged by ``policy.failure`` on
-        the normalized residual (a NaN fails)."""
-        out = []
-        for s in self.steps:
-            checks = (
-                (s.herm_residual, "||C - C*|| / max(||C||, 1)"),
-                (s.junitary_residual, "||C j C - j|| / max(||C||^2, 1)"),
-                (-s.min_eig, "-min_eig(C) / max(||C||, 1)"),
-                (-s.min_eig_plus_j, "-min_eig(C + j) / max(||C||, 1)"),
-                (-s.min_eig_minus_j, "-min_eig(C - j) / max(||C||, 1)"),
-            )
-            lines = (failure(value, 1.0, f"C_{s.k}: {what}") for value, what in checks)
-            out.extend(line for line in lines if line is not None)
-        return out
+        """One line per failed check, step by step and check by check, each
+        judged by ``policy.failure`` on the signed residual (a NaN fails)."""
+        signed = self.residuals * _SIGNS
+        return [failure(signed[k, c], 1.0, f"C_{k}: {_WHAT[c]}")
+                for k, c in np.argwhere(~passes(signed, 1.0))]
 
 
 def validate(sys: PotentialSequence) -> ValidationReport:
     """Per-step residual report for the structure relations C = C*, C j C = j,
-    C > 0 and C +- j >= 0. Never raises; callers decide pass/fail. C > 0
-    follows from the other three, so min_eig(C) (about 1/||C||, below its own
-    rounding error at large ||C||) is judged >= -tau like those of C +- j.
-    Every residual is taken over the whole stack of coefficients at once, the
-    smallest eigenvalues of C, C + j and C - j with one batched eigvalsh."""
+    C > 0 and C +- j >= 0, as one read-only array. Never raises; callers
+    decide pass/fail. C > 0 follows from the other three, so min_eig(C)
+    (about 1/||C||, below its own rounding error at large ||C||) is judged
+    >= -tau like those of C +- j. Every residual is taken over the whole stack
+    of coefficients at once, the smallest eigenvalues of C, C + j and C - j
+    with one batched eigvalsh."""
     j, C = sys.ctx.j, sys.C
     norm = norm_stack(C)
     scale = np.maximum(norm, 1.0)
     herm = norm_stack(C - C.conj().transpose(0, 2, 1)) / scale
     junitary = norm_stack(C @ j @ C - j) / np.maximum(norm ** 2, 1.0)
     eig = min_eig_stack(np.stack([C, C + j, C - j])) / scale
-    return ValidationReport(steps=tuple(
-        StepReport(k=k, herm_residual=float(herm[k]), junitary_residual=float(junitary[k]),
-                   min_eig=float(eig[0, k]), min_eig_plus_j=float(eig[1, k]),
-                   min_eig_minus_j=float(eig[2, k]))
-        for k in range(len(C))))
+    residuals = np.column_stack([herm, junitary, *eig])
+    residuals.flags.writeable = False
+    return ValidationReport(residuals)
 
 
 def fundamental_solutions(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from diracszego.errors import (AnalyticityViolation, DiracSzegoError, IdentityVi
                                InvariantViolated, NotHermitian, NotPositiveDefinite, RankMismatch,
                                SingularS)
 from diracszego.linalg import check_cond, herm_residual, min_eig, pd_solve
-from diracszego.policy import check
+from diracszego.policy import check, failure
 
 
 @pytest.fixture
@@ -328,6 +328,21 @@ def loop_validate(sys):
     return rows
 
 
+def loop_failures(rows):
+    """``ValidationReport.failures()`` of ``loop_validate``'s rows, one check
+    of one step at a time, with the line each check prints."""
+    checks = (
+        (1, "||C - C*|| / max(||C||, 1)"),
+        (1, "||C j C - j|| / max(||C||^2, 1)"),
+        (-1, "-min_eig(C) / max(||C||, 1)"),
+        (-1, "-min_eig(C + j) / max(||C||, 1)"),
+        (-1, "-min_eig(C - j) / max(||C||, 1)"),
+    )
+    lines = (failure(sign * value, 1.0, f"C_{k}: {what}")
+             for k, row in enumerate(rows) for value, (sign, what) in zip(row, checks))
+    return [line for line in lines if line is not None]
+
+
 def _safe_norm(M):
     """Frobenius norm of one matrix, taken from M over its largest modulus."""
     top = np.abs(M).max()
@@ -338,12 +353,13 @@ def _safe_norm(M):
 
 def loop_states(params, count):
     """The generating recursion with each state's gates judged at its step,
-    stopping at the first failure with k set as the error's ``index``."""
+    stopping at the first failure with k set as the error's ``index``; the
+    states as a Pi stack and an S stack."""
     A, j = params.A, params.ctx.j
     Ainv = np.linalg.inv(A)
     Pi, S = params.Pi0, params.S0
     pd_path = params.s0_positive
-    out = []
+    Pis, Ss = [], []
     for k in range(count):
         try:
             if not np.isfinite(S).all():
@@ -361,25 +377,27 @@ def loop_states(params, count):
         except (SingularS, IdentityViolated) as err:
             err.index = k
             raise
-        out.append(dz.BdtState(k=k, Pi=Pi, S=(S + S.conj().T) / 2))
+        Pis.append(Pi)
+        Ss.append((S + S.conj().T) / 2)
         with np.errstate(over="ignore", invalid="ignore"):
             Pi_next = Pi + 1j * Ainv @ Pi @ j
             S_next = S + Ainv @ S @ Ainv.conj().T + Ainv @ (Pi @ Pi.conj().T) @ Ainv.conj().T
             Pi, S = Pi_next, (S_next + S_next.conj().T) / 2
-    return out
+    return np.array(Pis), np.array(Ss)
 
 
 def loop_generate(params, N):
     """``generate`` on ``loop_states``, solving each S_k on its own: by
     Cholesky when S0 > 0, else by LU after a condition check."""
-    states = loop_states(params, N + 2)
+    Pis, Ss = loop_states(params, N + 2)
     terms = []
-    for st in states:
+    for Pi, S in zip(Pis, Ss):
         if params.s0_positive:
-            X = pd_solve(st.S, st.Pi)
+            X = pd_solve(S, Pi)
         else:
-            check_cond(st.S, SingularS, "S_k")
-            X = np.linalg.solve(st.S, st.Pi)
-        terms.append(st.Pi.conj().T @ X)
+            check_cond(S, SingularS, "S_k")
+            X = np.linalg.solve(S, Pi)
+        terms.append(Pi.conj().T @ X)
     C = [np.eye(params.ctx.m) + terms[k] - terms[k + 1] for k in range(N + 1)]
-    return dz.PotentialSequence(ctx=params.ctx, C=tuple((c + c.conj().T) / 2 for c in C)), states
+    return (dz.PotentialSequence(ctx=params.ctx, C=tuple((c + c.conj().T) / 2 for c in C)),
+            (Pis, Ss))

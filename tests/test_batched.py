@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import diracszego as dz
-from diracszego import linalg
-from diracszego.system import StepReport, ValidationReport
+from diracszego import io, linalg
 from diracszego.errors import (
     InvariantViolated,
     NotPositiveDefinite,
@@ -25,6 +24,7 @@ from conftest import (
     loop_beta_from_potentials,
     loop_block_levinson,
     loop_dirac_to_szego,
+    loop_failures,
     loop_generate,
     loop_inverse_potentials,
     loop_szego_to_dirac,
@@ -125,14 +125,58 @@ def assert_validate_matches(sys_in):
     and the same failure lines."""
     report = dz.validate(sys_in)
     rows = loop_validate(sys_in)
-    got = np.array([[getattr(s, f) for f in FIELDS] for s in report.steps])
+    got = report.residuals
     ref = np.array(rows)
     assert np.array_equal(np.isnan(got), np.isnan(ref))
     both = ~np.isnan(ref)
     assert np.all(np.abs(got - ref)[both] <= 4.5e-16 * np.abs(ref)[both])
-    ref_report = ValidationReport(steps=tuple(StepReport(k, *row) for k, row in enumerate(rows)))
-    assert report.failures() == ref_report.failures()
+    assert report.failures() == loop_failures(rows)
     return report
+
+
+def edited_ex41_system(edit):
+    """The example41 (1, 1, 1) system at N = 12 with ``edit`` applied to a
+    writable copy of its C stack."""
+    system, _ = dz.generate(dz.example41_params(1.0, 1.0, 1.0), 12)
+    C = np.array(system.C)
+    edit(C)
+    return dz.PotentialSequence(ctx=system.ctx, C=C)
+
+
+def nan_entry(C):
+    C[2][0, 1] = np.nan
+
+
+def broken_steps(C):
+    C[3] *= 1.5            # C_3 is no longer j-unitary
+    C[5][0, 1] += 0.2      # nor C_5 Hermitian
+    C[7][0, 0] += 0.3
+
+
+class TestValidationReport:
+    """``validate`` returns one read-only residual array, columns named by
+    ``CHECKS``; its document keeps one entry per step with the five fields."""
+
+    def test_columns_and_read_only(self, ex41_system):
+        residuals = dz.validate(ex41_system).residuals
+        assert dz.CHECKS == FIELDS
+        assert residuals.shape == (ex41_system.N + 1, len(FIELDS))
+        assert residuals.dtype == float and not residuals.flags.writeable
+
+    @pytest.mark.parametrize("edit, passed", [(lambda C: None, True), (nan_entry, False),
+                                              (broken_steps, False)],
+                             ids=["passing", "nan-entry", "failing-steps"])
+    def test_report_payload_matches_per_step_rows(self, edit, passed):
+        sys_in = edited_ex41_system(edit)
+        report = assert_validate_matches(sys_in)     # residuals against the per-step rows
+        failures = loop_failures(loop_validate(sys_in))
+        got = io.report_payload(report)
+        assert list(got) == ["passed", "steps", "failures"]
+        assert got["passed"] == (not failures) == passed and got["failures"] == failures
+        assert [list(step) for step in got["steps"]] == [["k", *FIELDS]] * (sys_in.N + 1)
+        assert [step["k"] for step in got["steps"]] == list(range(sys_in.N + 1))
+        assert np.array_equal(np.array([[step[f] for f in FIELDS] for step in got["steps"]]),
+                              report.residuals, equal_nan=True)
 
 
 class TestBatchedGateErrors:
@@ -211,7 +255,7 @@ class TestBatchedGateErrors:
         C[2][0, 1] = np.nan
         report = assert_validate_matches(dz.PotentialSequence(ctx=sys4.ctx, C=tuple(C)))
         assert not report.passed
-        assert all(np.isnan(getattr(report.steps[2], f)) for f in FIELDS)
+        assert np.isnan(report.residuals[2]).all()
 
     @staticmethod
     def v_minus_singular_at_2(small):
@@ -265,15 +309,13 @@ class TestStackedGeneration:
         for params, N in self.draws():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                sys_out, states = dz.generate(params, N)
-            ref_out, ref_states = loop_generate(params, N)
-            assert [st.k for st in states] == list(range(N + 2))
-            assert identical([st.Pi for st in states], [st.Pi for st in ref_states])
-            assert identical([st.S for st in states], [st.S for st in ref_states])
+                sys_out, (Pi, S) = dz.generate(params, N)
+            ref_out, (ref_Pi, ref_S) = loop_generate(params, N)
+            assert len(Pi) == len(S) == N + 2
+            assert identical(Pi, ref_Pi)
+            assert identical(S, ref_S)
             # C_k = I + T_k - T_{k+1} cancels: each solve's rounding is
             # about eps cond(S_k) ||T_k||, T_k = Pi_k* S_k^{-1} Pi_k
-            S = np.stack([st.S for st in states])
-            Pi = np.stack([st.Pi for st in states])
             T = Pi.conj().transpose(0, 2, 1) @ np.linalg.solve(S, Pi)
             w = np.maximum(np.linalg.cond(S) * np.linalg.norm(T, axis=(1, 2)), 1.0)
             dev = np.linalg.norm(np.asarray(sys_out.C) - np.asarray(ref_out.C), axis=(1, 2))

@@ -365,6 +365,23 @@ class TestMalformedDocuments:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
+class TestEigensolverFailure:
+    """A LinAlgError from LAPACK exits 2 with one error line, not a traceback."""
+
+    @pytest.mark.parametrize("command", [["direct", "--system"], ["szego", "--to-szego", "--in"]],
+                             ids=["direct", "szego-to-szego"])
+    def test_exits_2_with_one_error_line(self, command, sys_doc, tmp_path, monkeypatch, capsys):
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        out = tmp_path / "o.json"
+        assert run([*command, sys_doc, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: linear algebra failure: Eigenvalues did not converge\n"
+        assert not out.exists()
+
+
 class TestUsageErrors:
     """A command line that names no valid action exits 1 with one error line."""
 

@@ -13,7 +13,6 @@ from diracszego.errors import (
     ResolventSingular,
     SingularS,
 )
-from diracszego.pseudoexp import _states
 
 TRIPLES = ((1.0, 1.0, 1.0), (2.0, 1.0, 1j), (-0.5, np.exp(1j * np.pi / 5), 1.0))
 LAMBDAS = (1 - 1j, -2j, 3 - 0.5j)
@@ -76,9 +75,17 @@ class TestGenerate:
 
     def test_output_validates(self, rng):
         params = dz.random_bdt_parameters(rng, 4, 2)
-        sys_out, states = dz.generate(params, 8)
+        sys_out, (_, S) = dz.generate(params, 8)
         assert dz.validate(sys_out).passed
-        assert all(dz.linalg.min_eig(st.S) > 0 for st in states)
+        assert all(dz.linalg.min_eig(S_k) > 0 for S_k in S)
+
+    def test_returns_read_only_stacks(self, ex41_params):
+        _, (Pi, S) = dz.generate(ex41_params, 5)
+        assert Pi.shape == (7, 1, 2) and S.shape == (7, 1, 1)
+        for stack in (Pi, S):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = 0
 
     def test_stops_where_s_is_singular_to_working_precision(self):
         # S_k > 0 holds exactly, but min_eig(S_k) / ||S_k|| decays geometrically
@@ -123,45 +130,56 @@ class TestGenerate:
 class TestTransfer:
     def test_resolvent_identity(self, ex41_params):
         # w* j w differs from j by the rank-structured resolvent term
-        states = _states(ex41_params, 6)
+        _, (Pi, S) = dz.generate(ex41_params, 4)
         j = ex41_params.ctx.j
         A = ex41_params.A
         n = ex41_params.n
-        for st in states:
+        for k in range(6):
             for lam in LAMBDAS:
-                w = dz.transfer(ex41_params, st, lam)
+                w = dz.transfer(ex41_params, k, lam)
                 lhs = w.conj().T @ j @ w
                 res_left = np.linalg.inv(A.conj().T - np.conj(lam) * np.eye(n))
                 res_right = np.linalg.inv(A - lam * np.eye(n))
                 rhs = j + 1j * (np.conj(lam) - lam) * (
-                    st.Pi.conj().T @ res_left @ np.linalg.inv(st.S) @ res_right @ st.Pi)
+                    Pi[k].conj().T @ res_left @ np.linalg.inv(S[k]) @ res_right @ Pi[k])
                 assert np.linalg.norm(lhs - rhs) < 1e-11
 
     def test_conjugate_pairing(self, ex41_params):
-        states = _states(ex41_params, 6)
         j = ex41_params.ctx.j
-        for st in states:
+        for k in range(6):
             for lam in LAMBDAS:
-                w = dz.transfer(ex41_params, st, lam)
-                wc = dz.transfer(ex41_params, st, np.conj(lam))
+                w = dz.transfer(ex41_params, k, lam)
+                wc = dz.transfer(ex41_params, k, np.conj(lam))
                 assert np.linalg.norm(wc.conj().T @ j @ w - j) < 1e-11
 
     def test_intertwining_with_one_step_factor(self, ex41_params):
-        sys_out, states = dz.generate(ex41_params, 6)
+        sys_out, _ = dz.generate(ex41_params, 6)
         j = ex41_params.ctx.j
         m = ex41_params.ctx.m
         for k in range(6):
             for lam in LAMBDAS:
-                w_next = dz.transfer(ex41_params, states[k + 1], lam)
-                w_k = dz.transfer(ex41_params, states[k], lam)
+                w_next = dz.transfer(ex41_params, k + 1, lam)
+                w_k = dz.transfer(ex41_params, k, lam)
                 left = w_next @ (np.eye(m) - (1j / lam) * j)
                 right = (np.eye(m) - (1j / lam) * j @ sys_out.C[k]) @ w_k
                 assert np.linalg.norm(left - right) < 1e-10
 
+    def test_runs_the_recursion_to_k(self):
+        """w_A(k, lambda) judges every state up to k as ``generate`` does."""
+        params = dz.random_bdt_parameters(np.random.default_rng(1), 3, 2, normalized=True)
+        with pytest.raises(SingularS) as expected:
+            dz.generate(params, 39)
+        with pytest.raises(SingularS) as got:
+            dz.transfer(params, 40, -1j)
+        assert got.value.index == expected.value.index == 34
+        prefix = str(expected.value).split(":")[0]
+        assert prefix.startswith("S_34 ") and str(got.value).split(":")[0] == prefix
+        with pytest.raises(ValueError, match="negative"):
+            dz.transfer(params, -1, -1j)
+
     def test_rejects_spectrum_point(self, ex41_params):
-        states = _states(ex41_params, 1)
         with pytest.raises(ResolventSingular):
-            dz.transfer(ex41_params, states[0], 1.0 + 0j)  # A = [[1]]
+            dz.transfer(ex41_params, 0, 1.0 + 0j)  # A = [[1]]
 
 
 class TestExplicitFundamental:
@@ -251,7 +269,6 @@ class TestExplicitPartialSum:
             assert np.abs(naive - stable).max() < 1e-11
 
     def test_bounded_deep_into_sequence(self, ex41_params):
-        states = _states(ex41_params, 202)
         lam = 0.3 - 0.7j
         bound = (abs(lam) ** 2 + 1) / (2 * abs(lam.imag))
         for r in (50, 120, 200):
