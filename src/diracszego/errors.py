@@ -68,6 +68,10 @@ class SingularW0(DiracSzegoError):
     pass
 
 
+class FloatOverflow(DiracSzegoError):
+    """A result exceeds the floating-point range."""
+
+
 class ModulusMismatch(DiracSzegoError):
     pass
 

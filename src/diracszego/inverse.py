@@ -29,7 +29,7 @@ from .errors import (
     ToeplitzNotPD,
 )
 from .linalg import (SignatureContext, _block_stack, _rank_p_factor_gates, block_levinson,
-                     block_toeplitz, cond_stack, min_eig, norm_stack)
+                     block_toeplitz, check_cond, check_cond_stack, min_eig, norm_stack)
 from .policy import DEFAULT_POLICY, check, check_stack, failure
 from .pseudoexp import BdtParameters, WeylRealization, explicit_weyl
 from .system import PotentialSequence, herglotz_map
@@ -126,7 +126,8 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
 
     The diagonal blocks v_-(0) = the first block of beta(0) and
     v_-(k) = beta(k) J (beta(k-1)* v_-(k-1)) are formed first, and one
-    batched SVD judges them all before any is solved against. The running
+    ``check_cond_stack`` judges them all before any is solved against: its
+    certificate decides a well-conditioned stack without an SVD. The running
     sum is stored block-column-major, 2p x (N+1)p, so that M, its update
     and sum_c X_c Pi_c are each one 2-D product per step.
     """
@@ -140,12 +141,9 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     v[0] = b[0, :, :p]
     for k in range(1, N + 1):
         v[k] = bJ[k] @ (bH[k - 1] @ v[k - 1])   # the last block of M at step k
-    cond = cond_stack(v)
-    check(cond[0], 1.0, SingularLeadingBlock, "condition number of the first block of beta(0)",
-          DEFAULT_POLICY.cond_limit)
-    # cond[0] passed just above, so the stack index of a failure is its k
-    check_stack([(cond, 1.0, SingularVMinus, lambda k: f"condition number of v_-({k})",
-                  DEFAULT_POLICY.cond_limit)])
+    check_cond(v[0], SingularLeadingBlock, "the first block of beta(0)")
+    # v_-(0) passed just above, so the stack index of a failure is its k
+    check_cond_stack(v, SingularVMinus, lambda k: f"v_-({k})")
     T = np.ascontiguousarray((bH @ v).transpose(1, 0, 2))  # sum_l beta(l)* V_-[l, :], by column
     Pi = np.zeros((N + 1, p, 2 * p), dtype=complex)  # block rows of V_-^{-1} [beta(0); ...]
     Pi[0] = np.linalg.solve(v[0], b[0])

@@ -83,10 +83,10 @@ def min_eig_stack(M: np.ndarray) -> np.ndarray:
     return value.reshape(M.shape[:-2])
 
 
-def check_cond(M: np.ndarray, exc: type[Exception], what: str) -> None:
-    """``policy.check`` of cond(M) against cond_limit for one n x n matrix;
-    one SVD, as ``check_cond_stack`` on a stack of one."""
-    check_cond_stack(np.asarray(M)[None], exc, lambda i: what)
+def check_cond(M: np.ndarray, exc: type[Exception], what: str) -> np.ndarray:
+    """``check_cond_stack`` on the stack of one n x n matrix ``M``; returns
+    its inverse."""
+    return check_cond_stack(np.asarray(M)[None], exc, lambda i: what)[0]
 
 
 def _cond_or_nan(M: np.ndarray) -> float:
@@ -98,7 +98,8 @@ def _cond_or_nan(M: np.ndarray) -> float:
 
 def cond_stack(M: np.ndarray) -> np.ndarray:
     """Condition number of every matrix of a (..., n, n) stack, flattened to
-    one axis in C order, from one batched SVD.
+    one axis in C order, from one batched SVD: the exact test of
+    ``check_cond_stack``.
 
     A matrix with a non-finite entry skips the SVD (LAPACK rejects it) and
     reads as ``numpy.linalg.cond`` reports it, NaN with a NaN entry and inf
@@ -115,15 +116,74 @@ def cond_stack(M: np.ndarray) -> np.ndarray:
     return value
 
 
-def check_cond_stack(M: np.ndarray, exc: type[Exception], name) -> None:
+def check_cond_stack(M: np.ndarray, exc: type[Exception], name) -> np.ndarray:
     """``policy.check`` of cond against cond_limit for every matrix of a
-    (..., n, n) stack, judged with one batched SVD (``cond_stack``).
+    (..., n, n) stack; returns the stack of inverses, from one batched
+    ``numpy.linalg.inv``.
 
     NaN and inf fail. The first failing matrix in C order of the stack
-    raises ``exc``, named by ``name`` of its flat stack index.
+    raises ``exc``, named by ``name`` of its flat stack index, with the line,
+    ``measured``, ``allowed`` and ``index`` of the exact test (``cond_stack``).
+
+    The inverse X of each finite matrix certifies most passing matrices
+    without an SVD. With R = I - X M, X M = I - R gives M^{-1} = (I - R)^{-1} X
+    whenever ||R||_2 < 1, so
+
+        cond_2(M) <= ||M||_F ||X||_F / (1 - rho),   rho >= ||R||_2.
+
+    -R is computed as fl(fl(X M) - I), which has the norm of fl(R). A complex
+    matrix product carries |fl(X M) - X M| <= gamma_{n+2} |X| |M| elementwise
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 3.5 for the real product with gamma_n, sec. 3.6 for the two more of
+    complex arithmetic), and the subtraction of I at most
+    gamma_1 |fl(R)| <= gamma_{n+2} |fl(R)|, with gamma_k = k u / (1 - k u) and
+    u the unit roundoff. Hence ||R||_2 <= ||R||_F is at most
+
+        rho = ||fl(R)||_F + gamma_{n+2} (||fl(R)||_F + ||X||_F ||M||_F).
+
+    A matrix is certified when rho <= 1/4 and the bound is at most
+    cond_limit / 4. Those two thresholds only route: the factor 4 leaves room
+    for the rounding of the norms and of the bound, and for the SVD's own
+    error, about n u cond relative in its smallest singular value, so the
+    exact test passes every certified matrix too. As ||M||_F ||X||_F is at
+    most n cond_2(M), matrices within about a factor 4n of the limit are left
+    undecided. Those, the matrices with a non-finite entry and, when the
+    batched inverse raises ``LinAlgError``, every matrix of the stack go to
+    ``cond_stack``, one batched SVD. A stack that passes but could not be
+    inverted re-raises that ``LinAlgError``, as the solve it replaces would.
     """
-    check_stack([(cond_stack(M), 1.0, exc, lambda i: f"condition number of {name(i)}",
+    stack = np.asarray(M).reshape((-1,) + np.shape(M)[-2:])
+    n = stack.shape[-1]
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    A = stack if finite.all() else stack[finite]
+    value = np.full(len(stack), np.inf)
+    failed = None
+    try:
+        X = np.linalg.inv(A)
+    except np.linalg.LinAlgError as err:
+        failed = err
+    else:
+        u = np.finfo(float).eps / 2                 # unit roundoff
+        gamma = (n + 2) * u / (1 - (n + 2) * u)
+        # an inverse near overflow reads inf or NaN here, and is not certified
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = X @ A
+            R -= np.eye(n)
+            xm = np.linalg.norm(X, axis=(1, 2)) * np.linalg.norm(A, axis=(1, 2))
+            r = np.linalg.norm(R, axis=(1, 2))
+            rho = r + gamma * (r + xm)
+            bound = xm / (1 - rho)
+        value[finite] = np.where((rho <= 0.25) & (bound <= DEFAULT_POLICY.cond_limit / 4),
+                                 bound, np.inf)
+    undecided = np.isinf(value)
+    if undecided.any():
+        value[undecided] = cond_stack(stack[undecided])
+    check_stack([(value, 1.0, exc, lambda i: f"condition number of {name(i)}",
                   DEFAULT_POLICY.cond_limit)])
+    if failed is not None:
+        raise failed
+    # every matrix passed, so all are finite and X inverts the whole stack
+    return X.reshape(np.shape(M))
 
 
 @dataclass(frozen=True)

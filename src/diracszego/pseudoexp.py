@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    FloatOverflow,
     IdentityViolated,
     InvariantViolated,
     LambdaZero,
@@ -166,13 +167,12 @@ def _resolvent_solve(M: np.ndarray, lam, B: np.ndarray, name: str, why: str) -> 
     """(M - lambda I)^{-1} B for a scalar lambda, shape (n, q), or a 1-D array
     of s values, shape (s, n, q). One ``check_cond_stack`` gates every
     M - lambda I; the first failing lambda raises ``ResolventSingular`` as
-    "{name} - lambda I at lambda=..., {why},". B is broadcast to the stack:
-    NumPy < 2 would read an (n, q) B under an (s, n, n) stack as n vectors."""
+    "{name} - lambda I at lambda=..., {why},". B multiplies the gate's
+    inverses, broadcast over the stack: one LU per lambda."""
     lams = np.asarray(lam)
     res = M - lams[..., None, None] * np.eye(len(M), dtype=complex)
-    check_cond_stack(res, ResolventSingular,
-                     lambda i: f"{name} - lambda I at lambda={lams.flat[i]}, {why},")
-    return np.linalg.solve(res, np.broadcast_to(B, res.shape[:-2] + B.shape))
+    return check_cond_stack(res, ResolventSingular,
+                            lambda i: f"{name} - lambda I at lambda={lams.flat[i]}, {why},") @ B
 
 
 def transfer(params: BdtParameters, k: int, lam: complex) -> np.ndarray:
@@ -189,20 +189,24 @@ def transfer(params: BdtParameters, k: int, lam: complex) -> np.ndarray:
 
 def explicit_fundamental(params: BdtParameters, k: int, lam: complex) -> np.ndarray:
     """Closed-form fundamental solution
-    W_k(lambda) = w_A(k, lambda) (I - (i/lambda) j)^k w_A(0, lambda)^{-1}."""
+    W_k(lambda) = w_A(k, lambda) (I - (i/lambda) j)^k w_A(0, lambda)^{-1}.
+
+    The powers (1 -+ i/lambda)^k past the floating-point range raise
+    ``FloatOverflow``."""
     if lam == 0:
         raise LambdaZero("lambda must be nonzero")
     if k < 1:
         raise ValueError("explicit representation starts at k = 1")
     p = params.ctx.p
     w_k = transfer(params, k, lam)
-    w_0 = transfer(params, 0, lam)
-    check_cond(w_0, SingularW0, "w_A(0, lambda)")
-    mid = np.diag(np.concatenate([
-        np.full(p, (1 - 1j / lam) ** k),
-        np.full(p, (1 + 1j / lam) ** k),
-    ])).astype(complex)
-    return w_k @ mid @ np.linalg.inv(w_0)
+    w_0_inv = check_cond(transfer(params, 0, lam), SingularW0, "w_A(0, lambda)")
+    # an overflowing power reads inf or NaN here, and fails the gate below
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.power(np.array([1 - 1j / lam, 1 + 1j / lam], dtype=complex), k)
+    part = np.abs(powers.view(float))
+    check(np.where(np.isnan(part), np.inf, part).max(), np.finfo(float).max, FloatOverflow,
+          f"(1 -+ i/lambda)^{k} overflows: its largest real or imaginary part", 1.0)
+    return w_k @ np.diag(np.repeat(powers, p)) @ w_0_inv
 
 
 def explicit_weyl(params: BdtParameters, lam) -> np.ndarray:
@@ -255,9 +259,7 @@ def explicit_partial_sum(params: BdtParameters, lam: complex, r: int) -> np.ndar
     w_next = transfer(params, r + 1, lam)
     phi = explicit_weyl(params, lam)
     d = transfer(params, 0, lam)[p:, p:]
-    check_cond(d, SingularW0, "the lower-right block of w_A(0, lambda)")
-    col = np.linalg.solve(d, np.eye(p, dtype=complex))
-    v = w_next[:, p:] @ col
+    v = w_next[:, p:] @ check_cond(d, SingularW0, "the lower-right block of w_A(0, lambda)")
     rho = abs(lam + 1j) ** 2 / (abs(lam) ** 2 + 1)
     c = (abs(lam) ** 2 + 1) / (1j * (lam - np.conj(lam)))
     tail = rho ** (r + 1) * (v.conj().T @ j @ v)

@@ -206,25 +206,24 @@ def weyl_disk_eval(sys: PotentialSequence, pair: MoebiusPair, lam: complex) -> n
     Wfull = sys.ctx.K @ propagate(sys, np.conj(lam), sys.N + 1).conj().T
     W11, W12 = Wfull[:p, :p], Wfull[:p, p:]
     W21, W22 = Wfull[p:, :p], Wfull[p:, p:]
-    den = W11 @ pair.R + W12 @ pair.Q
-    check_cond(den, SingularDenominator, "the Moebius denominator")
-    num = W21 @ pair.R + W22 @ pair.Q
-    return 1j * num @ np.linalg.inv(den)
+    den_inv = check_cond(W11 @ pair.R + W12 @ pair.Q, SingularDenominator,
+                         "the Moebius denominator")
+    return 1j * (W21 @ pair.R + W22 @ pair.Q) @ den_inv
 
 
 def herglotz_map(phiI: np.ndarray) -> np.ndarray:
     """Change of convention phi_K = -i (I - phi_I)(I + phi_I)^{-1}, for one
     p x p value (scalars are promoted) or a (..., p, p) stack. Each I + phi_I
     passes the ``cond_limit`` gate, else ``SingularShift`` names the first
-    failing one by its stack index."""
+    failing one by its stack index. The inverses are the gate's own."""
     phiI = np.atleast_2d(np.asarray(phiI, dtype=complex))
     eye = np.eye(phiI.shape[-1], dtype=complex)
     shift = eye + phiI
     if shift.ndim == 2:
-        check_cond(shift, SingularShift, "I + phi_I")
+        inv = check_cond(shift, SingularShift, "I + phi_I")
     else:
-        check_cond_stack(shift, SingularShift, lambda i: f"I + phi_I (stack index {i})")
-    return -1j * (eye - phiI) @ np.linalg.inv(shift)
+        inv = check_cond_stack(shift, SingularShift, lambda i: f"I + phi_I (stack index {i})")
+    return -1j * (eye - phiI) @ inv
 
 
 def weyl_partial_sum(sys: PotentialSequence, phi, lam: complex, r: int,

@@ -340,11 +340,12 @@ class TestStackedGeneration:
 
 class TestBatchedCallCount:
     """Counts LAPACK eigenvalue and SVD calls, so that a return to
-    per-coefficient or per-step calls shows without timing anything."""
+    per-coefficient or per-step calls, or to an SVD per gate, shows without
+    timing anything."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"eigvalsh": 0, "eigh": 0, "cond": 0}
+        calls = {"eigvalsh": 0, "eigh": 0, "cond": 0, "svd": 0}
 
         def counted(name):
             fn = getattr(np.linalg, name)
@@ -375,7 +376,19 @@ class TestBatchedCallCount:
         for stage in ("validate", "beta"):
             assert short[stage] == long[stage]
             assert short[stage]["eigvalsh"] + short[stage]["eigh"] == 1
-        assert short["taylor"]["cond"] <= 1 and long["taylor"]["cond"] <= 1
+        assert short["taylor"]["cond"] == long["taylor"]["cond"] == 0
+
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_passing_paths_make_no_svd(self, counts, N):
+        """Every cond_limit gate on a passing input is decided by its
+        inverse certificate, without an SVD."""
+        sys_in = random_system(np.random.default_rng(N), 2, N)
+        params = dz.random_bdt_parameters(np.random.default_rng(N), 3, 2, normalized=True)
+        for run in (lambda: dz.generate(params, N), lambda: dz.direct_taylor(sys_in),
+                    lambda: dz.rational_taylor(params, 12)):
+            counts.update(dict.fromkeys(counts, 0))
+            run()
+            assert counts["cond"] == counts["svd"] == 0
 
     def test_inverse_potentials_calls(self, monkeypatch):
         """inverse_potentials makes no einsum call and no inverse per step."""

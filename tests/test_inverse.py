@@ -265,8 +265,10 @@ class TestRationalTaylorMatchesSampleLoop:
 
 class TestStackedSolveRightHandSide:
     """NumPy 1.x reads the b of ``numpy.linalg.solve(a, b)`` as a stack of
-    vectors when b.ndim == a.ndim - 1, NumPy 2 only when b.ndim == 1. Every
-    solve on the batched path passes a b that both rules read alike."""
+    vectors when b.ndim == a.ndim - 1, NumPy 2 only when b.ndim == 1. The
+    batched path makes no stacked solve: each (M - lambda I)^{-1} B is the
+    gate's inverse times B, one (s, n, n) @ (n, q) product that broadcasts B
+    alike under both rules, and any solve it makes passes an unambiguous b."""
 
     @pytest.fixture
     def unambiguous_solve(self, monkeypatch):
@@ -281,17 +283,28 @@ class TestStackedSolveRightHandSide:
         monkeypatch.setattr(np.linalg, "solve", checked)
         return shapes
 
+    @staticmethod
+    def assert_broadcast_product(M, B):
+        lams = dz.cayley_lambda_of_z(0.5 * np.exp(2j * np.pi * np.arange(512) / 512))
+        got = pseudoexp._resolvent_solve(M, lams, B, "M", "test")
+        assert got.shape == (len(lams),) + B.shape
+        inv = np.linalg.inv(M - lams[:, None, None] * np.eye(len(M)))
+        assert np.array_equal(got, inv @ B)
+        assert all(np.array_equal(got[i], inv[i] @ B) for i in (0, len(lams) // 2, -1))
+
     @pytest.mark.parametrize("n, p", [(1, 1), (3, 1), (3, 2)])
     def test_parameters_source(self, n, p, unambiguous_solve):
         params = dz.random_bdt_parameters(np.random.default_rng(n + p), n, p, normalized=True)
         dz.rational_taylor(params, 4)
-        assert ((512, n, n), (512, n, p)) in unambiguous_solve
+        assert not [a for a, _ in unambiguous_solve if a[:1] == (512,)]
+        self.assert_broadcast_product(params.A, params.Psi)
 
     def test_realization_source(self, unambiguous_solve):
         rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
                                 PhiT=np.array([[1.0]]), PsiT=np.array([[1.0]]))
         dz.rational_taylor(rz, 3)
-        assert ((512, 1, 1), (512, 1, 1)) in unambiguous_solve
+        assert not [a for a, _ in unambiguous_solve if a[:1] == (512,)]
+        self.assert_broadcast_product(rz.theta, rz.PsiT)
 
 
 class TestRationalTaylorCallCount:
@@ -300,7 +313,8 @@ class TestRationalTaylorCallCount:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"explicit_weyl": 0, "value": 0, "herglotz_map": 0, "min_eig": 0}
+        calls = {"explicit_weyl": 0, "value": 0, "herglotz_map": 0, "min_eig": 0,
+                 "cond": 0, "svd": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -311,15 +325,20 @@ class TestRationalTaylorCallCount:
         for name in ("explicit_weyl", "herglotz_map"):
             monkeypatch.setattr(inverse, name, counted(name, getattr(inverse, name)))
         monkeypatch.setattr(pseudoexp, "min_eig", counted("min_eig", pseudoexp.min_eig))
+        for name in ("cond", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(dz.WeylRealization, "value",
                             counted("value", dz.WeylRealization.value))
         return calls
 
     def test_parameters_source(self, rng, counts):
-        dz.rational_taylor(dz.random_bdt_parameters(rng, 3, 2, normalized=True), 12)
+        params = dz.random_bdt_parameters(rng, 3, 2, normalized=True)
+        counts.update(dict.fromkeys(counts, 0))     # the draw runs an SVD of its own
+        dz.rational_taylor(params, 12)
         assert counts["explicit_weyl"] == 1
         assert counts["herglotz_map"] == 1
         assert counts["min_eig"] <= 1
+        assert counts["cond"] == counts["svd"] == 0     # every gate certified
 
     def test_realization_source(self, counts):
         rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
@@ -328,6 +347,7 @@ class TestRationalTaylorCallCount:
         assert counts["value"] == 1
         assert counts["herglotz_map"] == 1
         assert counts["min_eig"] == 0
+        assert counts["cond"] == counts["svd"] == 0
 
 
 class TestBorgMarchenko:

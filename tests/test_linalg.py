@@ -237,34 +237,45 @@ class TestSolvers:
         assert np.linalg.norm(dz.block_toeplitz(alpha) @ x - b[:, None]) < 1e-12
 
 
+@pytest.fixture
+def svd_stacks(monkeypatch):
+    """Matrix counts of the stacks handed to ``numpy.linalg.cond``, one
+    entry per (batched) SVD."""
+    sizes = []
+    cond = np.linalg.cond
+
+    def counted(x, *args, **kwargs):
+        sizes.append(int(np.prod(np.shape(x)[:-2])))
+        return cond(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    return sizes
+
+
 class TestCheckCond:
-    @pytest.fixture
-    def svd_stacks(self, monkeypatch):
-        """Matrix counts of the stacks handed to ``numpy.linalg.cond``, one
-        entry per (batched) SVD."""
-        sizes = []
-        cond = np.linalg.cond
-
-        def counted(x, *args, **kwargs):
-            sizes.append(int(np.prod(np.shape(x)[:-2])))
-            return cond(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cond", counted)
-        return sizes
-
-    def test_single_matrix_costs_one_svd(self, rng, svd_stacks):
-        check_cond(random_hpd(rng, 3), ValueError, "M")
-        assert svd_stacks == [1]
+    def test_certified_matrix_costs_no_svd(self, rng, svd_stacks):
+        M = random_hpd(rng, 3)
+        assert np.array_equal(check_cond(M, ValueError, "M"), np.linalg.inv(M))
+        assert svd_stacks == []
         with pytest.raises(ValueError, match=r"^condition number of M is inf"):
             check_cond(np.zeros((2, 2)), ValueError, "M")
+        assert svd_stacks == [1]
 
-    def test_stack_is_one_svd_over_the_finite_matrices(self, rng, svd_stacks):
+    def test_stack_svd_covers_the_undecided_finite_matrices(self, rng, svd_stacks):
         stack = np.stack([random_hpd(rng, 2) for _ in range(5)])
+        check_cond_stack(stack, ValueError, lambda i: f"matrix {i}")
+        assert svd_stacks == []
         stack[1, 0, 0] = np.nan
+        stack[4] = np.diag([1.0, 0.5 / DEFAULT_POLICY.cond_limit])   # near the limit
+        with pytest.raises(ValueError, match=r"^condition number of matrix 1 is nan"):
+            check_cond_stack(stack, ValueError, lambda i: f"matrix {i}")
+        assert svd_stacks == [1]
+        # an exactly singular matrix fails the batched inverse: every finite
+        # matrix goes to the SVD
         stack[4] = [[1.0, 1.0], [1.0, 1.0]]
         with pytest.raises(ValueError, match=r"^condition number of matrix 1 is nan"):
             check_cond_stack(stack, ValueError, lambda i: f"matrix {i}")
-        assert svd_stacks == [4]
+        assert svd_stacks == [1, 4]
 
     def test_first_failure_in_stack_order_is_named(self, rng):
         stack = np.stack([random_hpd(rng, 2) for _ in range(4)])
@@ -276,7 +287,9 @@ class TestCheckCond:
 
     def test_failed_svd_names_the_failing_matrix(self, rng, monkeypatch):
         """A LinAlgError from the batched SVD is resolved matrix by matrix, so
-        the matrix whose SVD fails is named, not the first of the stack."""
+        the matrix whose SVD fails is named, not the first of the stack. The
+        marked matrix has cond = cond_limit / 2, which the certificate leaves
+        to the SVD."""
         cond = np.linalg.cond
 
         def fails_on_marked(x, *args, **kwargs):
@@ -286,7 +299,7 @@ class TestCheckCond:
 
         monkeypatch.setattr(np.linalg, "cond", fails_on_marked)
         stack = np.stack([random_hpd(rng, 2) for _ in range(4)])
-        stack[2, 0, 0] = 7.0
+        stack[2] = np.diag([7.0, 14.0 / DEFAULT_POLICY.cond_limit])
         with pytest.raises(ValueError, match=r"^condition number of matrix 2 is nan"):
             check_cond_stack(stack, ValueError, lambda i: f"matrix {i}")
         with pytest.raises(ValueError, match=r"^condition number of M is nan"):
@@ -299,8 +312,92 @@ class TestCheckCond:
         assert passes(values, 1.0, limit).tolist() == [True, True, False, False, False]
         assert [failure(v, 1.0, "x", limit) is None for v in values] == [True, True, False, False, False]
 
+    def test_passing_stack_returns_its_inverses(self, rng):
+        stack = np.stack([random_hpd(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+        inv = check_cond_stack(stack, ValueError, lambda i: f"matrix {i}")
+        assert inv.shape == stack.shape
+        assert np.array_equal(inv, np.linalg.inv(stack))
+
     def test_non_finite_reads_as_numpy_cond(self):
         with pytest.raises(ValueError, match=r"is inf"):
             check_cond(np.array([[np.inf, 0.0], [0.0, 1.0]]), ValueError, "M")
         with pytest.raises(ValueError, match=r"is nan"):
             check_cond(np.array([[np.nan]]), ValueError, "M")
+
+
+def with_cond(rng, n, cond):
+    """U diag(1, ..., 1/cond) V* for random unitary U and V."""
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return (U * np.geomspace(1.0, 1.0 / cond, n)) @ V.conj().T
+
+
+def exact_gate(M, exc, name):
+    """The gate judged by ``cond_stack`` alone, one SVD per matrix."""
+    check_stack([(dz.linalg.cond_stack(M), 1.0, exc, lambda i: f"condition number of {name(i)}",
+                  DEFAULT_POLICY.cond_limit)])
+
+
+def outcome(gate, M):
+    """What ``gate`` raises on M, as (type, message, index, measured, allowed)
+    with the two numbers in hex, so that NaN compares equal; None when it
+    passes."""
+    try:
+        gate(M, ValueError, lambda i: f"matrix {i}")
+    except ValueError as err:
+        return type(err), str(err), err.index, err.measured.hex(), err.allowed.hex()
+    return None
+
+
+class TestCondThreshold:
+    """The inverse certificate of ``check_cond_stack`` against the exact SVD
+    gate, with one matrix of each stack at cond = cond_limit (1 +- 10^-k)
+    among well-conditioned, non-finite and exactly singular ones."""
+
+    @staticmethod
+    def stack(rng, n, cond, mix):
+        members = [with_cond(rng, n, 10.0), with_cond(rng, n, cond), with_cond(rng, n, 1e3)]
+        if mix in ("non-finite", "singular"):
+            members += [np.full((n, n), np.nan), np.diag(np.full(n, np.inf))]
+        if mix == "singular":
+            members.append(np.ones((n, n)))
+        return np.stack(members).astype(complex)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("mix", ["clean", "non-finite", "singular"])
+    def test_verdict_matches_exact_gate(self, rng, svd_stacks, n, k, side, mix):
+        M = self.stack(rng, n, DEFAULT_POLICY.cond_limit * (1 + side * 10.0 ** -k), mix)
+        want = outcome(exact_gate, M)
+        svd_stacks.clear()
+        assert outcome(check_cond_stack, M) == want
+        if k <= 2:
+            assert (want is None) == (side < 0 and mix == "clean")
+        finite = int(np.isfinite(M).all(axis=(1, 2)).sum())
+        # only the matrix near the limit is left undecided, unless the
+        # singular member fails the batched inverse
+        assert svd_stacks == [finite if mix == "singular" else 1]
+
+    def test_certified_stack_returns_exact_inverses(self, rng, svd_stacks):
+        conds = (1.0, 1e3, 1e8, DEFAULT_POLICY.cond_limit / 12)
+        M = np.stack([with_cond(rng, 3, c) for c in conds])
+        assert np.array_equal(check_cond_stack(M, ValueError, str), np.linalg.inv(M))
+        assert svd_stacks == []
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_failed_inverse_takes_the_exact_path(self, rng, svd_stacks, monkeypatch, k):
+        def fails(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "inv", fails)
+        for side in (1, -1):
+            M = self.stack(rng, 3, DEFAULT_POLICY.cond_limit * (1 + side * 10.0 ** -k), "clean")
+            want = outcome(exact_gate, M)
+            svd_stacks.clear()
+            if want is None:
+                # the gate passes, and the inverses it cannot return raise
+                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                    check_cond_stack(M, ValueError, str)
+            else:
+                assert outcome(check_cond_stack, M) == want
+            assert svd_stacks == [len(M)]

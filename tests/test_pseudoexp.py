@@ -6,6 +6,7 @@ import pytest
 
 import diracszego as dz
 from diracszego.errors import (
+    FloatOverflow,
     IdentityViolated,
     InvariantViolated,
     ModulusMismatch,
@@ -207,6 +208,16 @@ class TestExplicitFundamental:
         with pytest.raises(ValueError):
             dz.explicit_fundamental(ex41_params, 0, 1 - 1j)
 
+    def test_overflowing_power_fails_its_gate(self):
+        """(1 + 1000)^120 is past the largest double: a gate failure, not
+        Python's bare OverflowError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatOverflow, match=r"^\(1 -\+ i/lambda\)\^120 overflows") as info:
+                dz.explicit_fundamental(dz.example41_params(1, 1, 1), 120, -1e-3j)
+        assert info.value.measured == np.inf
+        assert info.value.allowed == np.finfo(float).max
+
 
 class TestExplicitWeyl:
     def test_zero_psi_gives_zero(self):
@@ -257,6 +268,42 @@ class TestExplicitWeyl:
         lam = np.array([-1j, 2 - 1j, 1 + 1j, 3 + 0j])
         with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
             dz.explicit_weyl(ex41_params, lam)
+
+
+class TestScalarAndBatchOfOne:
+    """A scalar lambda, a batch of one and a member of a longer batch pass
+    the same gate and multiply by the same inverse: the same bits."""
+
+    LAMS = np.array([1 - 1j, -2j, 3 - 0.5j, 0.25 - 4j])
+
+    def assert_same_bits(self, fn):
+        batch = fn(self.LAMS)
+        for i, lam in enumerate(self.LAMS):
+            scalar = fn(lam)
+            assert np.array_equal(scalar, fn(np.array([lam]))[0])
+            assert np.array_equal(scalar, batch[i])
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 2)])
+    def test_explicit_weyl(self, rng, n, p):
+        params = dz.random_bdt_parameters(rng, n, p, normalized=True)
+        self.assert_same_bits(lambda lam: dz.explicit_weyl(params, lam))
+
+    def test_realization_value(self):
+        rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
+                                PhiT=np.array([[1.0]]), PsiT=np.array([[1.0]]))
+        self.assert_same_bits(rz.value)
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 2)])
+    def test_herglotz_map(self, rng, n, p):
+        phi = dz.explicit_weyl(dz.random_bdt_parameters(rng, n, p, normalized=True), self.LAMS)
+        batch = dz.herglotz_map(phi)
+        eye = np.eye(p)
+        for i, value in enumerate(phi):
+            single = dz.herglotz_map(value)
+            assert np.array_equal(single, dz.herglotz_map(phi[i:i + 1])[0])
+            assert np.array_equal(single, batch[i])
+            # the gate's inverse is numpy.linalg.inv's: the bits of the explicit formula
+            assert np.array_equal(single, -1j * (eye - value) @ np.linalg.inv(eye + value))
 
 
 class TestExplicitPartialSum:
