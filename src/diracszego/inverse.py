@@ -8,8 +8,9 @@ S(r) (B_r P_r^{-1} is the last block column of S(r)^{-1}), which the block
 Levinson engine of ``linalg`` yields one r at a time: with Y_r = B_r* Pi(r),
 beta(r)* beta(r) = Y_r* P_r^{-1} Y_r, and Y_r J Y_r* = P_r is the
 J-normalization. Both recursions cost O(N^2 p^3). Also houses the structural
-Lyapunov self-test, Toeplitz positivity, FFT-based coefficient extraction for
-rational Weyl functions, and the two-system uniqueness check.
+Lyapunov self-test, Toeplitz positivity, the exact Taylor blocks of a rational
+Weyl function from its state-space realization (one n x n inverse and N
+products with a contraction, no sampling), and the two-system uniqueness check.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     DiracSzegoError,
     InvariantViolated,
     Phi1Mismatch,
+    ResolventSingular,
     SingularLeadingBlock,
     SingularVMinus,
     ToeplitzNotPD,
@@ -31,9 +33,8 @@ from .errors import (
 from .linalg import (SignatureContext, _block_stack, _rank_p_factor_gates, block_levinson,
                      block_toeplitz, check_cond, check_cond_stack, min_eig, norm_stack)
 from .policy import DEFAULT_POLICY, check, check_stack, failure
-from .pseudoexp import BdtParameters, WeylRealization, explicit_weyl
-from .system import PotentialSequence, herglotz_map
-from .szego import cayley_lambda_of_z
+from .pseudoexp import BdtParameters, WeylRealization, _weyl_state_space
+from .system import PotentialSequence
 
 __all__ = [
     "TaylorSequence",
@@ -54,11 +55,10 @@ __all__ = [
 class TaylorSequence:
     """Blocks alpha_0..alpha_N of the Weyl function in the Cayley variable,
     one read-only (N+1, p, p) array (at p = 1 a sequence of scalars is also
-    accepted); ``rational_taylor`` also records its truncation error estimate."""
+    accepted)."""
 
     p: int
     alpha: np.ndarray = field(repr=False)
-    truncation_estimate: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _block_stack(self.alpha, (self.p, self.p), "alpha"))
@@ -286,49 +286,65 @@ def toeplitz_positivity(alpha: TaylorSequence) -> list[float]:
     return [min_eig(S[:(r + 1) * alpha.p, :(r + 1) * alpha.p]) for r in range(alpha.N + 1)]
 
 
-def rational_taylor(source, N: int, radius: float = 0.5, samples: int = 512) -> TaylorSequence:
-    """Taylor coefficients of a rational Weyl function by circle sampling.
+def rational_taylor(source, N: int) -> TaylorSequence:
+    """Taylor blocks alpha_0..alpha_N of a rational Weyl function, exactly
+    from its realization.
 
-    ``source`` is either parameter matrices or a realization; its
-    identity-convention Weyl function is evaluated on |z| = radius, mapped to
-    the K convention, and the blocks of i phi_K(lambda(z)) are extracted by
-    discrete Fourier sums. The magnitude of the (N+1)-th block times the
-    radius estimates the truncation error.
+    ``source`` gives phi_I(lambda) = c (A_x - lambda I)^{-1} b: for
+    ``BdtParameters`` (S0 > 0 required) A_x = A + i Psi Psi* S0^{-1},
+    c = -i Phi* S0^{-1} and b = Psi; for a ``WeylRealization`` A_x = theta,
+    c = -i PhiT* and b = PsiT. By Woodbury the K-convention function is
 
-    All samples go through one call of the Weyl function and one of
-    ``herglotz_map``, each gating its whole stack: every A_x - lambda I (or
-    theta - lambda I) is judged before any I + phi_I, and the first failing
-    sample of the first failing gate is named. A gate failure or a
-    non-finite value raises ``AnalyticityViolation``; N >= samples - 1, ``ValueError``.
+        i phi_K = (I - phi_I)(I + phi_I)^{-1} = I - 2 c (A_2 - lambda I)^{-1} b,
+        A_2 = A_x + b c,
+
+    and with lambda = i (z + 1) / (z - 1), M = A_2 + i I and T = I - 2i M^{-1}
+    (so (A_2 - lambda I)^{-1} = (1 - z) M^{-1} (I - z T)^{-1}) its blocks are
+
+        alpha_0 = I - 2 c M^{-1} b,   alpha_k = 4i c M^{-1} T^{k-1} M^{-1} b  (k >= 1):
+
+    one ``check_cond`` on M, whose inverse is M^{-1}, then N products of
+    n x n by n x p. No block is a difference of nearby terms.
+
+    Stability: A_2 S0 - S0 A_2* = i (Phi - Psi)(Phi - Psi)* >= 0 (S0 = I,
+    Phi = PhiT, Psi = PsiT for a realization), so B = S0^{-1/2} A_2 S0^{1/2}
+    has B - B* = i D with D >= 0. Then ||(B + iI)^{-1}||_2 <= 1, hence
+    cond_2(M) <= ||M||_2 cond_2(S0)^{1/2} and the gate passes every valid
+    source short of that norm reaching cond_limit; and the Cayley transform
+    S0^{-1/2} T S0^{1/2} = (B - iI)(B + iI)^{-1} of the dissipative B is a
+    contraction (Sz.-Nagy & Foias, Harmonic Analysis of Operators on Hilbert
+    Space, ch. IV), so ||T^k||_2 <= cond_2(S0)^{1/2} for every k and the loop
+    cannot grow.
+
+    S0 not > 0 and a failing gate raise ``AnalyticityViolation`` chained from
+    the original error, as does a non-finite block; any other source raises
+    ``TypeError``.
     """
-    if N >= samples - 1:
-        raise ValueError(f"N must be below samples - 1 = {samples - 1}; got N = {N}")
-    if isinstance(source, BdtParameters):
-        p = source.ctx.p
-        phi_i = lambda lam: explicit_weyl(source, lam)
-    elif isinstance(source, WeylRealization):
-        p = source.ctx.p
-        phi_i = source.value
-    else:
-        raise TypeError("source must be BdtParameters or WeylRealization")
-    # a real angle: dividing a complex array by ``samples`` would round
-    # differently from the scalar 2j pi m / samples
-    z = radius * np.exp(1j * (2 * np.pi * np.arange(samples) / samples))
-    lam = cayley_lambda_of_z(z)
     try:
-        vals = 1j * herglotz_map(phi_i(lam))
+        if isinstance(source, BdtParameters):
+            A_x, c, b = _weyl_state_space(source)
+        elif isinstance(source, WeylRealization):
+            A_x, c, b = source.theta, -1j * source.PhiT.conj().T, source.PsiT
+        else:
+            raise TypeError("source must be BdtParameters or WeylRealization")
+        n, p = b.shape
+        M_inv = check_cond(A_x + b @ c + 1j * np.eye(n), ResolventSingular, "A_x + b c + i I")
     except (DiracSzegoError, np.linalg.LinAlgError) as exc:
         raise AnalyticityViolation(
-            f"Weyl function could not be evaluated on the sample circle |z|={radius}: {exc}"
-        ) from exc
-    finite = np.isfinite(vals).all(axis=(1, 2))
+            f"the Weyl function has no Taylor expansion at z = 0: {exc}") from exc
+    T = np.eye(n) - 2j * M_inv
+    cM = c @ M_inv
+    y = M_inv @ b                                   # T^{k-1} M^{-1} b at step k
+    alpha = np.empty((N + 1, p, p), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha[0] = np.eye(p) - 2 * c @ y
+        for k in range(1, N + 1):
+            alpha[k] = 4j * cM @ y
+            y = T @ y
+    finite = np.isfinite(alpha).all(axis=(1, 2))
     if not finite.all():
-        raise AnalyticityViolation(
-            f"pole detected on the sample circle at z={z[np.argmin(finite)]}")
-    spectrum = np.fft.fft(vals, axis=0) / samples  # coefficient k at index k
-    alpha = [spectrum[k] / radius**k for k in range(N + 1)]
-    tail = np.linalg.norm(spectrum[N + 1] / radius ** (N + 1)) * radius
-    return TaylorSequence(p=p, alpha=alpha, truncation_estimate=float(tail))
+        raise AnalyticityViolation(f"Taylor block alpha_{np.argmin(finite)} is not finite")
+    return TaylorSequence(p=p, alpha=alpha)
 
 
 def borg_marchenko_check(sysA: PotentialSequence, sysB: PotentialSequence, N: int,

@@ -140,12 +140,14 @@ def generate(params: BdtParameters, N: int):
     (Pi, S) of ``_stacks``, Pi_k and S_k for k = 0..N+1.
 
     C_k = I + Pi_k* S_k^{-1} Pi_k - Pi_{k+1}* S_{k+1}^{-1} Pi_{k+1}, every
-    S_k^{-1} Pi_k by one stacked solve after one ``check_cond_stack``. With
-    S0 > 0 every S_k and C_k is positive definite and the output passes
-    ``system.validate``.
+    S_k^{-1} Pi_k by one stacked solve. With S0 > 0 every S_k and C_k is
+    positive definite and the output passes ``system.validate``; there
+    min_eig(S_k) > tau_pd max(||S_k||_F, 1) bounds cond_2(S_k) by
+    1/tau_pd < cond_limit, so only S0 not > 0 takes one ``check_cond_stack``.
     """
     Pi, S = _stacks(params, N + 2)
-    check_cond_stack(S, SingularS, lambda k: f"S_{k}")
+    if not params.s0_positive:
+        check_cond_stack(S, SingularS, lambda k: f"S_{k}")
     terms = Pi.conj().transpose(0, 2, 1) @ np.linalg.solve(S, Pi)
     C = np.eye(params.ctx.m, dtype=complex) + terms[:-1] - terms[1:]
     return PotentialSequence(ctx=params.ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2), (Pi, S)
@@ -209,6 +211,16 @@ def explicit_fundamental(params: BdtParameters, k: int, lam: complex) -> np.ndar
     return w_k @ np.diag(np.repeat(powers, p)) @ w_0_inv
 
 
+def _weyl_state_space(params: BdtParameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A_x, c, b) with phi_I(lambda) = c (A_x - lambda I)^{-1} b: A_x = A + i Psi Psi* S0^{-1},
+    c = -i Phi* S0^{-1}, b = Psi. Requires S0 > 0, else ``NotPositiveDefinite``."""
+    if not params.s0_positive:
+        raise NotPositiveDefinite("the Weyl function requires S0 > 0")
+    S0_inv = np.linalg.inv(params.S0)
+    Across = params.A + 1j * params.Psi @ params.Psi.conj().T @ S0_inv
+    return Across, -1j * params.Phi.conj().T @ S0_inv, params.Psi
+
+
 def explicit_weyl(params: BdtParameters, lam) -> np.ndarray:
     """Identity-convention Weyl function of the generated system:
 
@@ -221,12 +233,8 @@ def explicit_weyl(params: BdtParameters, lam) -> np.ndarray:
     call. Each A_x - lambda I passes the ``cond_limit`` gate, else
     ``ResolventSingular`` names the first failing lambda.
     """
-    if not params.s0_positive:
-        raise NotPositiveDefinite("the Weyl function requires S0 > 0")
-    S0_inv = np.linalg.inv(params.S0)
-    Across = params.A + 1j * params.Psi @ params.Psi.conj().T @ S0_inv
-    X = _resolvent_solve(Across, lam, params.Psi, "A_x", "a pole of the Weyl function")
-    return -1j * params.Phi.conj().T @ S0_inv @ X
+    Across, c, b = _weyl_state_space(params)
+    return c @ _resolvent_solve(Across, lam, b, "A_x", "a pole of the Weyl function")
 
 
 def explicit_partial_sum(params: BdtParameters, lam: complex, r: int) -> np.ndarray:

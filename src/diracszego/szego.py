@@ -27,18 +27,27 @@ from .policy import DEFAULT_POLICY, check_stack
 from .system import PotentialSequence
 
 
-def _rotate(U: np.ndarray, R: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """One step U (i j R) of the accumulated rotation, followed by the
-    first-order projection back onto the j-unitary manifold: V (I - E/2)
-    with V = U (i j R) and E = j V* j V - I.
+def _rotate(U: np.ndarray, ijR: np.ndarray, flip: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """One step U (i j R) of the accumulated rotation, given ijR = i j R,
+    followed by the first-order projection back onto the j-unitary manifold:
+    V (I - E/2) with V = U (i j R) and E = j V* j V - I. j V* j is V* with the
+    sign pattern ``flip`` = (s_a s_b) of j = diag(s) applied, exact, so a step
+    is three products, with the bits of the six-product form.
 
     ``dirac_to_szego`` needs it: R_k comes from U_k* C_k U_k, so a drift off
     the manifold feeds back, doubles per step and stops the conversion near
     k = 20. Where the R_k are given the projection only adds rounding.
     """
-    V = U @ (1j * j @ R)
-    E = j @ V.conj().T @ j @ V - np.eye(V.shape[0])
-    return V @ (np.eye(V.shape[0]) - E / 2)
+    V = U @ ijR
+    E = flip * V.conj().T @ V - eye
+    return V @ (eye - E / 2)
+
+
+def _signs(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constants of ``_rotate`` for j = diag(s): s as a column, which
+    forms i j R exactly as ``1j * (s * R)``, the sign pattern (s_a s_b), and I."""
+    s = j.diagonal().real
+    return s[:, None], np.outer(s, s), np.eye(len(s))
 
 
 __all__ = [
@@ -97,19 +106,22 @@ class SchurCoefficients:
 def u_rotation(sz_R, ctx: SignatureContext, k: int) -> np.ndarray:
     """Accumulated factor U_k = (i j R_0) ... (i j R_{k-1}), U_0 = I,
     reprojected after every step like the form conversions."""
-    U = np.eye(ctx.m, dtype=complex)
+    rows, flip, eye = _signs(ctx.j)
+    U = eye.astype(complex)
     for r in range(k):
-        U = _rotate(U, sz_R[r], ctx.j)
+        U = _rotate(U, 1j * (rows * sz_R[r]), flip, eye)
     return U
 
 
 def szego_to_dirac(sz: SzegoSequence) -> PotentialSequence:
     """Dirac coefficients C_k = (U_k*)^{-1} R_k^2 U_k^{-1}, one stacked product."""
     ctx, j = sz.ctx, sz.ctx.j
+    rows, flip, eye = _signs(j)
+    ijR = 1j * (rows * sz.R)
     U = np.empty_like(sz.R)
-    U[0] = np.eye(ctx.m)
+    U[0] = eye
     for k in range(1, len(U)):
-        U[k] = _rotate(U[k - 1], sz.R[k - 1], j)
+        U[k] = _rotate(U[k - 1], ijR[k - 1], flip, eye)
     # U is j-unitary, so its inverse is available exactly as j U* j
     Uinv = j @ U.conj().transpose(0, 2, 1) @ j
     C = Uinv.conj().transpose(0, 2, 1) @ (sz.R @ sz.R) @ Uinv
@@ -138,7 +150,8 @@ def dirac_to_szego(sys: PotentialSequence) -> SzegoSequence:
     C = sys.C
     U, M, R = np.empty_like(C), np.empty_like(C), np.empty_like(C)
     low = np.empty(len(C))                      # smallest eigenvalue of each Hermitian part
-    u, error = np.eye(ctx.m, dtype=complex), None
+    rows, flip, eye = _signs(j)
+    u, error = eye.astype(complex), None
     # the steps after a failing one may run on NaN or inf; that step's gate raises first
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(len(C)):
@@ -152,7 +165,7 @@ def dirac_to_szego(sys: PotentialSequence) -> SzegoSequence:
                 break
             r = (V * np.sqrt(w)) @ V.conj().T
             R[k], low[k] = (r + r.conj().T) / 2, w[0]
-            u = _rotate(u, R[k], j)
+            u = _rotate(u, 1j * (rows * R[k]), flip, eye)
     n = k + 1
     U, M, R, C, low = U[:n], M[:n], R[:n], C[:n], low[:n]
     H = (M + M.conj().transpose(0, 2, 1)) / 2

@@ -41,6 +41,17 @@ def random_schur(rng, N, max_modulus=0.6):
     return dz.SchurCoefficients(rho=tuple(mod * np.exp(1j * arg)))
 
 
+def indefinite_s0_params(rng, n=3, p=1):
+    """A valid parameter triple whose S0 is indefinite: A is built from S0 as
+    in ``random_bdt_parameters``, so the parameter identity holds."""
+    ctx = dz.SignatureContext(p=p)
+    S0 = np.diag([1.0] + [-1.0] * (n - 1)).astype(complex)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Pi0 = 0.4 * (rng.standard_normal((n, 2 * p)) + 1j * rng.standard_normal((n, 2 * p)))
+    A = ((X + X.conj().T) / 2 + 0.5j * Pi0 @ ctx.j @ Pi0.conj().T) @ np.linalg.inv(S0)
+    return dz.BdtParameters(ctx=ctx, A=A, S0=S0, Pi0=Pi0)
+
+
 def disk_taylor(sys, pair, N, radius=0.5, samples=256):
     """Taylor blocks of i * phi(lambda(z)) on |z| = radius for the disk
     Weyl function produced by ``pair``."""
@@ -55,10 +66,11 @@ def disk_taylor(sys, pair, N, radius=0.5, samples=256):
 
 
 def loop_rational_taylor(source, N, radius=0.5, samples=512):
-    """``rational_taylor`` one sample at a time: a scalar Weyl-function call,
-    ``herglotz_map`` and finiteness check per point of the circle. The library
-    evaluates all samples in one batched pass; this loop is kept only as the
-    reference the equivalence tests compare against."""
+    """Taylor blocks of i phi_K(lambda(z)) by sampling, one point at a time: a
+    scalar Weyl-function call, ``herglotz_map`` and finiteness check per point
+    of the circle |z| = radius, then one FFT. An oracle independent of the
+    state-space formula of ``rational_taylor``; its error grows about like
+    radius^-k, so compare at small N only."""
     p = source.ctx.p
     if isinstance(source, dz.BdtParameters):
         phi_i = lambda lam: dz.explicit_weyl(source, lam)
@@ -77,9 +89,7 @@ def loop_rational_taylor(source, N, radius=0.5, samples=512):
             raise AnalyticityViolation(f"pole detected on the sample circle at z={z}")
         vals[mth] = f
     spectrum = np.fft.fft(vals, axis=0) / samples
-    alpha = [spectrum[k] / radius**k for k in range(N + 1)]
-    tail = np.linalg.norm(spectrum[N + 1] / radius ** (N + 1)) * radius
-    return dz.TaylorSequence(p=p, alpha=tuple(alpha), truncation_estimate=float(tail))
+    return dz.TaylorSequence(p=p, alpha=tuple(spectrum[k] / radius**k for k in range(N + 1)))
 
 
 def max_block_dev(seq_a, seq_b):
@@ -274,6 +284,15 @@ def loop_inverse_potentials(alpha):
     return dz.PotentialSequence(ctx=ctx, C=tuple(C))
 
 
+def six_product_rotate(U, R, j):
+    """The rotation step U (i j R), reprojected as V (I - E/2) with
+    E = j V* j V - I, written with j as a matrix: six products, where
+    ``szego._rotate`` applies j as a sign pattern in three, with the same bits."""
+    V = U @ (1j * j @ R)
+    E = j @ V.conj().T @ j @ V - np.eye(V.shape[0])
+    return V @ (np.eye(V.shape[0]) - E / 2)
+
+
 def loop_szego_to_dirac(sz):
     """``szego_to_dirac`` with C_k formed at step k inside the rotation loop."""
     ctx = sz.ctx
@@ -284,7 +303,7 @@ def loop_szego_to_dirac(sz):
         Uinv = j @ U.conj().T @ j
         Ck = Uinv.conj().T @ (R @ R) @ Uinv
         C.append((Ck + Ck.conj().T) / 2)
-        U = dz.szego._rotate(U, R, j)
+        U = six_product_rotate(U, R, j)
     return dz.PotentialSequence(ctx=ctx, C=tuple(C))
 
 
@@ -311,7 +330,7 @@ def loop_dirac_to_szego(sys):
             theta = 1.0
         R_out.append(R)
         theta_out.append(theta)
-        U = dz.szego._rotate(U, R, j)
+        U = six_product_rotate(U, R, j)
     return dz.SzegoSequence(ctx=ctx, R=tuple(R_out), theta=tuple(theta_out))
 
 

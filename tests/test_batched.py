@@ -225,6 +225,18 @@ class TestBatchedGateErrors:
                 dz.dirac_to_szego(broken)
         assert info.value.index == 3
 
+    def test_overflowing_steps_after_a_failing_one(self, system8):
+        """C_3 = 1e150 I fails R j R = j; the rotation after it grows to about
+        1e225, so U_k* C_k U_k overflows from k = 4 on. The step and gate
+        named are the per-step loop's, with the six-product rotation."""
+        broken = self.replaced(system8, C3=1e150 * np.eye(4, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the gates' norms overflow
+            err = same_error(lambda: dz.dirac_to_szego(broken),
+                             lambda: loop_dirac_to_szego(broken))
+        assert isinstance(err, InvariantViolated) and err.index == 3
+        assert str(err).startswith("R_3 j R_3 - j residual")
+
     @pytest.mark.parametrize("fail_at, C1", [(4, None), (4, "indefinite"), (0, None)])
     def test_eigensolver_error_after_the_gates_before_it(self, system8, monkeypatch,
                                                          fail_at, C1):

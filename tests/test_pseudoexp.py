@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import diracszego as dz
+from diracszego import pseudoexp
 from diracszego.errors import (
     FloatOverflow,
     IdentityViolated,
@@ -14,6 +15,7 @@ from diracszego.errors import (
     ResolventSingular,
     SingularS,
 )
+from conftest import indefinite_s0_params
 
 TRIPLES = ((1.0, 1.0, 1.0), (2.0, 1.0, 1j), (-0.5, np.exp(1j * np.pi / 5), 1.0))
 LAMBDAS = (1 - 1j, -2j, 3 - 0.5j)
@@ -119,6 +121,41 @@ class TestGenerate:
             with pytest.raises(SingularS, match=r"^S_1014 overflows") as info:
                 dz.generate(ex41_params, 1013)
         assert info.value.index == 1014
+
+    @pytest.fixture
+    def cond_gates(self, monkeypatch):
+        calls = []
+        gate = pseudoexp.check_cond_stack
+
+        def counted(*args):
+            calls.append(args[1])
+            return gate(*args)
+
+        monkeypatch.setattr(pseudoexp, "check_cond_stack", counted)
+        return calls
+
+    def test_no_cond_gate_when_s0_is_positive(self, rng, cond_gates):
+        """With S0 > 0, min_eig(S_k) > tau_pd max(||S_k||_F, 1) in the recursion
+        already bounds cond_2(S_k) by 1/tau_pd < cond_limit."""
+        dz.generate(dz.random_bdt_parameters(rng, 3, 2), 12)
+        dz.generate(dz.example41_params(1.0, 1.0, 1.0), 200)
+        assert cond_gates == []
+
+    def test_one_cond_gate_when_s0_is_not_positive(self, rng, cond_gates):
+        params = indefinite_s0_params(rng, 3, 2)
+        assert not params.s0_positive
+        assert dz.generate(params, 6)[0].N == 6
+        assert cond_gates == [SingularS]
+
+    def test_singular_s0_fails_the_cond_gate(self):
+        """S0 = diag(1, 0) with A = [[1 + i, 1], [0, 2]], Phi = (sqrt 2, 0),
+        Psi = 0 satisfies A S0 - S0 A* = i Pi0 j Pi0*; S_0 is singular."""
+        params = dz.BdtParameters(ctx=dz.SignatureContext(p=1),
+                                  A=np.array([[1 + 1j, 1], [0, 2]]), S0=np.diag([1.0, 0.0]),
+                                  Pi0=np.array([[np.sqrt(2), 0], [0, 0]]))
+        with pytest.raises(SingularS, match=r"^condition number of S_0 is inf") as info:
+            dz.generate(params, 4)
+        assert info.value.index == 0
 
     def test_closed_form_family_is_junitary(self):
         j = np.diag([1.0, -1.0])

@@ -9,7 +9,7 @@ from diracszego.errors import (
     NotPositiveDefinite,
     PoleAtInput,
 )
-from conftest import random_schur
+from conftest import random_schur, six_product_rotate
 
 
 class TestSchurCoefficients:
@@ -75,6 +75,22 @@ class TestConversionBijection:
         broken = dz.PotentialSequence(ctx=trivial_system.ctx, C=tuple(C))
         with pytest.raises(NotPositiveDefinite):
             dz.dirac_to_szego(broken)
+
+
+class TestRotationStep:
+    """The rotation step applies j as a sign pattern in three products and
+    keeps the bits of the six-product form j V* j V. ``szego_to_dirac``'s C
+    and ``dirac_to_szego``'s R are pinned by ``TestBatchedEquivalence``,
+    whose per-step references rotate with the six-product form."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_u_rotation_bits(self, p):
+        sz = dz.random_szego_sequence(np.random.default_rng(10 + p), p, 128, 0.1)
+        U = [np.eye(2 * p, dtype=complex)]
+        for R in sz.R:
+            U.append(six_product_rotate(U[-1], R, sz.ctx.j))
+        for k in (0, 1, 17, 129):
+            assert np.array_equal(dz.szego.u_rotation(sz.R, sz.ctx, k), U[k])
 
 
 class TestRandomSequence:
