@@ -33,8 +33,6 @@ from .system import (
 from .szego import (
     SchurCoefficients,
     SzegoSequence,
-    cayley_lambda_of_z,
-    cayley_z_of_lambda,
     dirac_to_szego,
     random_szego_sequence,
     schur_coeffs,

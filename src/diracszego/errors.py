@@ -56,10 +56,6 @@ class IdentityViolated(DiracSzegoError):
     pass
 
 
-class SingularS(DiracSzegoError):
-    pass
-
-
 class ResolventSingular(DiracSzegoError):
     pass
 

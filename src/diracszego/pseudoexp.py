@@ -8,6 +8,7 @@ used as an oracle throughout the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,11 +20,10 @@ from .errors import (
     ModulusMismatch,
     NotPositiveDefinite,
     ResolventSingular,
-    SingularS,
     SingularW0,
 )
 from .linalg import (SignatureContext, check_cond, check_cond_stack, herm_residual, hermitian_sqrt,
-                     min_eig, min_eig_stack, norm_stack)
+                     min_eig, norm_stack)
 from .policy import DEFAULT_POLICY, check, check_stack
 from .system import PotentialSequence
 
@@ -83,74 +83,74 @@ class BdtParameters:
     def Psi(self) -> np.ndarray:
         return self.Pi0[:, self.ctx.p:]
 
+    @cached_property
+    def _s0_min_eig(self) -> float:
+        """min_eig(S0), taken once, on first use."""
+        return min_eig(self.S0)
+
     @property
     def s0_positive(self) -> bool:
-        return min_eig(self.S0) > 0
+        return self._s0_min_eig > 0
 
 
-def _norm(M: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, taken from it divided by its
-    largest modulus: finite while the matrix is, NaN with a NaN or inf entry."""
-    top = np.abs(M).max(axis=(-2, -1))
-    return top * norm_stack(M / np.where(top > 0, top, 1.0)[..., None, None])
+def _states(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generating recursion Pi_{k+1} = Pi_k + i A^{-1} Pi_k j,
+    S_{k+1} = S_k + A^{-1} (S_k + Pi_k Pi_k*) A^{-*}, carried where S_k = I:
+    with S_k = L_k L_k*, A_k = L_k^{-1} A L_k and Phi_k = L_k^{-1} Pi_k for
+    k = 0..count-1, as read-only (count, n, n) and (count, n, 2p) stacks;
+    Pi_k* S_k^{-1} Pi_k = Phi_k* Phi_k.
 
+    Requires min_eig(S0) > tau_pd max(||S0||_F, 1) (``NotPositiveDefinite``).
+    From L_0 = chol(S0) a step is (L_{k+1} = L_k M)
 
-def _stacks(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pi_k and S_k, k = 0..count-1, as a read-only (count, n, 2p) and a
-    read-only Hermitian (count, n, n) stack. The recursion runs first, on inf
-    and NaN past the floating-point range; one ``check_stack`` then judges at
-    each k: S_k is finite (``SingularS``, "S_k overflows"), the step identity
-    A S_k - S_k A* = i Pi_k j Pi_k* at the scale 2 ||A|| ||S_k|| + ||Pi_k||^2
-    (``IdentityViolated``), and, when S0 > 0, min_eig(S_k) > tau_pd
-    max(||S_k||, 1): S_k > 0 exactly, but min_eig(S_k) / ||S_k|| can decay
-    geometrically, and below tau_pd S_k is singular to working precision
-    (``SingularS``). The norms are overflow-safe (``_norm``)."""
-    A, j = params.A, params.ctx.j
-    Ainv = np.linalg.inv(A)
-    Pi = np.empty((count,) + params.Pi0.shape, dtype=complex)
-    S = np.empty((count,) + params.S0.shape, dtype=complex)
-    Pi[0], S[0] = params.Pi0, params.S0
+        X = A_k^{-1} Phi_k,   M = chol(I + A_k^{-1} A_k^{-*} + X X*),
+        Phi_{k+1} = M^{-1} (Phi_k + i X j),   A_{k+1} = M^{-1} A_k M.
+
+    The matrix under the root is >= I, so M exists and M^{-1} is a
+    contraction. No S_k is formed: it overflows and turns singular to working
+    precision while A_k and Phi_k stay bounded. A_k^{-1} is taken afresh at
+    each step, with X by one solve against [I Phi_k], because the update
+    M^{-1} A_k^{-1} M drifts and overflows. Past the floating-point range the
+    loop runs on inf and NaN without a warning; one ``check_stack`` then
+    judges A_k - A_k* = i Phi_k j Phi_k* at the scale 2 ||A_k|| + ||Phi_k||^2
+    (``IdentityViolated``)."""
+    check(-params._s0_min_eig, max(np.linalg.norm(params.S0), 1.0), NotPositiveDefinite,
+          "the generating recursion requires S0 > 0: -min_eig(S0)", -DEFAULT_POLICY.tau_pd)
+    n, eye, j = params.n, np.eye(params.n), params.ctx.j
+    L = np.linalg.cholesky(params.S0)
+    state = np.empty((count, n, n + params.ctx.m), dtype=complex)     # [A_k Phi_k]
+    state[0] = np.linalg.solve(L, np.hstack([params.A @ L, params.Pi0]))
+    rhs = np.hstack([eye, params.Pi0])                                # [I Phi_k]
+    ij = 1j * j.diagonal()                                            # X j = X * diag(j)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(count - 1):
-            Pi[k + 1] = Pi[k] + 1j * Ainv @ Pi[k] @ j
-            S_next = (S[k] + Ainv @ S[k] @ Ainv.conj().T
-                      + Ainv @ (Pi[k] @ Pi[k].conj().T) @ Ainv.conj().T)
-            S[k + 1] = (S_next + S_next.conj().T) / 2
-        part = np.abs(S.view(float))   # a NaN part reads inf in the overflow gate
-        norm_s = _norm(S)
-        step = A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().transpose(0, 2, 1)
-        gates = [(np.where(np.isnan(part), np.inf, part).max(axis=(1, 2)), np.finfo(float).max,
-                  SingularS, lambda k: f"S_{k} overflows: its largest real or imaginary part", 1.0),
-                 (_norm(step), 2 * _norm(A) * norm_s + _norm(Pi) ** 2, IdentityViolated,
-                  lambda k: f"step identity residual at k={k}", DEFAULT_POLICY.tau)]
-        if params.s0_positive:
-            lo = min_eig_stack(S)
-            gates.append((-lo, np.maximum(norm_s, 1.0), SingularS,
-                          lambda k: f"S_{k} is singular to working precision (min_eig/||S_k|| = "
-                          f"{lo[k] / norm_s[k]:.1e}); precision is exhausted: -min_eig(S_{k})",
-                          -DEFAULT_POLICY.tau_pd))
-        check_stack(gates)
-    S[0] = (S[0] + S[0].conj().T) / 2
-    Pi.flags.writeable = S.flags.writeable = False
-    return Pi, S
+            A_k = state[k, :, :n]
+            rhs[:, n:] = state[k, :, n:]
+            Y = np.linalg.solve(A_k, rhs)                             # [A_k^{-1} X]
+            M = np.linalg.cholesky(eye + Y @ Y.conj().T)
+            state[k + 1] = np.linalg.solve(M, np.hstack([A_k @ M, rhs[:, n:] + Y[:, n:] * ij]))
+        state.flags.writeable = False
+        A, Phi = state[..., :n], state[..., n:]
+        check_stack([(norm_stack(A - A.conj().transpose(0, 2, 1)
+                                 - 1j * Phi @ j @ Phi.conj().transpose(0, 2, 1)),
+                      2 * norm_stack(A) + norm_stack(Phi) ** 2, IdentityViolated,
+                      lambda k: f"step identity residual at k={k}", DEFAULT_POLICY.tau)])
+    return A, Phi
 
 
 def generate(params: BdtParameters, N: int):
-    """Pseudo-exponential potentials C_0..C_N with the recursion stacks
-    (Pi, S) of ``_stacks``, Pi_k and S_k for k = 0..N+1.
+    """Pseudo-exponential potentials C_0..C_N with the normalized recursion
+    stacks (A, Phi) of ``_states``, A_k and Phi_k for k = 0..N+1.
 
-    C_k = I + Pi_k* S_k^{-1} Pi_k - Pi_{k+1}* S_{k+1}^{-1} Pi_{k+1}, every
-    S_k^{-1} Pi_k by one stacked solve. With S0 > 0 every S_k and C_k is
-    positive definite and the output passes ``system.validate``; there
-    min_eig(S_k) > tau_pd max(||S_k||_F, 1) bounds cond_2(S_k) by
-    1/tau_pd < cond_limit, so only S0 not > 0 takes one ``check_cond_stack``.
+    C_k = I + T_k - T_{k+1} with T_k = Pi_k* S_k^{-1} Pi_k = Phi_k* Phi_k, so
+    the difference cancels at the scale of ||T_k||, with no cond(S_k) factor.
+    Requires S0 > 0 (``NotPositiveDefinite``); then every C_k is positive
+    definite and the output passes ``system.validate``.
     """
-    Pi, S = _stacks(params, N + 2)
-    if not params.s0_positive:
-        check_cond_stack(S, SingularS, lambda k: f"S_{k}")
-    terms = Pi.conj().transpose(0, 2, 1) @ np.linalg.solve(S, Pi)
-    C = np.eye(params.ctx.m, dtype=complex) + terms[:-1] - terms[1:]
-    return PotentialSequence(ctx=params.ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2), (Pi, S)
+    A, Phi = _states(params, N + 2)
+    T = Phi.conj().transpose(0, 2, 1) @ Phi
+    C = np.eye(params.ctx.m, dtype=complex) + T[:-1] - T[1:]
+    return PotentialSequence(ctx=params.ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2), (A, Phi)
 
 
 def normalize(params: BdtParameters) -> BdtParameters:
@@ -178,15 +178,14 @@ def _resolvent_solve(M: np.ndarray, lam, B: np.ndarray, name: str, why: str) -> 
 
 
 def transfer(params: BdtParameters, k: int, lam: complex) -> np.ndarray:
-    """Transfer matrix function w_A(k, lambda) = I - i j Pi_k* S_k^{-1} (A - lambda I)^{-1} Pi_k,
-    after the generating recursion has run to k and passed its gates (``_stacks``)."""
+    """Transfer matrix function w_A(k, lambda) = I - i j Pi_k* S_k^{-1} (A - lambda I)^{-1} Pi_k
+    = I - i j Phi_k* (A_k - lambda I)^{-1} Phi_k, after the normalized recursion
+    has run to k and passed its gates (``_states``). Requires S0 > 0."""
     if k < 0:
         raise ValueError(f"step index {k} is negative")
-    Pi, S = (stack[k] for stack in _stacks(params, k + 1))
-    X = _resolvent_solve(params.A, lam, Pi, "A", "near the spectrum of A")
-    check_cond(S, SingularS, f"S_{k}")
-    Y = np.linalg.solve(S, X)
-    return np.eye(params.ctx.m, dtype=complex) - 1j * params.ctx.j @ Pi.conj().T @ Y
+    A, Phi = (stack[k] for stack in _states(params, k + 1))
+    X = _resolvent_solve(A, lam, Phi, f"A_{k}", "near the spectrum of A")
+    return np.eye(params.ctx.m, dtype=complex) - 1j * params.ctx.j @ Phi.conj().T @ X
 
 
 def explicit_fundamental(params: BdtParameters, k: int, lam: complex) -> np.ndarray:
@@ -260,8 +259,6 @@ def explicit_partial_sum(params: BdtParameters, lam: complex, r: int) -> np.ndar
     """
     if lam.imag >= 0:
         raise ValueError("partial Weyl sums are evaluated in the open lower half-plane")
-    if not params.s0_positive:
-        raise NotPositiveDefinite("the Weyl function requires S0 > 0")
     p = params.ctx.p
     j = params.ctx.j
     w_next = transfer(params, r + 1, lam)
@@ -376,10 +373,10 @@ def random_bdt_parameters(rng: np.random.Generator, n: int, p: int,
 
     so A S0 - S0 A* = i Pi0 j Pi0* exactly, for every draw. The identity is
     invariant under (A, S0, Pi0) -> (c A, S0, sqrt(c) Pi0) for real c > 0;
-    that freedom is used to pin the smallest singular value of A at 1, which
-    keeps the generating recursion (driven by powers of A^{-1}) from blowing
-    up over the step counts the tests use. Ill-conditioned draws are
-    rejected, and 500 rejections in a row raise ``RuntimeError``.
+    that freedom is used to pin the smallest singular value of A at 1, so
+    ||A^{-1}||_2 = 1 and every draw's generating step, driven by A^{-1}, has
+    the same scale. Ill-conditioned draws are rejected, and 500 rejections in
+    a row raise ``RuntimeError``.
     """
     ctx = SignatureContext(p=p)
     j = ctx.j

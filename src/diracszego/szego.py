@@ -1,5 +1,5 @@
 """Conversion between the Dirac form and the block Szego recurrence, scalar
-Schur-coefficient extraction, and the two Cayley parameter maps.
+Schur-coefficient extraction, and the Szego-recurrence variable.
 
 The correspondence is a bijection on the subclass of Dirac systems with
 positive-definite coefficients. The accumulated rotation U_k is a product of
@@ -57,8 +57,6 @@ __all__ = [
     "dirac_to_szego",
     "schur_to_R",
     "schur_coeffs",
-    "cayley_lambda_of_z",
-    "cayley_z_of_lambda",
     "szego_z_of_lambda",
     "szego_solution_map",
     "u_rotation",
@@ -103,25 +101,28 @@ class SchurCoefficients:
         object.__setattr__(self, "rho", rho)
 
 
+def _rotations(R, j: np.ndarray, count: int) -> np.ndarray:
+    """U_0..U_{count-1} as one (count, m, m) stack, U_0 = I and
+    U_{k+1} = U_k (i j R_k) reprojected by ``_rotate``."""
+    rows, flip, eye = _signs(j)
+    ijR = 1j * (rows * np.asarray(R[:count - 1]))
+    U = np.empty((count,) + eye.shape, dtype=complex)
+    U[0] = eye
+    for k in range(1, count):
+        U[k] = _rotate(U[k - 1], ijR[k - 1], flip, eye)
+    return U
+
+
 def u_rotation(sz_R, ctx: SignatureContext, k: int) -> np.ndarray:
     """Accumulated factor U_k = (i j R_0) ... (i j R_{k-1}), U_0 = I,
     reprojected after every step like the form conversions."""
-    rows, flip, eye = _signs(ctx.j)
-    U = eye.astype(complex)
-    for r in range(k):
-        U = _rotate(U, 1j * (rows * sz_R[r]), flip, eye)
-    return U
+    return _rotations(sz_R, ctx.j, k + 1)[k]
 
 
 def szego_to_dirac(sz: SzegoSequence) -> PotentialSequence:
     """Dirac coefficients C_k = (U_k*)^{-1} R_k^2 U_k^{-1}, one stacked product."""
     ctx, j = sz.ctx, sz.ctx.j
-    rows, flip, eye = _signs(j)
-    ijR = 1j * (rows * sz.R)
-    U = np.empty_like(sz.R)
-    U[0] = eye
-    for k in range(1, len(U)):
-        U[k] = _rotate(U[k - 1], ijR[k - 1], flip, eye)
+    U = _rotations(sz.R, j, len(sz.R))
     # U is j-unitary, so its inverse is available exactly as j U* j
     Uinv = j @ U.conj().transpose(0, 2, 1) @ j
     C = Uinv.conj().transpose(0, 2, 1) @ (sz.R @ sz.R) @ Uinv
@@ -152,7 +153,8 @@ def dirac_to_szego(sys: PotentialSequence) -> SzegoSequence:
     low = np.empty(len(C))                      # smallest eigenvalue of each Hermitian part
     rows, flip, eye = _signs(j)
     u, error = eye.astype(complex), None
-    # the steps after a failing one may run on NaN or inf; that step's gate raises first
+    # the steps after a failing one may run on NaN or inf, and their gate norms
+    # overflow; that step's gate raises first
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(len(C)):
             U[k] = u
@@ -166,24 +168,24 @@ def dirac_to_szego(sys: PotentialSequence) -> SzegoSequence:
             r = (V * np.sqrt(w)) @ V.conj().T
             R[k], low[k] = (r + r.conj().T) / 2, w[0]
             u = _rotate(u, 1j * (rows * R[k]), flip, eye)
-    n = k + 1
-    U, M, R, C, low = U[:n], M[:n], R[:n], C[:n], low[:n]
-    H = (M + M.conj().transpose(0, 2, 1)) / 2
-    norm_c, norm_h = norm_stack(C), np.maximum(norm_stack(H), 1.0)
-    tau, tau_pd = DEFAULT_POLICY.tau, DEFAULT_POLICY.tau_pd
-    # float_power squares with libm pow, as ``norm ** 2`` of one matrix does
-    gates = [
-        (-min_eig_stack(C), np.maximum(norm_c, 1.0), NotPositiveDefinite,
-         lambda k: f"-min_eig(C_{k})", tau),
-        (norm_stack(M - M.conj().transpose(0, 2, 1)), np.float_power(norm_stack(U), 2) * norm_c,
-         NotHermitian, lambda k: f"asymmetry of U_{k}* C_{k} U_{k}", tau),
-        (norm_stack(H - H.conj().transpose(0, 2, 1)), norm_h, NotHermitian,
-         lambda k: "asymmetry", tau),
-        (-low, norm_h, NotPositiveDefinite, lambda k: "-min_eig", -tau_pd),
-        (norm_stack(R @ j @ R - j), np.float_power(norm_stack(R), 2) + norm_j,
-         InvariantViolated, lambda k: f"R_{k} j R_{k} - j residual", tau),
-    ]
-    check_stack(gates)
+        n = k + 1
+        U, M, R, C, low = U[:n], M[:n], R[:n], C[:n], low[:n]
+        H = (M + M.conj().transpose(0, 2, 1)) / 2
+        norm_c, norm_h = norm_stack(C), np.maximum(norm_stack(H), 1.0)
+        tau, tau_pd = DEFAULT_POLICY.tau, DEFAULT_POLICY.tau_pd
+        # float_power squares with libm pow, as ``norm ** 2`` of one matrix does
+        gates = [
+            (-min_eig_stack(C), np.maximum(norm_c, 1.0), NotPositiveDefinite,
+             lambda k: f"-min_eig(C_{k})", tau),
+            (norm_stack(M - M.conj().transpose(0, 2, 1)), np.float_power(norm_stack(U), 2) * norm_c,
+             NotHermitian, lambda k: f"asymmetry of U_{k}* C_{k} U_{k}", tau),
+            (norm_stack(H - H.conj().transpose(0, 2, 1)), norm_h, NotHermitian,
+             lambda k: "asymmetry", tau),
+            (-low, norm_h, NotPositiveDefinite, lambda k: "-min_eig", -tau_pd),
+            (norm_stack(R @ j @ R - j), np.float_power(norm_stack(R), 2) + norm_j,
+             InvariantViolated, lambda k: f"R_{k} j R_{k} - j residual", tau),
+        ]
+        check_stack(gates)
     if error is not None:
         raise error
     # sqrt(1 - |rho_k|^2) with scalar arithmetic: the array forms of abs and ** 2 round differently
@@ -229,26 +231,11 @@ def random_szego_sequence(rng, p: int, N: int, scale: float = 0.15) -> SzegoSequ
     return SzegoSequence(ctx=SignatureContext(p=p), R=R, theta=np.ones(N + 1))
 
 
-def cayley_lambda_of_z(z):
-    """Disk-to-half-plane map lambda(z) = i (z + 1) / (z - 1), elementwise on
-    a scalar or an array; any z == 1 raises ``PoleAtInput``."""
-    if np.any(z == 1):
-        raise PoleAtInput("lambda(z) has a pole at z = 1")
-    return 1j * (z + 1) / (z - 1)
-
-
-def cayley_z_of_lambda(lam: complex) -> complex:
-    """Half-plane-to-disk map z(lambda) = (lambda + i) / (lambda - i)."""
-    if lam == 1j:
-        raise PoleAtInput("z(lambda) has a pole at lambda = i")
-    return (lam + 1j) / (lam - 1j)
-
-
 def szego_z_of_lambda(lam: complex) -> complex:
     """The Szego-recurrence variable z = (1 + i lambda) / (1 - i lambda).
 
-    Distinct from ``cayley_z_of_lambda``; used only by the solution
-    transformation between the two system forms.
+    Distinct from the half-plane-to-disk Cayley map (lambda + i) / (lambda - i);
+    used only by the solution transformation between the two system forms.
     """
     if lam == -1j:
         raise PoleAtInput("the Szego variable has a pole at lambda = -i")

@@ -6,9 +6,9 @@ import scipy.linalg
 
 import diracszego as dz
 from diracszego.errors import (AnalyticityViolation, DiracSzegoError, IdentityViolated,
-                               InvariantViolated, NotHermitian, NotPositiveDefinite, RankMismatch,
-                               SingularS)
-from diracszego.linalg import check_cond, herm_residual, min_eig, pd_solve
+                               InvariantViolated, NotHermitian, NotPositiveDefinite, PoleAtInput,
+                               RankMismatch)
+from diracszego.linalg import herm_residual, min_eig, pd_solve
 from diracszego.policy import check, failure
 
 
@@ -52,6 +52,14 @@ def indefinite_s0_params(rng, n=3, p=1):
     return dz.BdtParameters(ctx=ctx, A=A, S0=S0, Pi0=Pi0)
 
 
+def cayley_lambda_of_z(z):
+    """Disk-to-half-plane map lambda(z) = i (z + 1) / (z - 1), elementwise on
+    a scalar or an array; any z == 1 raises ``PoleAtInput``."""
+    if np.any(z == 1):
+        raise PoleAtInput("lambda(z) has a pole at z = 1")
+    return 1j * (z + 1) / (z - 1)
+
+
 def disk_taylor(sys, pair, N, radius=0.5, samples=256):
     """Taylor blocks of i * phi(lambda(z)) on |z| = radius for the disk
     Weyl function produced by ``pair``."""
@@ -59,7 +67,7 @@ def disk_taylor(sys, pair, N, radius=0.5, samples=256):
     vals = np.empty((samples, p, p), dtype=complex)
     for m in range(samples):
         z = radius * np.exp(2j * np.pi * m / samples)
-        lam = dz.cayley_lambda_of_z(z)
+        lam = cayley_lambda_of_z(z)
         vals[m] = 1j * dz.weyl_disk_eval(sys, pair, lam)
     spectrum = np.fft.fft(vals, axis=0) / samples
     return [spectrum[k] / radius**k for k in range(N + 1)]
@@ -79,7 +87,7 @@ def loop_rational_taylor(source, N, radius=0.5, samples=512):
     vals = np.empty((samples, p, p), dtype=complex)
     for mth in range(samples):
         z = radius * np.exp(2j * np.pi * mth / samples)
-        lam = dz.cayley_lambda_of_z(z)
+        lam = cayley_lambda_of_z(z)
         try:
             f = 1j * dz.herglotz_map(phi_i(lam))
         except (DiracSzegoError, np.linalg.LinAlgError) as exc:
@@ -362,61 +370,54 @@ def loop_failures(rows):
     return [line for line in lines if line is not None]
 
 
-def _safe_norm(M):
-    """Frobenius norm of one matrix, taken from M over its largest modulus."""
-    top = np.abs(M).max()
-    if top == 0:
-        return 0.0
-    return float(top * np.linalg.norm(M / top))
-
-
 def loop_states(params, count):
-    """The generating recursion with each state's gates judged at its step,
-    stopping at the first failure with k set as the error's ``index``; the
-    states as a Pi stack and an S stack."""
+    """The generating recursion in its own coordinates, Pi_{k+1} =
+    Pi_k + i A^{-1} Pi_k j and S_{k+1} = S_k + A^{-1} (S_k + Pi_k Pi_k*) A^{-*},
+    one step at a time and ungated, past the floating-point range on inf and
+    NaN; the states as a Pi stack and an S stack."""
     A, j = params.A, params.ctx.j
     Ainv = np.linalg.inv(A)
-    Pi, S = params.Pi0, params.S0
-    pd_path = params.s0_positive
-    Pis, Ss = [], []
-    for k in range(count):
-        try:
-            if not np.isfinite(S).all():
-                raise SingularS(f"S_{k} overflows: its entries exceed the floating-point range")
-            norm_s = _safe_norm(S)
-            check(_safe_norm(A @ S - S @ A.conj().T - 1j * Pi @ j @ Pi.conj().T),
-                  2 * _safe_norm(A) * norm_s + _safe_norm(Pi) ** 2, IdentityViolated,
-                  f"step identity residual at k={k}")
-            if pd_path:
-                lo = min_eig(S)
-                check(-lo, max(norm_s, 1.0), SingularS,
-                      f"S_{k} is singular to working precision (min_eig/||S_k|| = "
-                      f"{lo / norm_s:.1e}); precision is exhausted: -min_eig(S_{k})",
-                      -dz.DEFAULT_POLICY.tau_pd)
-        except (SingularS, IdentityViolated) as err:
-            err.index = k
-            raise
-        Pis.append(Pi)
-        Ss.append((S + S.conj().T) / 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Pi_next = Pi + 1j * Ainv @ Pi @ j
+    Pis, Ss = [params.Pi0], [(params.S0 + params.S0.conj().T) / 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(count - 1):
+            Pi, S = Pis[-1], Ss[-1]
             S_next = S + Ainv @ S @ Ainv.conj().T + Ainv @ (Pi @ Pi.conj().T) @ Ainv.conj().T
-            Pi, S = Pi_next, (S_next + S_next.conj().T) / 2
+            Pis.append(Pi + 1j * Ainv @ Pi @ j)
+            Ss.append((S_next + S_next.conj().T) / 2)
     return np.array(Pis), np.array(Ss)
 
 
 def loop_generate(params, N):
-    """``generate`` on ``loop_states``, solving each S_k on its own: by
-    Cholesky when S0 > 0, else by LU after a condition check."""
+    """Potentials from ``loop_states``, C_k = I + T_k - T_{k+1} with
+    T_k = Pi_k* S_k^{-1} Pi_k, each S_k solved on its own by Cholesky. Its
+    rounding error is about eps cond(S_k) ||T_k||; S0 > 0 is assumed."""
     Pis, Ss = loop_states(params, N + 2)
-    terms = []
-    for Pi, S in zip(Pis, Ss):
-        if params.s0_positive:
-            X = pd_solve(S, Pi)
-        else:
-            check_cond(S, SingularS, "S_k")
-            X = np.linalg.solve(S, Pi)
-        terms.append(Pi.conj().T @ X)
+    terms = [Pi.conj().T @ pd_solve(S, Pi) for Pi, S in zip(Pis, Ss)]
     C = [np.eye(params.ctx.m) + terms[k] - terms[k + 1] for k in range(N + 1)]
     return (dz.PotentialSequence(ctx=params.ctx, C=tuple((c + c.conj().T) / 2 for c in C)),
             (Pis, Ss))
+
+
+def loop_normalized_states(params, count):
+    """``pseudoexp._states`` with the identity A_k - A_k* = i Phi_k j Phi_k*
+    judged at each step, stopping at the first failure with k set as the
+    error's ``index``; the states as an A stack and a Phi stack."""
+    j, n, eye = params.ctx.j, params.n, np.eye(params.n)
+    L = np.linalg.cholesky(params.S0)
+    A, Phi = np.split(np.linalg.solve(L, np.hstack([params.A @ L, params.Pi0])), [n], axis=1)
+    As, Phis = [], []
+    for k in range(count):
+        try:
+            check(np.linalg.norm(A - A.conj().T - 1j * Phi @ j @ Phi.conj().T),
+                  2 * np.linalg.norm(A) + np.linalg.norm(Phi) ** 2, IdentityViolated,
+                  f"step identity residual at k={k}")
+        except IdentityViolated as err:
+            err.index = k
+            raise
+        As.append(A)
+        Phis.append(Phi)
+        Y = np.linalg.solve(A, np.hstack([eye, Phi]))
+        M = np.linalg.cholesky(eye + Y @ Y.conj().T)
+        A, Phi = np.split(np.linalg.solve(M, np.hstack([A @ M, Phi + 1j * Y[:, n:] @ j])), [n],
+                          axis=1)
+    return np.array(As), np.array(Phis)

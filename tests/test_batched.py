@@ -15,7 +15,6 @@ from diracszego.errors import (
     NotPositiveDefinite,
     RankMismatch,
     SingularLeadingBlock,
-    SingularS,
     SingularVMinus,
 )
 from diracszego.policy import DEFAULT_POLICY
@@ -27,6 +26,7 @@ from conftest import (
     loop_failures,
     loop_generate,
     loop_inverse_potentials,
+    loop_normalized_states,
     loop_szego_to_dirac,
     loop_validate,
 )
@@ -230,10 +230,7 @@ class TestBatchedGateErrors:
         1e225, so U_k* C_k U_k overflows from k = 4 on. The step and gate
         named are the per-step loop's, with the six-product rotation."""
         broken = self.replaced(system8, C3=1e150 * np.eye(4, dtype=complex))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the gates' norms overflow
-            err = same_error(lambda: dz.dirac_to_szego(broken),
-                             lambda: loop_dirac_to_szego(broken))
+        err = same_error(lambda: dz.dirac_to_szego(broken), lambda: loop_dirac_to_szego(broken))
         assert isinstance(err, InvariantViolated) and err.index == 3
         assert str(err).startswith("R_3 j R_3 - j residual")
 
@@ -302,10 +299,10 @@ class TestBatchedGateErrors:
 
 
 class TestStackedGeneration:
-    """``generate`` runs the recursion into two stacks, judges every state in
-    one pass and forms every S_k^{-1} Pi_k by one stacked solve: the states
-    keep the per-step loop's bits, C_k its value up to rounding, and a failure
-    its type, message prefix and index."""
+    """``generate`` runs the normalized recursion into two stacks, judges
+    every state's identity in one pass and forms every C_k as one stacked
+    difference: the states keep the per-step loop's bits, and C_k agrees with
+    the recursion run in its own coordinates up to that recursion's rounding."""
 
     @staticmethod
     def draws():
@@ -319,35 +316,18 @@ class TestStackedGeneration:
 
     def test_states_bit_identical_and_potentials_to_rounding(self):
         for params, N in self.draws():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                sys_out, (Pi, S) = dz.generate(params, N)
-            ref_out, (ref_Pi, ref_S) = loop_generate(params, N)
-            assert len(Pi) == len(S) == N + 2
-            assert identical(Pi, ref_Pi)
-            assert identical(S, ref_S)
-            # C_k = I + T_k - T_{k+1} cancels: each solve's rounding is
-            # about eps cond(S_k) ||T_k||, T_k = Pi_k* S_k^{-1} Pi_k
+            sys_out, (A, Phi) = dz.generate(params, N)
+            ref_A, ref_Phi = loop_normalized_states(params, N + 2)
+            assert len(A) == len(Phi) == N + 2
+            assert identical(A, ref_A)
+            assert identical(Phi, ref_Phi)
+            # in its own coordinates C_k = I + T_k - T_{k+1} cancels: each
+            # solve's rounding is about eps cond(S_k) ||T_k||, T_k = Pi_k* S_k^{-1} Pi_k
+            ref_out, (Pi, S) = loop_generate(params, N)
             T = Pi.conj().transpose(0, 2, 1) @ np.linalg.solve(S, Pi)
             w = np.maximum(np.linalg.cond(S) * np.linalg.norm(T, axis=(1, 2)), 1.0)
             dev = np.linalg.norm(np.asarray(sys_out.C) - np.asarray(ref_out.C), axis=(1, 2))
             assert np.all(dev <= 1e-12 * np.maximum(w[:-1], w[1:]))
-
-    @pytest.mark.parametrize("params, N, k", [
-        (dz.random_bdt_parameters(np.random.default_rng(1), 3, 2, normalized=True), 120, 34),
-        (dz.example41_params(1.0, 1.0, 1.0), 1013, 1014),
-    ], ids=["singular-to-working-precision", "overflow"])
-    def test_failure_matches_per_step_loop(self, params, N, k):
-        with pytest.raises(SingularS) as expected:
-            loop_generate(params, N)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SingularS) as got:
-                dz.generate(params, N)
-        assert got.value.index == expected.value.index == k
-        prefix = str(expected.value).split(":")[0]
-        assert prefix.startswith(f"S_{k} ") and str(got.value).split(":")[0] == prefix
-        assert got.value.measured > got.value.allowed
 
 
 class TestBatchedCallCount:

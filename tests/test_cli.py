@@ -10,6 +10,7 @@ import pytest
 import diracszego as dz
 from diracszego import io
 from diracszego.cli import main
+from conftest import indefinite_s0_params
 
 
 def run(args):
@@ -49,6 +50,16 @@ class TestGenerate:
         out = tmp_path / "sys.json"
         assert run(["generate", "--params", ppath, "--steps", "4",
                     "--out", out]) == 0
+
+
+    def test_params_with_s0_not_positive_exit_2(self, tmp_path, capsys):
+        params = indefinite_s0_params(np.random.default_rng(0))
+        ppath, out = tmp_path / "params.json", tmp_path / "sys.json"
+        io.write_doc(str(ppath), io.bdt_params_to_doc(params))
+        assert run(["generate", "--params", ppath, "--steps", "4", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the generating recursion requires S0 > 0")
+        assert err.count("\n") == 1 and not out.exists()
 
 
 class TestPipeline:

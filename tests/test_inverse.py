@@ -15,8 +15,8 @@ from diracszego.errors import (
     SingularLeadingBlock,
     ToeplitzNotPD,
 )
-from conftest import (disk_taylor, indefinite_s0_params, loop_rational_taylor, max_block_dev,
-                      random_schur)
+from conftest import (cayley_lambda_of_z, disk_taylor, indefinite_s0_params, loop_rational_taylor,
+                      max_block_dev, random_schur)
 
 
 class TestStructuredA:
@@ -310,7 +310,7 @@ class TestStackedSolveRightHandSide:
     broadcasts B alike under both rules, and any solve it makes passes an
     unambiguous b."""
 
-    LAMS = dz.cayley_lambda_of_z(0.5 * np.exp(2j * np.pi * np.arange(512) / 512))
+    LAMS = cayley_lambda_of_z(0.5 * np.exp(2j * np.pi * np.arange(512) / 512))
 
     @pytest.fixture
     def unambiguous_solve(self, monkeypatch):
