@@ -27,6 +27,7 @@ from conftest import (
     loop_generate,
     loop_inverse_potentials,
     loop_normalized_states,
+    loop_states,
     loop_szego_to_dirac,
     loop_validate,
 )
@@ -328,6 +329,30 @@ class TestStackedGeneration:
             w = np.maximum(np.linalg.cond(S) * np.linalg.norm(T, axis=(1, 2)), 1.0)
             dev = np.linalg.norm(np.asarray(sys_out.C) - np.asarray(ref_out.C), axis=(1, 2))
             assert np.all(dev <= 1e-12 * np.maximum(w[:-1], w[1:]))
+
+    @pytest.mark.parametrize("params, N, k", [
+        (dz.random_bdt_parameters(np.random.default_rng(1), 3, 2, normalized=True), 120, 34),
+        (dz.example41_params(1.0, 1.0, 1.0), 1013, 1014),
+    ], ids=["singular-to-working-precision", "overflow"])
+    def test_failure_matches_per_step_loop(self, params, N, k):
+        """At step k the recursion in its own coordinates fails: S_k is
+        singular to working precision, or overflows. The normalized recursion
+        runs past it, and the stacked run keeps the per-step loop's bits
+        there, without a warning."""
+        S = loop_states(params, k + 1)[1]
+        if np.isfinite(S[k]).all():
+            low = np.linalg.eigvalsh(S)[:, 0] / np.linalg.norm(S, axis=(1, 2))
+            assert low[k] < DEFAULT_POLICY.tau_pd < low[k - 1]
+        else:
+            assert np.isfinite(S[k - 1]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys_out, (A, Phi) = dz.generate(params, N)
+        ref_A, ref_Phi = loop_normalized_states(params, N + 2)
+        assert len(A) == len(Phi) == N + 2 > k
+        assert identical(A, ref_A)
+        assert identical(Phi, ref_Phi)
+        assert dz.validate(sys_out).passed
 
 
 class TestBatchedCallCount:
