@@ -288,12 +288,9 @@ def toeplitz_positivity(alpha: TaylorSequence) -> list[float]:
 
 def rational_taylor(source, N: int) -> TaylorSequence:
     """Taylor blocks alpha_0..alpha_N of a rational Weyl function, exactly
-    from its realization.
-
-    ``source`` gives phi_I(lambda) = c (A_x - lambda I)^{-1} b: for
-    ``BdtParameters`` (S0 > 0 required) A_x = A + i Psi Psi* S0^{-1},
-    c = -i Phi* S0^{-1} and b = Psi; for a ``WeylRealization`` A_x = theta,
-    c = -i PhiT* and b = PsiT. By Woodbury the K-convention function is
+    from its realization phi_I(lambda) = c (A_x - lambda I)^{-1} b with S0 = I,
+    c = -i PhiT* and b = PsiT (``pseudoexp._weyl_state_space``; parameters
+    need S0 > 0). By Woodbury the K-convention function is
 
         i phi_K = (I - phi_I)(I + phi_I)^{-1} = I - 2 c (A_2 - lambda I)^{-1} b,
         A_2 = A_x + b c,
@@ -306,27 +303,21 @@ def rational_taylor(source, N: int) -> TaylorSequence:
     one ``check_cond`` on M, whose inverse is M^{-1}, then N products of
     n x n by n x p. No block is a difference of nearby terms.
 
-    Stability: A_2 S0 - S0 A_2* = i (Phi - Psi)(Phi - Psi)* >= 0 (S0 = I,
-    Phi = PhiT, Psi = PsiT for a realization), so B = S0^{-1/2} A_2 S0^{1/2}
-    has B - B* = i D with D >= 0. Then ||(B + iI)^{-1}||_2 <= 1, hence
-    cond_2(M) <= ||M||_2 cond_2(S0)^{1/2} and the gate passes every valid
-    source short of that norm reaching cond_limit; and the Cayley transform
-    S0^{-1/2} T S0^{1/2} = (B - iI)(B + iI)^{-1} of the dissipative B is a
-    contraction (Sz.-Nagy & Foias, Harmonic Analysis of Operators on Hilbert
-    Space, ch. IV), so ||T^k||_2 <= cond_2(S0)^{1/2} for every k and the loop
-    cannot grow.
+    Stability: A_2 - A_2* = i (PhiT - PsiT)(PhiT - PsiT)* >= 0, so
+    ||M^{-1}||_2 <= 1 (cond_2(M) <= ||M||_2: the gate passes every valid source
+    short of that norm reaching cond_limit), and T = (A_2 - iI)(A_2 + iI)^{-1}
+    is the Cayley transform of a dissipative matrix, a contraction (Sz.-Nagy
+    & Foias, Harmonic Analysis of Operators on Hilbert Space, ch. IV): the
+    loop cannot grow.
 
     S0 not > 0 and a failing gate raise ``AnalyticityViolation`` chained from
     the original error, as does a non-finite block; any other source raises
     ``TypeError``.
     """
+    if not isinstance(source, (BdtParameters, WeylRealization)):
+        raise TypeError("source must be BdtParameters or WeylRealization")
     try:
-        if isinstance(source, BdtParameters):
-            A_x, c, b = _weyl_state_space(source)
-        elif isinstance(source, WeylRealization):
-            A_x, c, b = source.theta, -1j * source.PhiT.conj().T, source.PsiT
-        else:
-            raise TypeError("source must be BdtParameters or WeylRealization")
+        A_x, c, b = _weyl_state_space(source)
         n, p = b.shape
         M_inv = check_cond(A_x + b @ c + 1j * np.eye(n), ResolventSingular, "A_x + b c + i I")
     except (DiracSzegoError, np.linalg.LinAlgError) as exc:

@@ -22,8 +22,7 @@ from .errors import (
     ResolventSingular,
     SingularW0,
 )
-from .linalg import (SignatureContext, check_cond, check_cond_stack, herm_residual, hermitian_sqrt,
-                     min_eig, norm_stack)
+from .linalg import SignatureContext, check_cond, check_cond_stack, min_eig, norm_stack
 from .policy import DEFAULT_POLICY, check, check_stack
 from .system import PotentialSequence
 
@@ -41,6 +40,19 @@ __all__ = [
     "example41_params",
     "random_bdt_parameters",
 ]
+
+
+def _norm(M: np.ndarray) -> float:
+    """Frobenius norm of ``M``, finite wherever it is representable: scaled by
+    the largest modulus first, as ``numpy.linalg.norm`` squares entries."""
+    big = float(np.abs(M).max(initial=0.0))
+    return big * float(np.linalg.norm(M / big)) if 0 < big < np.inf else big
+
+
+def _cholesky_gauge(A: np.ndarray, S0: np.ndarray, Pi0: np.ndarray) -> np.ndarray:
+    """L^{-1} [A L, Pi0] with S0 = L L*, for a positive definite S0."""
+    L = np.linalg.cholesky(S0)
+    return np.linalg.solve(L, np.hstack([A @ L, Pi0]))
 
 
 @dataclass(frozen=True)
@@ -63,9 +75,10 @@ class BdtParameters:
         if A.shape != (n, n) or S0.shape != (n, n) or Pi0.shape != (n, self.ctx.m):
             raise ValueError("inconsistent parameter shapes")
         check_cond(A, ValueError, "A, which must be invertible,")
-        scale = max(np.linalg.norm(A) * np.linalg.norm(S0), np.linalg.norm(Pi0) ** 2, 1.0)
-        check(herm_residual(S0), scale, IdentityViolated, "asymmetry of S0")
-        check(np.linalg.norm(A @ S0 - S0 @ A.conj().T - 1j * Pi0 @ self.ctx.j @ Pi0.conj().T),
+        norm_pi = _norm(Pi0)
+        scale = max(_norm(A) * _norm(S0), norm_pi * norm_pi, 1.0)
+        check(_norm(S0 - S0.conj().T), scale, IdentityViolated, "asymmetry of S0")
+        check(_norm(A @ S0 - S0 @ A.conj().T - 1j * Pi0 @ self.ctx.j @ Pi0.conj().T),
               scale, IdentityViolated, "parameter identity residual")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "S0", S0)
@@ -84,13 +97,22 @@ class BdtParameters:
         return self.Pi0[:, self.ctx.p:]
 
     @cached_property
-    def _s0_min_eig(self) -> float:
-        """min_eig(S0), taken once, on first use."""
-        return min_eig(self.S0)
+    def _normal(self) -> np.ndarray:
+        """Normal form L^{-1} [A L, Pi0], S0 = L L*, formed once after the one S0 > 0
+        gate, min_eig(S0) > tau_pd max(||S0||_F, 1); else ``NotPositiveDefinite``, at each use."""
+        check(-min_eig(self.S0), max(_norm(self.S0), 1.0), NotPositiveDefinite,
+              "the generating recursion requires S0 > 0: -min_eig(S0)", -DEFAULT_POLICY.tau_pd)
+        normal = _cholesky_gauge(self.A, self.S0, self.Pi0)
+        normal.flags.writeable = False
+        return normal
 
     @property
     def s0_positive(self) -> bool:
-        return self._s0_min_eig > 0
+        """Whether S0 passes the gate of the normal form."""
+        try:
+            return self._normal is not None
+        except NotPositiveDefinite:
+            return False
 
 
 def _states(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +122,8 @@ def _states(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
     k = 0..count-1, as read-only (count, n, n) and (count, n, 2p) stacks;
     Pi_k* S_k^{-1} Pi_k = Phi_k* Phi_k.
 
-    Requires min_eig(S0) > tau_pd max(||S0||_F, 1) (``NotPositiveDefinite``).
-    From L_0 = chol(S0) a step is (L_{k+1} = L_k M)
+    From the normal form ``BdtParameters._normal`` (L_0 = chol(S0); S0 > 0
+    required) a step is (L_{k+1} = L_k M)
 
         X = A_k^{-1} Phi_k,   M = chol(I + A_k^{-1} A_k^{-*} + X X*),
         Phi_{k+1} = M^{-1} (Phi_k + i X j),   A_{k+1} = M^{-1} A_k M.
@@ -114,12 +136,9 @@ def _states(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
     loop runs on inf and NaN without a warning; one ``check_stack`` then
     judges A_k - A_k* = i Phi_k j Phi_k* at the scale 2 ||A_k|| + ||Phi_k||^2
     (``IdentityViolated``)."""
-    check(-params._s0_min_eig, max(np.linalg.norm(params.S0), 1.0), NotPositiveDefinite,
-          "the generating recursion requires S0 > 0: -min_eig(S0)", -DEFAULT_POLICY.tau_pd)
     n, eye, j = params.n, np.eye(params.n), params.ctx.j
-    L = np.linalg.cholesky(params.S0)
-    state = np.empty((count, n, n + params.ctx.m), dtype=complex)     # [A_k Phi_k]
-    state[0] = np.linalg.solve(L, np.hstack([params.A @ L, params.Pi0]))
+    state = np.empty((count,) + params._normal.shape, dtype=complex)   # [A_k Phi_k]
+    state[0] = params._normal
     rhs = np.hstack([eye, params.Pi0])                                # [I Phi_k]
     ij = 1j * j.diagonal()                                            # X j = X * diag(j)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -154,15 +173,11 @@ def generate(params: BdtParameters, N: int):
 
 
 def normalize(params: BdtParameters) -> BdtParameters:
-    """Equivalent parameters with S0 = I: (S0^{-1/2} A S0^{1/2}, I, S0^{-1/2} Pi0)."""
-    root = hermitian_sqrt(params.S0)
-    root_inv = np.linalg.inv(root)
-    return BdtParameters(
-        ctx=params.ctx,
-        A=root_inv @ params.A @ root,
-        S0=np.eye(params.n, dtype=complex),
-        Pi0=root_inv @ params.Pi0,
-    )
+    """Equivalent parameters with S0 = I in the Cholesky gauge, S0 = L L*:
+    (L^{-1} A L, I, L^{-1} Pi0), the normal form every S0 > 0 path starts from."""
+    n = params.n
+    return BdtParameters(ctx=params.ctx, A=params._normal[:, :n],
+                         S0=np.eye(n, dtype=complex), Pi0=params._normal[:, n:])
 
 
 def _resolvent_solve(M: np.ndarray, lam, B: np.ndarray, name: str, why: str) -> np.ndarray:
@@ -210,30 +225,29 @@ def explicit_fundamental(params: BdtParameters, k: int, lam: complex) -> np.ndar
     return w_k @ np.diag(np.repeat(powers, p)) @ w_0_inv
 
 
-def _weyl_state_space(params: BdtParameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A_x, c, b) with phi_I(lambda) = c (A_x - lambda I)^{-1} b: A_x = A + i Psi Psi* S0^{-1},
-    c = -i Phi* S0^{-1}, b = Psi. Requires S0 > 0, else ``NotPositiveDefinite``."""
-    if not params.s0_positive:
-        raise NotPositiveDefinite("the Weyl function requires S0 > 0")
-    S0_inv = np.linalg.inv(params.S0)
-    Across = params.A + 1j * params.Psi @ params.Psi.conj().T @ S0_inv
-    return Across, -1j * params.Phi.conj().T @ S0_inv, params.Psi
+def _weyl_state_space(source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A_x, c, b) = (theta, -i PhiT*, PsiT) of a ``WeylRealization``, or of
+    ``BdtParameters`` in normal form (S0 = L L*; S0 > 0 required): PhiT = L^{-1} Phi,
+    PsiT = L^{-1} Psi and theta = L^{-1} A L + i PsiT PsiT*."""
+    if isinstance(source, WeylRealization):
+        theta, PhiT, PsiT = source.theta, source.PhiT, source.PsiT
+    else:
+        A_0, PhiT, PsiT = np.split(source._normal, [source.n, source.n + source.ctx.p], axis=1)
+        theta = A_0 + 1j * PsiT @ PsiT.conj().T
+    return theta, -1j * PhiT.conj().T, PsiT
 
 
 def explicit_weyl(params: BdtParameters, lam) -> np.ndarray:
-    """Identity-convention Weyl function of the generated system:
-
-        phi_I(lambda) = -i Phi* S0^{-1} (A_x - lambda I)^{-1} Psi,
-        A_x = A + i Psi Psi* S0^{-1}.
-
+    """Identity-convention Weyl function of the generated system,
+    phi_I(lambda) = -i Phi* S0^{-1} (A + i Psi Psi* S0^{-1} - lambda I)^{-1} Psi,
+    evaluated as ``WeylRealization.value`` of the normal form (``_weyl_state_space``).
     Requires S0 > 0; strictly contractive in the open lower half-plane.
     ``lam`` is a scalar, giving a p x p value, or a 1-D array of s points,
-    giving an (s, p, p) stack; S0 > 0, S0^{-1} and A_x are formed once per
-    call. Each A_x - lambda I passes the ``cond_limit`` gate, else
-    ``ResolventSingular`` names the first failing lambda.
+    giving an (s, p, p) stack. Each A_x - lambda I passes the ``cond_limit``
+    gate, else ``ResolventSingular`` names the first failing lambda.
     """
-    Across, c, b = _weyl_state_space(params)
-    return c @ _resolvent_solve(Across, lam, b, "A_x", "a pole of the Weyl function")
+    A_x, c, b = _weyl_state_space(params)
+    return c @ _resolvent_solve(A_x, lam, b, "A_x", "a pole of the Weyl function")
 
 
 def explicit_partial_sum(params: BdtParameters, lam: complex, r: int) -> np.ndarray:
@@ -290,10 +304,9 @@ class WeylRealization:
         p = self.ctx.p
         if theta.shape != (n, n) or PhiT.shape != (n, p) or PsiT.shape != (n, p):
             raise ValueError("inconsistent realization shapes")
-        scale = max(np.linalg.norm(theta), np.linalg.norm(PhiT) ** 2,
-                    np.linalg.norm(PsiT) ** 2, 1.0)
-        check(np.linalg.norm(theta - theta.conj().T
-                             - 1j * (PhiT @ PhiT.conj().T + PsiT @ PsiT.conj().T)),
+        norm_phi, norm_psi = _norm(PhiT), _norm(PsiT)
+        scale = max(_norm(theta), norm_phi * norm_phi, norm_psi * norm_psi, 1.0)
+        check(_norm(theta - theta.conj().T - 1j * (PhiT @ PhiT.conj().T + PsiT @ PsiT.conj().T)),
               scale, InvariantViolated, "realization identity residual")
         check_cond(theta - 1j * PsiT @ PsiT.conj().T, InvariantViolated,
                    "theta - i PsiT PsiT*, which must be invertible,")
@@ -310,20 +323,15 @@ class WeylRealization:
         scalar ``lam`` (p x p) or a 1-D array of s points ((s, p, p)). Each
         theta - lambda I passes the ``cond_limit`` gate, else
         ``ResolventSingular`` names the first failing lambda."""
-        X = _resolvent_solve(self.theta, lam, self.PsiT, "theta",
-                             "a pole of the realized function")
-        return -1j * self.PhiT.conj().T @ X
+        theta, c, b = _weyl_state_space(self)
+        return c @ _resolvent_solve(theta, lam, b, "theta", "a pole of the realized function")
 
 
 def realization_to_params(rz: WeylRealization) -> BdtParameters:
     """Inverse problem from a realization: A = theta - i PsiT PsiT*, S0 = I,
     Pi0 = [PhiT PsiT]. The generated system has Weyl function ``rz.value``."""
-    return BdtParameters(
-        ctx=rz.ctx,
-        A=rz.theta - 1j * rz.PsiT @ rz.PsiT.conj().T,
-        S0=np.eye(rz.n, dtype=complex),
-        Pi0=np.hstack([rz.PhiT, rz.PsiT]),
-    )
+    return BdtParameters(ctx=rz.ctx, A=rz.theta - 1j * rz.PsiT @ rz.PsiT.conj().T,
+                         S0=np.eye(rz.n, dtype=complex), Pi0=np.hstack([rz.PhiT, rz.PsiT]))
 
 
 def example41_params(a: float, Phi: complex, Psi: complex) -> BdtParameters:
@@ -332,12 +340,9 @@ def example41_params(a: float, Phi: complex, Psi: complex) -> BdtParameters:
         raise ValueError("a must be real and nonzero")
     check(abs(abs(Phi) - abs(Psi)), max(abs(Phi), 1.0), ModulusMismatch,
           "|Phi| must equal |Psi|: their difference")
-    return BdtParameters(
-        ctx=SignatureContext(p=1),
-        A=np.array([[a]], dtype=complex),
-        S0=np.array([[1.0]], dtype=complex),
-        Pi0=np.array([[Phi, Psi]], dtype=complex),
-    )
+    return BdtParameters(ctx=SignatureContext(p=1), A=np.array([[a]], dtype=complex),
+                         S0=np.array([[1.0]], dtype=complex),
+                         Pi0=np.array([[Phi, Psi]], dtype=complex))
 
 
 def example41(a: float, Phi: complex, Psi: complex, k: int):
@@ -386,12 +391,15 @@ def random_bdt_parameters(rng: np.random.Generator, n: int, p: int,
         X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         X = (X + X.conj().T) / 2
         Pi0 = 0.4 * (rng.standard_normal((n, 2 * p)) + 1j * rng.standard_normal((n, 2 * p)))
-        A = (X + 0.5j * Pi0 @ j @ Pi0.conj().T) @ np.linalg.inv(S0)
+        # A = Y S0^{-1} = (S0^{-1} Y*)* for Y = X + (i/2) Pi0 j Pi0* and Hermitian S0
+        A = np.linalg.solve(S0, (X - 0.5j * Pi0 @ j @ Pi0.conj().T)).conj().T
         sv = np.linalg.svd(A, compute_uv=False)
         if sv[-1] < 1e-6 or sv[0] / sv[-1] > 20.0:
             continue
         c = 1.0 / sv[-1]
-        params = BdtParameters(ctx=ctx, A=c * A, S0=(S0 + S0.conj().T) / 2,
-                               Pi0=np.sqrt(c) * Pi0)
-        return normalize(params) if normalized else params
+        A, S0, Pi0 = c * A, (S0 + S0.conj().T) / 2, np.sqrt(c) * Pi0
+        if normalized:      # S0 >= I/2 by construction: ``normalize`` without its gate
+            A, Pi0 = np.split(_cholesky_gauge(A, S0, Pi0), [n], axis=1)
+            S0 = np.eye(n, dtype=complex)
+        return BdtParameters(ctx=ctx, A=A, S0=S0, Pi0=Pi0)
     raise RuntimeError("could not draw a well-conditioned parameter matrix")

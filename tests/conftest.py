@@ -52,6 +52,17 @@ def indefinite_s0_params(rng, n=3, p=1):
     return dz.BdtParameters(ctx=ctx, A=A, S0=S0, Pi0=Pi0)
 
 
+def near_singular_s0_params():
+    """A valid triple whose S0 = diag(1, 1e-11) is positive definite but
+    singular to working precision: min_eig(S0) = 1e-11 fails the S0 > 0 gate,
+    min_eig(S0) > tau_pd max(||S0||_F, 1) = 1e-10."""
+    ctx = dz.SignatureContext(p=1)
+    S0 = np.diag([1.0, 1e-11]).astype(complex)
+    Pi0 = np.array([[0.3 + 0.1j, 0.2], [0.1j, 0.25]])
+    A = (np.diag([1.0, 2.0]) + 0.5j * Pi0 @ ctx.j @ Pi0.conj().T) @ np.linalg.inv(S0)
+    return dz.BdtParameters(ctx=ctx, A=A, S0=S0, Pi0=Pi0)
+
+
 def cayley_lambda_of_z(z):
     """Disk-to-half-plane map lambda(z) = i (z + 1) / (z - 1), elementwise on
     a scalar or an array; any z == 1 raises ``PoleAtInput``."""

@@ -10,7 +10,7 @@ import pytest
 import diracszego as dz
 from diracszego import io
 from diracszego.cli import main
-from conftest import indefinite_s0_params
+from conftest import indefinite_s0_params, near_singular_s0_params
 
 
 def run(args):
@@ -51,6 +51,12 @@ class TestGenerate:
         assert run(["generate", "--params", ppath, "--steps", "4",
                     "--out", out]) == 0
 
+
+    def test_example41_past_the_square_of_the_range(self, tmp_path, capsys):
+        """||A||_F = 1e160 squares past the largest double: no RuntimeWarning."""
+        out = tmp_path / "sys.json"
+        assert run(["generate", "--example41", "1e160,1,1", "--steps", 5, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_params_with_s0_not_positive_exit_2(self, tmp_path, capsys):
         params = indefinite_s0_params(np.random.default_rng(0))
@@ -270,6 +276,15 @@ class TestWeylCommand:
                     "--convention", "K"]) == 0
         val = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert abs(complex(*val[0][0]) - (1 - 2j)) < 1e-12
+
+    def test_s0_singular_to_working_precision_exit_2(self, tmp_path, capsys):
+        """The triple ``generate --params`` rejects is rejected here too."""
+        ppath = tmp_path / "params.json"
+        io.write_doc(str(ppath), io.bdt_params_to_doc(near_singular_s0_params()))
+        assert run(["weyl", "--params", ppath, "--lambda", "0,-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: the generating recursion requires S0 > 0")
 
     @pytest.mark.parametrize("lam, code", [("0,1", 1), ("2,1e-9", 1), ("2,0", 0), ("0,-1", 0)])
     def test_rejects_the_upper_half_plane(self, tmp_path, capsys, lam, code):

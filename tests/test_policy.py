@@ -3,7 +3,8 @@
 The AST guard fails on any positive float literal at or below 1e-6 in a
 library module other than ``policy.py``: such a literal is almost always a
 tolerance that bypasses ``DEFAULT_POLICY``. The allow-list names the few that
-are not gates.
+are not gates. A second AST guard keeps the state-space form of a Weyl
+function behind ``pseudoexp``.
 """
 
 import ast
@@ -54,6 +55,14 @@ def test_no_tolerance_literals_outside_policy():
 def test_allow_list_is_current():
     seen = {hit for path in SRC.glob("*.py") for hit in small_literals(path)}
     assert ALLOWED <= seen
+
+
+def test_inverse_reads_no_state_space_field():
+    """``inverse`` takes (A_x, c, b) from ``pseudoexp._weyl_state_space`` and
+    reads no field of a parameter triple's S0 or of a realization."""
+    tree = ast.parse((SRC / "inverse.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & {"S0", "theta", "PhiT", "PsiT", "Phi", "Psi"} == set()
 
 
 def test_policy_has_four_fields():

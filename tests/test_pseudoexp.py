@@ -7,6 +7,7 @@ import pytest
 import diracszego as dz
 from diracszego import pseudoexp
 from diracszego.errors import (
+    AnalyticityViolation,
     FloatOverflow,
     IdentityViolated,
     InvariantViolated,
@@ -16,7 +17,7 @@ from diracszego.errors import (
 )
 from diracszego.linalg import norm_stack
 from diracszego.policy import DEFAULT_POLICY
-from conftest import indefinite_s0_params, loop_states
+from conftest import indefinite_s0_params, loop_states, near_singular_s0_params
 
 TRIPLES = ((1.0, 1.0, 1.0), (2.0, 1.0, 1j), (-0.5, np.exp(1j * np.pi / 5), 1.0))
 LAMBDAS = (1 - 1j, -2j, 3 - 0.5j)
@@ -68,6 +69,22 @@ class TestParameters:
         dz.explicit_weyl(params, -1j)
         assert calls == [1]
 
+    def test_norms_do_not_overflow(self):
+        """||A||_F of A = 1e160 overflows in a plain sum of squares, and an inf
+        scale would pass any residual. A break of 2e150 against an allowed
+        1e150 is caught in a triple and in a realization, and the unbroken
+        ones build, and generate, with no RuntimeWarning."""
+        ctx, one = dz.SignatureContext(p=1), np.array([[1.0]])
+        allowed = r" is 2\.000e\+150, allowed at most 1\.000e\+150$"
+        with pytest.raises(IdentityViolated, match=allowed):
+            dz.BdtParameters(ctx=ctx, A=np.array([[1e160 + 1e150j]]), S0=one,
+                             Pi0=np.array([[1.0, 1.0]]))
+        with pytest.raises(InvariantViolated, match=allowed):
+            dz.WeylRealization(ctx=ctx, theta=np.array([[1e160 + 1e150j]]), PhiT=one, PsiT=one)
+        dz.WeylRealization(ctx=ctx, theta=np.array([[1e160 + 1j]]), PhiT=one, PsiT=one)
+        sys_out, _ = dz.generate(dz.example41_params(1e160, 1, 1), 5)
+        assert dz.validate(sys_out).passed
+
     def test_normalize_preserves_potentials(self, rng):
         params = dz.random_bdt_parameters(rng, 3, 1)
         norm = dz.normalize(params)
@@ -76,6 +93,55 @@ class TestParameters:
         sys_b, _ = dz.generate(norm, 6)
         dev = max(np.linalg.norm(a - b) for a, b in zip(sys_a.C, sys_b.C))
         assert dev < 1e-10
+
+
+class TestNormalForm:
+    """Every consumer of S0 > 0 reads one cached normal form
+    L^{-1} [A L, Pi0], S0 = L L*, behind one gate."""
+
+    def test_one_verdict_per_triple(self):
+        params = near_singular_s0_params()
+        assert not params.s0_positive
+        for run in (lambda: dz.generate(params, 3), lambda: dz.transfer(params, 2, -1j),
+                    lambda: dz.explicit_fundamental(params, 2, -1j),
+                    lambda: dz.explicit_partial_sum(params, -1j, 3),
+                    lambda: dz.explicit_weyl(params, -1j), lambda: dz.normalize(params)):
+            with pytest.raises(NotPositiveDefinite,
+                               match=r"^the generating recursion requires S0 > 0"):
+                run()
+        with pytest.raises(AnalyticityViolation, match="requires S0 > 0") as caught:
+            dz.rational_taylor(params, 3)
+        assert isinstance(caught.value.__cause__, NotPositiveDefinite)
+
+    def test_s0_is_factored_once(self, rng, monkeypatch):
+        """One Cholesky factor of S0 serves every consumer, and no inverse or
+        eigendecomposition of S0 is taken."""
+        params = dz.random_bdt_parameters(rng, 3, 2)
+        calls = dict.fromkeys(("cholesky", "inv", "eigh"), 0)
+
+        def counted(name, fn):
+            def wrapper(M, *args, **kwargs):
+                if np.shape(M) == params.S0.shape and np.array_equal(M, params.S0):
+                    calls[name] += 1
+                return fn(M, *args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        dz.normalize(params)
+        dz.generate(params, 6)
+        dz.transfer(params, 3, -1j)
+        dz.explicit_weyl(params, -1j)
+        dz.rational_taylor(params, 6)
+        assert calls == {"cholesky": 1, "inv": 0, "eigh": 0}
+
+    def test_normalize_is_the_cholesky_gauge(self, rng):
+        params = dz.random_bdt_parameters(rng, 3, 2)
+        L = np.linalg.cholesky(params.S0)
+        norm = dz.normalize(params)
+        assert np.array_equal(norm.S0, np.eye(3))
+        assert np.allclose(L @ norm.A, params.A @ L, rtol=0, atol=1e-13)
+        assert np.allclose(L @ norm.Pi0, params.Pi0, rtol=0, atol=1e-13)
 
 
 class TestGenerate:
