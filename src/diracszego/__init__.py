@@ -11,9 +11,7 @@ from .linalg import (
     SignatureContext,
     block_levinson_solve,
     block_toeplitz,
-    hermitian_sqrt,
     pd_solve,
-    rank_p_factor,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .system import (

@@ -90,7 +90,7 @@ def cmd_generate(args) -> int:
             raise DocumentError("--example41 expects a,phi,psi")
         a, phi, psi = vals
         try:
-            params = example41_params(a.real, phi, psi)
+            params = example41_params(a, phi, psi)
         except ValueError as exc:
             raise _UsageError(f"generate --example41: {exc}") from exc
     return _write_validated(args.out, generate(params, args.steps)[0])

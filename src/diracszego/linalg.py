@@ -14,18 +14,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositiveDefinite, RankMismatch
-from .policy import DEFAULT_POLICY, check, check_stack
+from .errors import NotPositiveDefinite, RankMismatch
+from .policy import DEFAULT_POLICY, check_stack
 
 __all__ = [
     "SignatureContext",
-    "hermitian_sqrt",
-    "rank_p_factor",
     "block_toeplitz",
     "pd_solve",
     "block_levinson",
     "block_levinson_solve",
-    "herm_residual",
     "min_eig",
     "min_eig_stack",
     "norm_stack",
@@ -33,43 +30,46 @@ __all__ = [
 ]
 
 
-def herm_residual(M: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part of ``M``."""
-    return float(np.linalg.norm(M - M.conj().T))
+def _sum_squares(flat: np.ndarray) -> np.ndarray:
+    """Sum of squares of each (..., 1, L) row, as ``numpy.linalg.norm`` sums one matrix."""
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return sum((x @ x.swapaxes(-1, -2))[..., 0, 0] for x in parts)
 
 
 def norm_stack(M: np.ndarray) -> np.ndarray:
     """Frobenius norm of every matrix of a (..., m, n) stack, each with the
     bits ``numpy.linalg.norm`` gives that matrix alone when it is stored in C
-    order: the squares of the real parts and of the imaginary parts are each
-    summed as one dot product, as it sums them, so a gate judged on a stack
-    gives the verdict the same gate gives one matrix."""
+    order, so a gate judged on a stack gives the verdict the same gate gives
+    one matrix. A finite matrix whose sum of squares overflows is scaled
+    exactly by 2^-e, 2^e above its largest real or imaginary part, and its
+    norm back by 2^e: finite wherever representable. NaN entries read NaN.
+    """
     M = np.asarray(M)
     flat = np.ascontiguousarray(M).reshape(M.shape[:-2] + (1, M.shape[-2] * M.shape[-1]))
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum((x @ x.swapaxes(-1, -2))[..., 0, 0] for x in parts))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_sum_squares(flat))
+        over = norm == np.inf
+        if over.any():                                  # only past the square of the range
+            norm, big = np.array(norm), flat[over]      # big is a copy, scaled in place
+            part = big.view(big.real.dtype)
+            e = np.frexp(np.abs(part).max(axis=(-2, -1)))[1]    # 0 for an inf entry
+            part[...] = np.ldexp(part, -e[:, None, None])
+            norm[over] = np.ldexp(np.sqrt(_sum_squares(big)), e)
+            norm = norm[()]
+    return norm
 
 
 def min_eig(M: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of one matrix ``M``; NaN if
-    ``M`` has a non-finite entry (LAPACK may return any number for it) or
-    eigvalsh fails."""
-    if not np.isfinite(M).all():
-        return float("nan")
-    try:
-        return float(np.linalg.eigvalsh((M + M.conj().T) / 2)[0])
-    except np.linalg.LinAlgError:
-        return float("nan")
+    """``min_eig_stack`` of the stack of one matrix ``M``."""
+    return float(min_eig_stack(M))
 
 
 def min_eig_stack(M: np.ndarray) -> np.ndarray:
-    """``min_eig`` of every matrix of a (..., n, n) stack, from one batched
-    eigvalsh; the result has the stack's shape.
-
-    A matrix with a non-finite entry skips eigvalsh and reads NaN. If the
-    batched eigvalsh fails, the finite matrices are judged again one at a
-    time, so only the one that fails reads NaN.
-    """
+    """Smallest eigenvalue of the Hermitian part of every matrix of a
+    (..., n, n) stack, from one batched eigvalsh, in the stack's shape. A
+    matrix with a non-finite entry (LAPACK may return any number for it)
+    reads NaN; if the batched eigvalsh fails, the finite matrices are judged
+    again one at a time, so only the one that fails reads NaN."""
     M = np.asarray(M)
     stack = M.reshape((-1,) + M.shape[-2:])
     finite = np.isfinite(stack).all(axis=(1, 2))
@@ -78,8 +78,8 @@ def min_eig_stack(M: np.ndarray) -> np.ndarray:
     try:
         value[finite] = np.linalg.eigvalsh((A + A.conj().transpose(0, 2, 1)) / 2)[:, 0]
     except np.linalg.LinAlgError:
-        # error path only: one matrix at a time
-        value[finite] = [min_eig(B) for B in A]
+        # error path only: one matrix at a time, so only the one that fails reads NaN
+        value[finite] = [min_eig_stack(B) for B in A] if len(A) > 1 else np.nan
     return value.reshape(M.shape[:-2])
 
 
@@ -87,13 +87,6 @@ def check_cond(M: np.ndarray, exc: type[Exception], what: str) -> np.ndarray:
     """``check_cond_stack`` on the stack of one n x n matrix ``M``; returns
     its inverse."""
     return check_cond_stack(np.asarray(M)[None], exc, lambda i: what)[0]
-
-
-def _cond_or_nan(M: np.ndarray) -> float:
-    try:
-        return np.linalg.cond(M)
-    except np.linalg.LinAlgError:
-        return np.nan
 
 
 def cond_stack(M: np.ndarray) -> np.ndarray:
@@ -107,12 +100,13 @@ def cond_stack(M: np.ndarray) -> np.ndarray:
     """
     stack = np.asarray(M).reshape((-1,) + np.shape(M)[-2:])
     finite = np.isfinite(stack).all(axis=(1, 2))
+    A = stack[finite]
     value = np.where(np.isnan(stack).any(axis=(1, 2)), np.nan, np.inf)
     try:
-        value[finite] = np.linalg.cond(stack[finite])
+        value[finite] = np.linalg.cond(A)
     except np.linalg.LinAlgError:
-        # error path only: one matrix at a time, so only the one that failed reads NaN
-        value[finite] = [_cond_or_nan(A) for A in stack[finite]]
+        # error path only: one matrix at a time, so only the one that fails reads NaN
+        value[finite] = [cond_stack(B)[0] for B in A] if len(A) > 1 else np.nan
     return value
 
 
@@ -244,41 +238,14 @@ def _block_stack(blocks, shape: tuple, name: str) -> np.ndarray:
     return a
 
 
-def hermitian_sqrt(M: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian positive-definite matrix.
-
-    Returns the unique Hermitian PD ``R`` with ``R @ R == M``, computed from
-    the spectral decomposition.
-    """
-    M = np.asarray(M, dtype=complex)
-    scale = max(np.linalg.norm(M), 1.0)
-    check(herm_residual(M), scale, NotHermitian, "asymmetry")
-    w, V = np.linalg.eigh((M + M.conj().T) / 2)
-    check(-w[0], scale, NotPositiveDefinite, "-min_eig", -DEFAULT_POLICY.tau_pd)
-    R = (V * np.sqrt(w)) @ V.conj().T
-    return (R + R.conj().T) / 2
-
-
-def rank_p_factor(G: np.ndarray, p: int) -> np.ndarray:
-    """Rank-``p`` factor of a PSD 2p x 2p matrix: returns beta with beta* beta = G.
-
-    The factor is built from the top-``p`` eigenpairs as Lambda^{1/2} V*. To make
-    the result deterministic the eigenvalues are ordered descending and each
-    eigenvector's phase is fixed so its first nonzero entry is real positive.
-    ``G`` may also be an (s, 2p, 2p) stack, factored with one batched eigh
-    into an (s, p, 2p) stack; each matrix gives the bits it gives alone, and
-    the first matrix that fails a gate raises as it would alone.
-    """
-    G = np.asarray(G, dtype=complex)
-    beta, gates = _rank_p_factor_gates(G, p)
-    check_stack(gates)
-    return beta.reshape(G.shape[:-2] + (p, 2 * p))
-
-
 def _rank_p_factor_gates(G: np.ndarray, p: int):
-    """``rank_p_factor`` of G flattened to an (s, 2p, 2p) stack, unchecked:
-    the (s, p, 2p) factors, valid only where all four gates pass, and those
-    gates in ``check_stack`` form."""
+    """Rank-``p`` factors beta = Lambda^{1/2} V* (beta* beta = G) from the top-``p``
+    eigenpairs of each PSD 2p x 2p matrix of G flattened to an (s, 2p, 2p) stack,
+    by one batched eigh; each matrix gives the bits it gives alone. The
+    eigenvalues are ordered descending and each eigenvector's phase is fixed so
+    its first nonzero entry is real positive. Unchecked: returns the (s, p, 2p)
+    factors, valid only where all four gates pass, and those gates in
+    ``check_stack`` form."""
     if G.shape[-2:] != (2 * p, 2 * p):
         raise ValueError(f"expected a {2 * p} x {2 * p} matrix, got {G.shape}")
     stack = G.reshape((-1, 2 * p, 2 * p))

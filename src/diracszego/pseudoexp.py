@@ -42,13 +42,6 @@ __all__ = [
 ]
 
 
-def _norm(M: np.ndarray) -> float:
-    """Frobenius norm of ``M``, finite wherever it is representable: scaled by
-    the largest modulus first, as ``numpy.linalg.norm`` squares entries."""
-    big = float(np.abs(M).max(initial=0.0))
-    return big * float(np.linalg.norm(M / big)) if 0 < big < np.inf else big
-
-
 def _cholesky_gauge(A: np.ndarray, S0: np.ndarray, Pi0: np.ndarray) -> np.ndarray:
     """L^{-1} [A L, Pi0] with S0 = L L*, for a positive definite S0."""
     L = np.linalg.cholesky(S0)
@@ -75,11 +68,13 @@ class BdtParameters:
         if A.shape != (n, n) or S0.shape != (n, n) or Pi0.shape != (n, self.ctx.m):
             raise ValueError("inconsistent parameter shapes")
         check_cond(A, ValueError, "A, which must be invertible,")
-        norm_pi = _norm(Pi0)
-        scale = max(_norm(A) * _norm(S0), norm_pi * norm_pi, 1.0)
-        check(_norm(S0 - S0.conj().T), scale, IdentityViolated, "asymmetry of S0")
-        check(_norm(A @ S0 - S0 @ A.conj().T - 1j * Pi0 @ self.ctx.j @ Pi0.conj().T),
-              scale, IdentityViolated, "parameter identity residual")
+        norm_a, norm_s0, asym, resid = norm_stack(np.stack([
+            A, S0, S0 - S0.conj().T,
+            A @ S0 - S0 @ A.conj().T - 1j * Pi0 @ self.ctx.j @ Pi0.conj().T]))
+        norm_pi = norm_stack(Pi0)
+        scale = max(norm_a * norm_s0, norm_pi * norm_pi, 1.0)
+        check(asym, scale, IdentityViolated, "asymmetry of S0")
+        check(resid, scale, IdentityViolated, "parameter identity residual")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "S0", S0)
         object.__setattr__(self, "Pi0", Pi0)
@@ -100,7 +95,7 @@ class BdtParameters:
     def _normal(self) -> np.ndarray:
         """Normal form L^{-1} [A L, Pi0], S0 = L L*, formed once after the one S0 > 0
         gate, min_eig(S0) > tau_pd max(||S0||_F, 1); else ``NotPositiveDefinite``, at each use."""
-        check(-min_eig(self.S0), max(_norm(self.S0), 1.0), NotPositiveDefinite,
+        check(-min_eig(self.S0), max(norm_stack(self.S0), 1.0), NotPositiveDefinite,
               "the generating recursion requires S0 > 0: -min_eig(S0)", -DEFAULT_POLICY.tau_pd)
         normal = _cholesky_gauge(self.A, self.S0, self.Pi0)
         normal.flags.writeable = False
@@ -133,9 +128,7 @@ def _states(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
     precision while A_k and Phi_k stay bounded. A_k^{-1} is taken afresh at
     each step, with X by one solve against [I Phi_k], because the update
     M^{-1} A_k^{-1} M drifts and overflows. Past the floating-point range the
-    loop runs on inf and NaN without a warning; one ``check_stack`` then
-    judges A_k - A_k* = i Phi_k j Phi_k* at the scale 2 ||A_k|| + ||Phi_k||^2
-    (``IdentityViolated``)."""
+    loop runs on inf and NaN without a warning; ``_check_step_identity`` judges every step."""
     n, eye, j = params.n, np.eye(params.n), params.ctx.j
     state = np.empty((count,) + params._normal.shape, dtype=complex)   # [A_k Phi_k]
     state[0] = params._normal
@@ -150,11 +143,16 @@ def _states(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
             state[k + 1] = np.linalg.solve(M, np.hstack([A_k @ M, rhs[:, n:] + Y[:, n:] * ij]))
         state.flags.writeable = False
         A, Phi = state[..., :n], state[..., n:]
-        check_stack([(norm_stack(A - A.conj().transpose(0, 2, 1)
-                                 - 1j * Phi @ j @ Phi.conj().transpose(0, 2, 1)),
-                      2 * norm_stack(A) + norm_stack(Phi) ** 2, IdentityViolated,
-                      lambda k: f"step identity residual at k={k}", DEFAULT_POLICY.tau)])
+        _check_step_identity(A, Phi, j)
     return A, Phi
+
+
+def _check_step_identity(A: np.ndarray, Phi: np.ndarray, j: np.ndarray) -> None:
+    """Judges A_k - A_k* = i Phi_k j Phi_k* at the scale 2 ||A_k|| + ||Phi_k||^2."""
+    check_stack([(norm_stack(A - A.conj().transpose(0, 2, 1)
+                             - 1j * Phi @ j @ Phi.conj().transpose(0, 2, 1)),
+                  2 * norm_stack(A) + norm_stack(Phi) ** 2, IdentityViolated,
+                  lambda k: f"step identity residual at k={k}", DEFAULT_POLICY.tau)])
 
 
 def generate(params: BdtParameters, N: int):
@@ -304,10 +302,11 @@ class WeylRealization:
         p = self.ctx.p
         if theta.shape != (n, n) or PhiT.shape != (n, p) or PsiT.shape != (n, p):
             raise ValueError("inconsistent realization shapes")
-        norm_phi, norm_psi = _norm(PhiT), _norm(PsiT)
-        scale = max(_norm(theta), norm_phi * norm_phi, norm_psi * norm_psi, 1.0)
-        check(_norm(theta - theta.conj().T - 1j * (PhiT @ PhiT.conj().T + PsiT @ PsiT.conj().T)),
-              scale, InvariantViolated, "realization identity residual")
+        norm_phi, norm_psi = norm_stack(np.stack([PhiT, PsiT]))
+        norm_theta, resid = norm_stack(np.stack([
+            theta, theta - theta.conj().T - 1j * (PhiT @ PhiT.conj().T + PsiT @ PsiT.conj().T)]))
+        scale = max(norm_theta, norm_phi * norm_phi, norm_psi * norm_psi, 1.0)
+        check(resid, scale, InvariantViolated, "realization identity residual")
         check_cond(theta - 1j * PsiT @ PsiT.conj().T, InvariantViolated,
                    "theta - i PsiT PsiT*, which must be invertible,")
         object.__setattr__(self, "theta", theta)
@@ -353,7 +352,8 @@ def example41(a: float, Phi: complex, Psi: complex, k: int):
     i conj(Phi) Psi / (lambda - a - i |Psi|^2).
     """
     example41_params(a, Phi, Psi)  # rejects the same arguments
-    zeta = 2 * abs(Phi) ** 2 / (a ** 2 + 1)
+    # a ** 2 is finite for |a| < 2^512 and past the floating-point range beyond
+    zeta = 2 * abs(Phi) ** 2 / (a ** 2 + 1) if abs(a) < 2.0 ** 512 else 2 * abs(Phi) ** 2 / a / a
     diag = 1 + zeta * abs(Phi) ** 2 / ((k * zeta + 1) * ((k + 1) * zeta + 1))
     ratio = (a + 1j) / (a - 1j)
     c21 = Phi * np.conj(Psi) * (ratio ** k / (k * zeta + 1)

@@ -133,14 +133,14 @@ def dirac_to_szego(sys: PotentialSequence) -> SzegoSequence:
     """Szego factors R_k = (U_k* C_k U_k)^{1/2} with U_{k+1} = U_k (i j R_k).
 
     Requires C_k > 0 (judged like ``validate``). U_k* C_k U_k is checked
-    Hermitian at ||U_k||^2 ||C_k||, its Hermitian part passes the gates of
-    ``hermitian_sqrt``, and R j R = j is checked at ||R||^2 + ||j||: a failure
+    Hermitian at ||U_k||^2 ||C_k||, its Hermitian part H Hermitian and positive
+    definite at max(||H||, 1), and R j R = j at ||R||^2 + ||j||: a failure
     means the input is outside the positive-definite subclass or the rotation
     ran out of digits. The theta weights are sqrt(1 - |rho_k|^2) with the
     scalar Schur coefficient rho_k for p = 1 and the constant 1 for p > 1;
     other weights can be set with ``dataclasses.replace(sz, theta=...)``.
 
-    The recursion runs first, with the arithmetic of ``hermitian_sqrt``, and
+    The recursion runs first, each root V w^{1/2} V* from one eigh of H, and
     all five gates of every step are then judged in one pass on stacks, in
     the order a per-step loop checks them: the error names the first step
     that fails, with the first of its gates that fails. A LinAlgError of the

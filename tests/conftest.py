@@ -8,8 +8,8 @@ import diracszego as dz
 from diracszego.errors import (AnalyticityViolation, DiracSzegoError, IdentityViolated,
                                InvariantViolated, NotHermitian, NotPositiveDefinite, PoleAtInput,
                                RankMismatch)
-from diracszego.linalg import herm_residual, min_eig, pd_solve
-from diracszego.policy import check, failure
+from diracszego.linalg import _rank_p_factor_gates, min_eig, pd_solve
+from diracszego.policy import check, check_stack, failure
 
 
 @pytest.fixture
@@ -238,8 +238,36 @@ def loop_block_levinson(alpha):
         yield bwd, pb
 
 
+def herm_residual(M):
+    """Frobenius norm of the anti-Hermitian part of ``M``."""
+    return float(np.linalg.norm(M - M.conj().T))
+
+
+def hermitian_sqrt(M):
+    """Principal square root of a Hermitian positive-definite matrix, from the
+    spectral decomposition, with the gates ``dirac_to_szego`` applies to each
+    of its square roots."""
+    M = np.asarray(M, dtype=complex)
+    scale = max(np.linalg.norm(M), 1.0)
+    check(herm_residual(M), scale, NotHermitian, "asymmetry")
+    w, V = np.linalg.eigh((M + M.conj().T) / 2)
+    check(-w[0], scale, NotPositiveDefinite, "-min_eig", -dz.DEFAULT_POLICY.tau_pd)
+    R = (V * np.sqrt(w)) @ V.conj().T
+    return (R + R.conj().T) / 2
+
+
+def rank_p_factor(G, p):
+    """``linalg._rank_p_factor_gates`` with its gates judged: the rank-p factor
+    of a matrix, or an (s, p, 2p) stack of factors of an (s, 2p, 2p) stack,
+    where the first matrix that fails a gate raises as it would alone."""
+    G = np.asarray(G, dtype=complex)
+    beta, gates = _rank_p_factor_gates(G, p)
+    check_stack(gates)
+    return beta.reshape(G.shape[:-2] + (p, 2 * p))
+
+
 def loop_rank_p_factor(G, p):
-    """``linalg.rank_p_factor`` on one matrix, one eigh and four checks."""
+    """``rank_p_factor`` on one matrix, one eigh and four checks."""
     G = np.asarray(G, dtype=complex)
     scale = max(np.linalg.norm(G), 1.0)
     check(herm_residual(G), scale, NotPositiveDefinite, "asymmetry")
@@ -339,7 +367,7 @@ def loop_dirac_to_szego(sys):
         M = U.conj().T @ C @ U
         check(herm_residual(M), np.linalg.norm(U) ** 2 * norm_c, NotHermitian,
               f"asymmetry of U_{k}* C_{k} U_{k}")
-        R = dz.hermitian_sqrt((M + M.conj().T) / 2)
+        R = hermitian_sqrt((M + M.conj().T) / 2)
         check(np.linalg.norm(R @ j @ R - j), np.linalg.norm(R) ** 2 + norm_j,
               InvariantViolated, f"R_{k} j R_{k} - j residual")
         if ctx.p == 1:

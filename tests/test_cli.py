@@ -52,6 +52,14 @@ class TestGenerate:
                     "--out", out]) == 0
 
 
+    def test_example41_rejects_a_nonreal_a(self, tmp_path, capsys):
+        """a is passed on whole, not as its real part, so 1+2j is rejected."""
+        out = tmp_path / "sys.json"
+        assert run(["generate", "--example41", "1+2j,1,1", "--steps", 3, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: generate --example41: a must be real and nonzero\n"
+        assert not out.exists()
+
     def test_example41_past_the_square_of_the_range(self, tmp_path, capsys):
         """||A||_F = 1e160 squares past the largest double: no RuntimeWarning."""
         out = tmp_path / "sys.json"

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import diracszego as dz
-from diracszego.errors import NotHermitian, NotPositiveDefinite, RankMismatch
+from diracszego.errors import NotPositiveDefinite, RankMismatch
 from diracszego.linalg import check_cond, check_cond_stack, min_eig, min_eig_stack, norm_stack
 from diracszego.policy import DEFAULT_POLICY, check_stack, failure, passes
+from conftest import rank_p_factor
 
 
 def random_hpd(rng, n, shift=0.5):
@@ -28,60 +31,40 @@ class TestSignatureContext:
             dz.SignatureContext(p=0)
 
 
-class TestHermitianSqrt:
-    def test_squares_back(self, rng):
-        M = random_hpd(rng, 5)
-        R = dz.hermitian_sqrt(M)
-        assert np.linalg.norm(R @ R - M) < 1e-12 * np.linalg.norm(M)
-        assert np.linalg.norm(R - R.conj().T) < 1e-13
-
-    def test_identity(self):
-        assert np.allclose(dz.hermitian_sqrt(np.eye(3)), np.eye(3))
-
-    def test_rejects_non_hermitian(self, rng):
-        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        with pytest.raises(NotHermitian):
-            dz.hermitian_sqrt(M)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            dz.hermitian_sqrt(np.diag([1.0, -1.0]))
-
-
 class TestRankPFactor:
     def test_recovers_gram_matrix(self, rng):
         for p in (1, 2):
             b = rng.standard_normal((p, 2 * p)) + 1j * rng.standard_normal((p, 2 * p))
             G = b.conj().T @ b
-            f = dz.rank_p_factor(G, p)
+            f = rank_p_factor(G, p)
             assert f.shape == (p, 2 * p)
             assert np.linalg.norm(f.conj().T @ f - G) < 1e-12 * np.linalg.norm(G)
 
     def test_deterministic_phase(self, rng):
         b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         G = b.conj().T @ b
-        f1 = dz.rank_p_factor(G, 2)
-        f2 = dz.rank_p_factor(G.copy(), 2)
+        f1 = rank_p_factor(G, 2)
+        f2 = rank_p_factor(G.copy(), 2)
         assert np.array_equal(f1, f2)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(RankMismatch):
-            dz.rank_p_factor(np.eye(4), 2)  # rank 4, not 2
+            rank_p_factor(np.eye(4), 2)  # rank 4, not 2
         with pytest.raises(RankMismatch):
-            dz.rank_p_factor(np.diag([1.0, 0, 0, 0]), 2)  # rank 1
+            rank_p_factor(np.diag([1.0, 0, 0, 0]), 2)  # rank 1
 
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveDefinite):
-            dz.rank_p_factor(np.diag([1.0, 1.0, -0.5, 0.0]), 2)
+            rank_p_factor(np.diag([1.0, 1.0, -0.5, 0.0]), 2)
 
 
     def test_stack_gives_the_bits_of_each_matrix(self, rng):
         for p in (1, 2, 3):
             b = rng.standard_normal((5, p, 2 * p)) + 1j * rng.standard_normal((5, p, 2 * p))
             G = b.conj().transpose(0, 2, 1) @ b
-            f = dz.rank_p_factor(G, p)
+            f = rank_p_factor(G, p)
             assert f.shape == (5, p, 2 * p)
-            assert all(np.array_equal(f[i], dz.rank_p_factor(G[i], p)) for i in range(5))
+            assert all(np.array_equal(f[i], rank_p_factor(G[i], p)) for i in range(5))
 
     def test_stack_raises_as_its_first_failing_matrix(self, rng):
         b = rng.standard_normal((4, 2, 4)) + 1j * rng.standard_normal((4, 2, 4))
@@ -89,12 +72,12 @@ class TestRankPFactor:
         G[1] = np.diag([1.0, 1.0, 1.0, 0.0])          # rank 3
         G[3] = np.diag([1.0, 1.0, -0.5, 0.0])         # indefinite
         with pytest.raises(RankMismatch) as alone:
-            dz.rank_p_factor(G[1], 2)
+            rank_p_factor(G[1], 2)
         with pytest.raises(RankMismatch) as stacked:
-            dz.rank_p_factor(G, 2)
+            rank_p_factor(G, 2)
         assert str(stacked.value) == str(alone.value)
         with pytest.raises(NotPositiveDefinite):
-            dz.rank_p_factor(G[2:], 2)
+            rank_p_factor(G[2:], 2)
 
 
 class TestStackHelpers:
@@ -109,6 +92,35 @@ class TestStackHelpers:
             real = np.ascontiguousarray(M.real)
             assert np.array_equal(norm_stack(real).ravel(),
                                   [np.linalg.norm(A) for A in real.reshape(ref.size, *shape[-2:])])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_norm_stack_is_finite_past_the_square_of_the_range(self, rng, dtype):
+        """Entries up to 1e300 give the norm of the matrix scaled by 2^-e,
+        2^e above its largest real or imaginary part, times 2^e: finite, with
+        no RuntimeWarning."""
+        M = rng.standard_normal((6, 3, 4)).astype(dtype)
+        if dtype is complex:
+            M += 1j * rng.standard_normal(M.shape)
+        M *= 10.0 ** rng.uniform(150, 300, (6, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = norm_stack(M)
+            alone = norm_stack(M[0])
+        e = np.frexp(np.abs(M.view(float)).max(axis=(1, 2)))[1]
+        ref = [np.ldexp(np.linalg.norm(A * np.ldexp(1.0, -k)), k) for A, k in zip(M, e)]
+        assert np.isfinite(got).all() and np.array_equal(got, ref) and alone == ref[0]
+
+    def test_norm_stack_keeps_nan_and_inf(self, rng):
+        M = 1e300 * (rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2)))
+        M[0, 0, 0] = np.nan
+        M[1, 1, 0] = np.inf
+        M[2, 0, 1] = complex(1.0, np.nan)
+        M[3, 1, 1] = complex(-np.inf, 1.0)
+        M[4, 0, 0] = complex(np.inf, np.nan)
+        got = norm_stack(M)
+        assert np.isnan(got[[0, 2, 4]]).all() and np.array_equal(got[[1, 3]], [np.inf, np.inf])
+        assert np.isnan(norm_stack(M[0])) and norm_stack(M[1]) == np.inf
+        assert norm_stack(M.real)[1] == np.inf
 
     def test_min_eig_stack_has_the_bits_of_min_eig(self, rng):
         M = np.stack([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

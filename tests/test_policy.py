@@ -4,17 +4,20 @@ The AST guard fails on any positive float literal at or below 1e-6 in a
 library module other than ``policy.py``: such a literal is almost always a
 tolerance that bypasses ``DEFAULT_POLICY``. The allow-list names the few that
 are not gates. A second AST guard keeps the state-space form of a Weyl
-function behind ``pseudoexp``.
+function behind ``pseudoexp``, and a third keeps ``linalg`` free of public
+helpers that only tests call.
 """
 
 import ast
 import dataclasses
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from diracszego import linalg
 from diracszego.errors import DiracSzegoError
 from diracszego.policy import DEFAULT_POLICY, NumericPolicy, check, check_stack, failure
 
@@ -63,6 +66,34 @@ def test_inverse_reads_no_state_space_field():
     tree = ast.parse((SRC / "inverse.py").read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert read & {"S0", "theta", "PhiT", "PsiT", "Phi", "Psi"} == set()
+
+
+def called_names(path):
+    """Names called in a module, each call outside the function of that name."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name != func:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_every_linalg_export_has_a_library_caller():
+    """Each name in ``linalg.__all__`` is called by another function of the
+    library or named by a ``linalg.*`` metric of the benchmark."""
+    called = set().union(*(called_names(path) for path in SRC.glob("*.py")))
+    bench = json.loads((SRC.parents[1] / "BENCHMARK.json").read_text())
+    metrics = [m["name"].split(".") for m in bench["end_to_end"] + bench["per_layer"]]
+    benched = {parts[1] for parts in metrics if parts[0] == "linalg"}
+    assert [name for name in linalg.__all__ if name not in called | benched] == []
 
 
 def test_policy_has_four_fields():

@@ -50,6 +50,15 @@ class TestParameters:
         with pytest.raises(ModulusMismatch):
             dz.example41(1.0, 1.0, 2.0, 0)
 
+    def test_example41_past_the_square_of_the_range(self):
+        """At a = 1e160, where a ** 2 overflows, the closed form still equals
+        the generated C_3, off-diagonals 2e-160 i, for a float and a NumPy float."""
+        C, _ = dz.example41(1e160, 1, 1, 3)
+        sys_out, _ = dz.generate(dz.example41_params(1e160, 1, 1), 5)
+        assert np.allclose(C, sys_out.C[3], rtol=1e-12, atol=0)
+        assert np.allclose(C[1, 0], -2e-160j, rtol=1e-12, atol=0)
+        assert np.array_equal(dz.example41(np.float64(1e160), 1, 1, 3)[0], C)
+
     def test_random_parameters_satisfy_identity(self, rng):
         j = dz.SignatureContext(p=2).j
         for _ in range(5):
@@ -84,6 +93,22 @@ class TestParameters:
         dz.WeylRealization(ctx=ctx, theta=np.array([[1e160 + 1j]]), PhiT=one, PsiT=one)
         sys_out, _ = dz.generate(dz.example41_params(1e160, 1, 1), 5)
         assert dz.validate(sys_out).passed
+
+    def test_step_identity_is_judged_past_the_square_of_the_range(self):
+        """At a = 1e160 the step identity's scale 2 ||A_k|| + ||Phi_k||^2
+        reads 2e160, not inf, so A_2 shifted by 1e155 i fails it."""
+        params = dz.example41_params(1e160, 1, 1)
+        _, (A, Phi) = dz.generate(params, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scale = 2 * norm_stack(A) + norm_stack(Phi) ** 2
+        assert np.allclose(scale, 2e160, rtol=1e-15, atol=0)
+        pseudoexp._check_step_identity(A, Phi, params.ctx.j)
+        shifted = A.copy()
+        shifted[2] += 1e155j
+        with pytest.raises(IdentityViolated, match=r"^step identity residual at k=2 is "
+                           r"2\.000e\+155, allowed at most 2\.000e\+150$"):
+            pseudoexp._check_step_identity(shifted, Phi, params.ctx.j)
 
     def test_normalize_preserves_potentials(self, rng):
         params = dz.random_bdt_parameters(rng, 3, 1)
