@@ -37,7 +37,6 @@ from .szego import (
     schur_to_R,
     szego_solution_map,
     szego_to_dirac,
-    szego_z_of_lambda,
 )
 from .pseudoexp import (
     BdtParameters,
@@ -48,9 +47,7 @@ from .pseudoexp import (
     explicit_partial_sum,
     explicit_weyl,
     generate,
-    normalize,
     random_bdt_parameters,
-    realization_to_params,
     transfer,
 )
 from .inverse import (

@@ -110,10 +110,13 @@ def cmd_inverse(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    grid = _parse_complex_list(args.lambda_grid) if args.lambda_grid else list(DEFAULT_LAMBDA_GRID)
+    for lam in grid:
+        if lam.imag == 0:
+            raise _UsageError(f"verify: --lambda-grid point {lam} is real; use Im lambda != 0")
     system = io.potentials_from_doc(io.read_doc(args.system))
     report = validate(system)
     N, j = system.N, system.ctx.j
-    grid = _parse_complex_list(args.lambda_grid) if args.lambda_grid else list(DEFAULT_LAMBDA_GRID)
     failures = report.failures()
     summation, det_checks = [], []
     for lam in grid:

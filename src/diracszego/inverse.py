@@ -7,10 +7,11 @@ predictors B_r and pivots P_r of the nested Hermitian block Toeplitz matrices
 S(r) (B_r P_r^{-1} is the last block column of S(r)^{-1}), which the block
 Levinson engine of ``linalg`` yields one r at a time: with Y_r = B_r* Pi(r),
 beta(r)* beta(r) = Y_r* P_r^{-1} Y_r, and Y_r J Y_r* = P_r is the
-J-normalization. Both recursions cost O(N^2 p^3). Also houses the structural
-Lyapunov self-test, Toeplitz positivity, the exact Taylor blocks of a rational
-Weyl function from its state-space realization (one n x n inverse and N
-products with a contraction, no sampling), and the two-system uniqueness check.
+J-normalization. Both recursions cost O(N^2 p^3). Also houses the exact Taylor
+blocks of a rational Weyl function from its state-space realization (one n x n
+inverse and N products with a contraction, no sampling), two paper results that
+the package does not call (the displacement identity A S - S A* = i Pi J Pi*
+and Borg-Marchenko uniqueness), and the O(N^4 p^3) positivity diagnostic.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Explicit machinery for rational Weyl functions: generation of
 pseudo-exponential potentials from finite-dimensional parameter triples,
 the transfer matrix function, the explicit fundamental solution, the explicit
-Weyl function, recovery from a realization, and the scalar closed-form family
-used as an oracle throughout the test suite.
+Weyl function and its state-space realization, and the scalar closed-form
+family used as an oracle throughout the test suite.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ __all__ = [
     "BdtParameters",
     "WeylRealization",
     "generate",
-    "normalize",
     "transfer",
     "explicit_fundamental",
     "explicit_weyl",
     "explicit_partial_sum",
-    "realization_to_params",
     "example41",
     "example41_params",
     "random_bdt_parameters",
@@ -83,14 +81,6 @@ class BdtParameters:
     def n(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def Phi(self) -> np.ndarray:
-        return self.Pi0[:, : self.ctx.p]
-
-    @property
-    def Psi(self) -> np.ndarray:
-        return self.Pi0[:, self.ctx.p:]
-
     @cached_property
     def _normal(self) -> np.ndarray:
         """Normal form L^{-1} [A L, Pi0], S0 = L L*, formed once after the one S0 > 0
@@ -100,14 +90,6 @@ class BdtParameters:
         normal = _cholesky_gauge(self.A, self.S0, self.Pi0)
         normal.flags.writeable = False
         return normal
-
-    @property
-    def s0_positive(self) -> bool:
-        """Whether S0 passes the gate of the normal form."""
-        try:
-            return self._normal is not None
-        except NotPositiveDefinite:
-            return False
 
 
 def _states(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,14 +150,6 @@ def generate(params: BdtParameters, N: int):
     T = Phi.conj().transpose(0, 2, 1) @ Phi
     C = np.eye(params.ctx.m, dtype=complex) + T[:-1] - T[1:]
     return PotentialSequence(ctx=params.ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2), (A, Phi)
-
-
-def normalize(params: BdtParameters) -> BdtParameters:
-    """Equivalent parameters with S0 = I in the Cholesky gauge, S0 = L L*:
-    (L^{-1} A L, I, L^{-1} Pi0), the normal form every S0 > 0 path starts from."""
-    n = params.n
-    return BdtParameters(ctx=params.ctx, A=params._normal[:, :n],
-                         S0=np.eye(n, dtype=complex), Pi0=params._normal[:, n:])
 
 
 def _resolvent_solve(M: np.ndarray, lam, B: np.ndarray, name: str, why: str) -> np.ndarray:
@@ -326,13 +300,6 @@ class WeylRealization:
         return c @ _resolvent_solve(theta, lam, b, "theta", "a pole of the realized function")
 
 
-def realization_to_params(rz: WeylRealization) -> BdtParameters:
-    """Inverse problem from a realization: A = theta - i PsiT PsiT*, S0 = I,
-    Pi0 = [PhiT PsiT]. The generated system has Weyl function ``rz.value``."""
-    return BdtParameters(ctx=rz.ctx, A=rz.theta - 1j * rz.PsiT @ rz.PsiT.conj().T,
-                         S0=np.eye(rz.n, dtype=complex), Pi0=np.hstack([rz.PhiT, rz.PsiT]))
-
-
 def example41_params(a: float, Phi: complex, Psi: complex) -> BdtParameters:
     """Scalar oracle parameters: n = p = 1, A = a, S0 = 1, Pi0 = [Phi Psi]."""
     if a == 0 or a != np.real(a):
@@ -398,7 +365,7 @@ def random_bdt_parameters(rng: np.random.Generator, n: int, p: int,
             continue
         c = 1.0 / sv[-1]
         A, S0, Pi0 = c * A, (S0 + S0.conj().T) / 2, np.sqrt(c) * Pi0
-        if normalized:      # S0 >= I/2 by construction: ``normalize`` without its gate
+        if normalized:      # S0 >= I/2 by construction: the normal form without its gate
             A, Pi0 = np.split(_cholesky_gauge(A, S0, Pi0), [n], axis=1)
             S0 = np.eye(n, dtype=complex)
         return BdtParameters(ctx=ctx, A=A, S0=S0, Pi0=Pi0)

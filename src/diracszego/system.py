@@ -170,8 +170,8 @@ def summation_residual(sys: PotentialSequence, lam: complex, r: int) -> float:
     at rounding level for every valid system however fast W_k grows; a large
     value flags an invalid potential or a propagation defect.
     """
-    if r > sys.N:
-        raise ValueError(f"r={r} exceeds sequence length N={sys.N}")
+    if not 0 <= r <= sys.N:
+        raise ValueError(f"r={r} is outside 0..N, N={sys.N}")
     return float(_summation_defects(sys, lam, fundamental_solutions(sys, lam, r + 1))[r])
 
 

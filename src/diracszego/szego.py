@@ -1,5 +1,5 @@
 """Conversion between the Dirac form and the block Szego recurrence, scalar
-Schur-coefficient extraction, and the Szego-recurrence variable.
+Schur-coefficient extraction, and the map between their solutions.
 
 The correspondence is a bijection on the subclass of Dirac systems with
 positive-definite coefficients. The accumulated rotation U_k is a product of
@@ -57,9 +57,7 @@ __all__ = [
     "dirac_to_szego",
     "schur_to_R",
     "schur_coeffs",
-    "szego_z_of_lambda",
     "szego_solution_map",
-    "u_rotation",
     "random_szego_sequence",
 ]
 
@@ -111,12 +109,6 @@ def _rotations(R, j: np.ndarray, count: int) -> np.ndarray:
     for k in range(1, count):
         U[k] = _rotate(U[k - 1], ijR[k - 1], flip, eye)
     return U
-
-
-def u_rotation(sz_R, ctx: SignatureContext, k: int) -> np.ndarray:
-    """Accumulated factor U_k = (i j R_0) ... (i j R_{k-1}), U_0 = I,
-    reprojected after every step like the form conversions."""
-    return _rotations(sz_R, ctx.j, k + 1)[k]
 
 
 def szego_to_dirac(sz: SzegoSequence) -> PotentialSequence:
@@ -231,31 +223,25 @@ def random_szego_sequence(rng, p: int, N: int, scale: float = 0.15) -> SzegoSequ
     return SzegoSequence(ctx=SignatureContext(p=p), R=R, theta=np.ones(N + 1))
 
 
-def szego_z_of_lambda(lam: complex) -> complex:
-    """The Szego-recurrence variable z = (1 + i lambda) / (1 - i lambda).
-
-    Distinct from the half-plane-to-disk Cayley map (lambda + i) / (lambda - i);
-    used only by the solution transformation between the two system forms.
-    """
-    if lam == -1j:
-        raise PoleAtInput("the Szego variable has a pole at lambda = -i")
-    return (1 + 1j * lam) / (1 - 1j * lam)
-
-
 def szego_solution_map(sz: SzegoSequence, X_k: np.ndarray, k: int, lam: complex) -> np.ndarray:
     """Map a Szego-recurrence solution value X_k(z) to the Dirac solution
 
         W_k(lambda) = (i - 1/lambda)^k / prod_{r<k} theta_r
-                      * U_k diag(z I_p, I_p) X_k,   z = (1+i lambda)/(1-i lambda).
+                      * U_k diag(z I_p, I_p) X_k,   z = (1+i lambda)/(1-i lambda),
+
+    with the accumulated rotation U_k = (i j R_0) ... (i j R_{k-1}) of the
+    form conversions. z is the Szego-recurrence variable, not the
+    half-plane-to-disk Cayley map (lambda + i) / (lambda - i).
     """
     if lam == 0:
         raise PoleAtInput("lambda must be nonzero")
-    z = szego_z_of_lambda(lam)
-    ctx = sz.ctx
-    p = ctx.p
+    if lam == -1j:
+        raise PoleAtInput("the Szego variable has a pole at lambda = -i")
+    z = (1 + 1j * lam) / (1 - 1j * lam)
+    p = sz.ctx.p
     scale = (1j - 1 / lam) ** k / np.prod([sz.theta[r] for r in range(k)]) if k > 0 else 1.0
     D = np.block([
         [z * np.eye(p), np.zeros((p, p))],
         [np.zeros((p, p)), np.eye(p)],
     ]).astype(complex)
-    return scale * u_rotation(sz.R, ctx, k) @ D @ np.asarray(X_k, dtype=complex)
+    return scale * _rotations(sz.R, sz.ctx.j, k + 1)[k] @ D @ np.asarray(X_k, dtype=complex)

@@ -1,5 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +13,8 @@ from diracszego.errors import (AnalyticityViolation, DiracSzegoError, IdentityVi
                                RankMismatch)
 from diracszego.linalg import _rank_p_factor_gates, min_eig, pd_solve
 from diracszego.policy import check, check_stack, failure
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -61,6 +66,35 @@ def near_singular_s0_params():
     Pi0 = np.array([[0.3 + 0.1j, 0.2], [0.1j, 0.25]])
     A = (np.diag([1.0, 2.0]) + 0.5j * Pi0 @ ctx.j @ Pi0.conj().T) @ np.linalg.inv(S0)
     return dz.BdtParameters(ctx=ctx, A=A, S0=S0, Pi0=Pi0)
+
+
+def params_to_realization(params):
+    """The realization (theta, PhiT, PsiT) = (A + i Psi Psi*, Phi, Psi) of a
+    triple with S0 = I, Pi0 = [Phi Psi]: its ``value`` is ``explicit_weyl``'s."""
+    Phi, Psi = np.split(params.Pi0, 2, axis=1)
+    return dz.WeylRealization(ctx=params.ctx, theta=params.A + 1j * Psi @ Psi.conj().T,
+                              PhiT=Phi, PsiT=Psi)
+
+
+def benchmark_reads():
+    """Every attribute path of the package that ``perfbench/run.py`` reads, as
+    the tuple of names after its root ``dz`` or ``self.dz``: ``dz.io.read_doc``
+    gives ("io", "read_doc")."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    paths = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.insert(0, node.attr)
+            node = node.value
+        names.insert(0, getattr(node, "id", None))
+        for root in (["dz"], ["self", "dz"]):
+            if names[:len(root)] == root and len(names) > len(root):
+                paths.add(tuple(names[len(root):]))
+    return paths
 
 
 def cayley_lambda_of_z(z):

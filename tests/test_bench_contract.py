@@ -4,9 +4,11 @@ A traced benchmark run looks up every ``<layer>.<func>.<calls|self_s|total_s>``
 metric among the public functions of ``diracszego.<layer>`` (its ``__all__``
 where it has one) and fails on a name that is gone, so renaming or deleting such a function must update the
 benchmark in the same change. Its work counters read arguments by position
-and name, so those are pinned here too.
+and name, so those are pinned here too, and so is every name of the package
+that its workloads read.
 """
 
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -17,6 +19,8 @@ from pathlib import Path
 import numpy as np
 
 import diracszego as dz
+import diracszego.cli  # noqa: F401  (the package does not import its command-line module)
+from conftest import benchmark_reads
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -52,6 +56,18 @@ def test_every_span_names_a_public_function():
                 or obj.__module__ != module.__name__):
             missing.append(name)
     assert missing == []
+
+
+def test_every_benchmark_read_resolves():
+    """Each ``dz.`` or ``self.dz.`` path that ``perfbench/run.py`` reads exists
+    on the package, so a deleted or renamed name fails here, and not only in a
+    benchmark run."""
+    paths = benchmark_reads()
+    assert len(paths) >= 10
+    missing = object()
+    assert [".".join(path) for path in sorted(paths)
+            if functools.reduce(lambda obj, name: getattr(obj, name, missing), path, dz)
+            is missing] == []
 
 
 def test_work_counters_read_the_library_signatures(tmp_path, ex41_system):

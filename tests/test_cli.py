@@ -190,6 +190,16 @@ class TestVerify:
         doc = json.loads(rep.read_text())
         assert len(doc["payload"]["determinant_identity_residuals"]) == 2
 
+    @pytest.mark.parametrize("grid", ["1,-2j", "0,-2j"])
+    def test_real_grid_point_is_a_usage_error(self, tmp_path, sys_doc, capsys, grid):
+        """The summation formula needs Im lambda != 0: a real point of the grid
+        is a bad command line, not an invariant failure of the valid system."""
+        rep = tmp_path / "rep.json"
+        assert run(["verify", "--system", sys_doc, "--lambda-grid", grid, "--out", rep]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and not rep.exists()
+        assert err.startswith("error: verify: --lambda-grid point") and "is real" in err
+
     def test_broken_system_fails(self, tmp_path, capsys):
         ctx = dz.SignatureContext(p=1)
         C = [np.eye(2, dtype=complex)] * 3 + [np.diag([2.0, 1.0]).astype(complex)]

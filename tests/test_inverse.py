@@ -16,7 +16,7 @@ from diracszego.errors import (
     ToeplitzNotPD,
 )
 from conftest import (cayley_lambda_of_z, disk_taylor, indefinite_s0_params, loop_rational_taylor,
-                      max_block_dev, random_schur)
+                      max_block_dev, params_to_realization, random_schur)
 
 
 class TestStructuredA:
@@ -291,10 +291,7 @@ class TestRationalTaylorMatchesSampleLoop:
     def test_realization(self):
         rng = np.random.default_rng(7)
         params = dz.random_bdt_parameters(rng, 3, 2, normalized=True)
-        # theta = A + i PsiT PsiT* inverts realization_to_params
-        rz = dz.WeylRealization(ctx=params.ctx,
-                                theta=params.A + 1j * params.Psi @ params.Psi.conj().T,
-                                PhiT=params.Phi, PsiT=params.Psi)
+        rz = params_to_realization(params)
         assert max_block_dev(dz.rational_taylor(rz, 12).alpha,
                              loop_rational_taylor(rz, 12).alpha) < 1e-9
         assert max_block_dev(dz.rational_taylor(rz, 12).alpha,
@@ -336,7 +333,7 @@ class TestStackedSolveRightHandSide:
         params = dz.random_bdt_parameters(np.random.default_rng(n + p), n, p, normalized=True)
         dz.herglotz_map(dz.explicit_weyl(params, self.LAMS))
         assert not [a for a, _ in unambiguous_solve if a[:1] == (512,)]
-        self.assert_broadcast_product(params.A, params.Psi)
+        self.assert_broadcast_product(params.A, params.Pi0[:, p:])
 
     def test_realization_source(self, unambiguous_solve):
         rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),

@@ -4,12 +4,15 @@ The AST guard fails on any positive float literal at or below 1e-6 in a
 library module other than ``policy.py``: such a literal is almost always a
 tolerance that bypasses ``DEFAULT_POLICY``. The allow-list names the few that
 are not gates. A second AST guard keeps the state-space form of a Weyl
-function behind ``pseudoexp``, and a third keeps ``linalg`` free of public
-helpers that only tests call.
+function behind ``pseudoexp``, and a third keeps every module free of public
+names that only tests reach.
 """
 
 import ast
 import dataclasses
+import functools
+import importlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -17,9 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracszego import linalg
+import diracszego as dz
+import diracszego.cli  # noqa: F401  (the package does not import its command-line module)
 from diracszego.errors import DiracSzegoError
 from diracszego.policy import DEFAULT_POLICY, NumericPolicy, check, check_stack, failure
+from conftest import benchmark_reads
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diracszego"
 
@@ -68,9 +73,27 @@ def test_inverse_reads_no_state_space_field():
     assert read & {"S0", "theta", "PhiT", "PsiT", "Phi", "Psi"} == set()
 
 
-def called_names(path):
-    """Names called in a module, each call outside the function of that name."""
-    found = set()
+LAYERS = ("cli", "io", "pseudoexp", "system", "inverse", "linalg", "szego")
+
+# Exports that no library, CLI or benchmark code reaches, kept as the
+# library's statement of a paper result; each maps to the README section
+# that names it.
+PAPER_RESULTS = {
+    "inverse.borg_marchenko_check": "Public surface",
+    "inverse.lyapunov_residual": "Public surface",
+    "pseudoexp.explicit_fundamental": "Public surface",
+    "pseudoexp.explicit_partial_sum": "Public surface",
+    "system.weyl_partial_sum": "Public surface",
+    "system.weyl_disk_eval": "Public surface",
+    "system.MoebiusPair": "Public surface",
+    "szego.szego_solution_map": "Public surface",
+}
+
+
+def library_uses():
+    """(called, read) over the library: the names it calls, each call outside
+    the function of that name, and the names it loads outside type annotations."""
+    called, read = set(), set()
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -78,22 +101,48 @@ def called_names(path):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name != func:
-                found.add(name)
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
+                called.add(name)
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            read.add(getattr(node, "id", getattr(node, "attr", None)))
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, ast.AST):
+                        visit(child, func)
 
-    visit(ast.parse(path.read_text()), None)
-    return found
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), None)
+    return called, read
 
 
-def test_every_linalg_export_has_a_library_caller():
-    """Each name in ``linalg.__all__`` is called by another function of the
-    library or named by a ``linalg.*`` metric of the benchmark."""
-    called = set().union(*(called_names(path) for path in SRC.glob("*.py")))
+def unused_exports():
+    """Names ``layer.name`` in a layer's ``__all__`` that the library does not
+    call (a function) or read (a class or constant), that ``perfbench/run.py``
+    does not read and that no ``BENCHMARK.json`` metric names."""
+    called, read = library_uses()
     bench = json.loads((SRC.parents[1] / "BENCHMARK.json").read_text())
-    metrics = [m["name"].split(".") for m in bench["end_to_end"] + bench["per_layer"]]
-    benched = {parts[1] for parts in metrics if parts[0] == "linalg"}
-    assert [name for name in linalg.__all__ if name not in called | benched] == []
+    metrics = {tuple(m["name"].split(".")[:2]) for m in bench["end_to_end"] + bench["per_layer"]}
+    benched = [functools.reduce(getattr, path, dz) for path in benchmark_reads()]
+    unused = set()
+    for layer in LAYERS:
+        module = importlib.import_module(f"diracszego.{layer}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not (name in (called if inspect.isfunction(obj) else read)
+                    or (layer, name) in metrics or any(obj is b for b in benched)):
+                unused.add(f"{layer}.{name}")
+    return unused
+
+
+def test_every_export_has_a_user():
+    """The exports that no library, CLI or benchmark code uses are exactly the
+    paper results, so a listed name that gains a use fails too and the list
+    stays current; the README section of each names it."""
+    assert unused_exports() == set(PAPER_RESULTS)
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    for name, heading in PAPER_RESULTS.items():
+        section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+        assert f"`{name.split('.')[1]}`" in section, name
 
 
 def test_policy_has_four_fields():

@@ -17,7 +17,8 @@ from diracszego.errors import (
 )
 from diracszego.linalg import norm_stack
 from diracszego.policy import DEFAULT_POLICY
-from conftest import indefinite_s0_params, loop_states, near_singular_s0_params
+from conftest import (indefinite_s0_params, loop_states, near_singular_s0_params,
+                      params_to_realization)
 
 TRIPLES = ((1.0, 1.0, 1.0), (2.0, 1.0, 1j), (-0.5, np.exp(1j * np.pi / 5), 1.0))
 LAMBDAS = (1 - 1j, -2j, 3 - 0.5j)
@@ -41,7 +42,7 @@ class TestParameters:
     def test_example41_family_validates(self):
         for a, Phi, Psi in TRIPLES:
             params = dz.example41_params(a, Phi, Psi)
-            assert params.s0_positive
+            assert params._normal.shape == (1, 3)
             assert params.n == 1
 
     def test_example41_rejects_modulus_mismatch(self):
@@ -66,14 +67,14 @@ class TestParameters:
             resid = np.linalg.norm(params.A @ params.S0 - params.S0 @ params.A.conj().T
                                    - 1j * params.Pi0 @ j @ params.Pi0.conj().T)
             assert resid < 1e-9 * np.linalg.norm(params.A) * np.linalg.norm(params.S0)
-            assert params.s0_positive
+            assert params._normal.shape == (3, 7)
 
     def test_s0_min_eig_is_taken_once_on_first_use(self, rng, monkeypatch):
         calls = []
         monkeypatch.setattr(pseudoexp, "min_eig", lambda M: calls.append(1) or dz.linalg.min_eig(M))
         params = dz.random_bdt_parameters(rng, 3, 2, normalized=True)
         assert calls == []
-        assert params.s0_positive and params.s0_positive
+        assert params._normal is params._normal
         dz.generate(params, 4)
         dz.explicit_weyl(params, -1j)
         assert calls == [1]
@@ -110,10 +111,13 @@ class TestParameters:
                            r"2\.000e\+155, allowed at most 2\.000e\+150$"):
             pseudoexp._check_step_identity(shifted, Phi, params.ctx.j)
 
-    def test_normalize_preserves_potentials(self, rng):
-        params = dz.random_bdt_parameters(rng, 3, 1)
-        norm = dz.normalize(params)
-        assert np.allclose(norm.S0, np.eye(3))
+    def test_normalize_preserves_potentials(self):
+        """The triple drawn in normal form, S0 = I, generates the potentials
+        of the same draw left unnormalized."""
+        params = dz.random_bdt_parameters(np.random.default_rng(3), 3, 1)
+        norm = dz.random_bdt_parameters(np.random.default_rng(3), 3, 1, normalized=True)
+        assert np.array_equal(norm.S0, np.eye(3))
+        assert np.allclose(norm._normal, params._normal, rtol=0, atol=1e-13)
         sys_a, _ = dz.generate(params, 6)
         sys_b, _ = dz.generate(norm, 6)
         dev = max(np.linalg.norm(a - b) for a, b in zip(sys_a.C, sys_b.C))
@@ -126,11 +130,11 @@ class TestNormalForm:
 
     def test_one_verdict_per_triple(self):
         params = near_singular_s0_params()
-        assert not params.s0_positive
-        for run in (lambda: dz.generate(params, 3), lambda: dz.transfer(params, 2, -1j),
+        for run in (lambda: params._normal, lambda: dz.generate(params, 3),
+                    lambda: dz.transfer(params, 2, -1j),
                     lambda: dz.explicit_fundamental(params, 2, -1j),
                     lambda: dz.explicit_partial_sum(params, -1j, 3),
-                    lambda: dz.explicit_weyl(params, -1j), lambda: dz.normalize(params)):
+                    lambda: dz.explicit_weyl(params, -1j)):
             with pytest.raises(NotPositiveDefinite,
                                match=r"^the generating recursion requires S0 > 0"):
                 run()
@@ -153,7 +157,7 @@ class TestNormalForm:
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        dz.normalize(params)
+        params._normal
         dz.generate(params, 6)
         dz.transfer(params, 3, -1j)
         dz.explicit_weyl(params, -1j)
@@ -163,10 +167,9 @@ class TestNormalForm:
     def test_normalize_is_the_cholesky_gauge(self, rng):
         params = dz.random_bdt_parameters(rng, 3, 2)
         L = np.linalg.cholesky(params.S0)
-        norm = dz.normalize(params)
-        assert np.array_equal(norm.S0, np.eye(3))
-        assert np.allclose(L @ norm.A, params.A @ L, rtol=0, atol=1e-13)
-        assert np.allclose(L @ norm.Pi0, params.Pi0, rtol=0, atol=1e-13)
+        A, Pi0 = np.split(params._normal, [3], axis=1)
+        assert np.allclose(L @ A, params.A @ L, rtol=0, atol=1e-13)
+        assert np.allclose(L @ Pi0, params.Pi0, rtol=0, atol=1e-13)
 
 
 class TestGenerate:
@@ -257,8 +260,8 @@ class TestGenerate:
         ``explicit_fundamental`` alike."""
         for n, p in ((2, 1), (3, 2), (4, 2)):
             params = indefinite_s0_params(rng, n, p)
-            assert not params.s0_positive
-            for run in (lambda: dz.generate(params, 6), lambda: dz.transfer(params, 3, -1j),
+            for run in (lambda: params._normal, lambda: dz.generate(params, 6),
+                        lambda: dz.transfer(params, 3, -1j),
                         lambda: dz.explicit_fundamental(params, 3, -1j)):
                 with pytest.raises(NotPositiveDefinite,
                                    match=r"^the generating recursion requires S0 > 0") as info:
@@ -511,16 +514,14 @@ class TestRealization:
 
     def test_value_matches_explicit_weyl(self):
         rz = self.ex41_realization()
-        params = dz.realization_to_params(rz)
+        params = dz.example41_params(1, 1, 1)
         for lam in LAMBDAS:
             assert abs(rz.value(lam) - dz.explicit_weyl(params, lam)) < 1e-13
 
     def test_value_batch_matches_scalar_loop(self, rng):
         for p in (1, 2):
             params = dz.random_bdt_parameters(rng, 3, p, normalized=True)
-            rz = dz.WeylRealization(ctx=params.ctx,
-                                    theta=params.A + 1j * params.Psi @ params.Psi.conj().T,
-                                    PhiT=params.Phi, PsiT=params.Psi)
+            rz = params_to_realization(params)
             lam = rng.standard_normal(16) - 1j * rng.uniform(0.05, 3.0, 16)
             batch = rz.value(lam)
             assert batch.shape == (16, p, p)
@@ -537,22 +538,13 @@ class TestRealization:
         # theta - lambda I is singular only to working precision here, so
         # only the condition gate stops the solve
         params = dz.random_bdt_parameters(rng, 3, 2, normalized=True)
-        rz = dz.WeylRealization(ctx=params.ctx,
-                                theta=params.A + 1j * params.Psi @ params.Psi.conj().T,
-                                PhiT=params.Phi, PsiT=params.Psi)
+        rz = params_to_realization(params)
         pole = np.linalg.eigvals(rz.theta)[0]
         named = re.escape(f"lambda={pole},")
         with pytest.raises(ResolventSingular, match=named):
             rz.value(pole)
         with pytest.raises(ResolventSingular, match=named):
             rz.value(np.array([-1j, pole, 2 - 1j]))
-
-    def test_round_trip_reproduces_potentials(self, ex41_params):
-        rz = self.ex41_realization()  # realization of the closed-form Weyl function
-        params_back = dz.realization_to_params(rz)
-        sys_a, _ = dz.generate(ex41_params, 10)
-        sys_b, _ = dz.generate(params_back, 10)
-        assert max(np.abs(a - b).max() for a, b in zip(sys_a.C, sys_b.C)) < 1e-10
 
     def test_rejects_identity_violation(self):
         with pytest.raises(InvariantViolated):

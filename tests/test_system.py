@@ -101,6 +101,11 @@ class TestSummation:
         with pytest.raises(RealLambda):
             dz.summation_residual(trivial_system, 2.0, 1)
 
+    def test_rejects_r_outside_the_sequence(self, trivial_system):
+        for r in (-2, -1, 8):
+            with pytest.raises(ValueError, match=rf"^r={r} is outside 0\.\.N, N=7$"):
+                dz.summation_residual(trivial_system, 1 - 1j, r)
+
     def test_flags_invalid_potential(self, trivial_system):
         C = list(trivial_system.C)
         C[1] = np.diag([2.0, 1.0]).astype(complex)

@@ -89,8 +89,9 @@ class TestRotationStep:
         U = [np.eye(2 * p, dtype=complex)]
         for R in sz.R:
             U.append(six_product_rotate(U[-1], R, sz.ctx.j))
+        stack = dz.szego._rotations(sz.R, sz.ctx.j, 130)
         for k in (0, 1, 17, 129):
-            assert np.array_equal(dz.szego.u_rotation(sz.R, sz.ctx, k), U[k])
+            assert np.array_equal(stack[k], U[k])
 
 
 class TestRandomSequence:
@@ -117,24 +118,6 @@ class TestRandomSequence:
             assert np.linalg.norm(R @ j @ R - j) <= 1e-14 * (np.linalg.norm(R) ** 2 + 1)
 
 
-class TestCayleyMaps:
-    def test_center_of_disk(self, rng):
-        """z(lambda) = (1 + i lambda) / (1 - i lambda) takes the disk's center
-        at lambda = i and the real line onto the unit circle."""
-        assert dz.szego_z_of_lambda(1j) == 0
-        for lam in rng.standard_normal(10):
-            assert abs(dz.szego_z_of_lambda(lam)) == pytest.approx(1.0)
-
-    def test_poles(self):
-        with pytest.raises(PoleAtInput):
-            dz.szego_z_of_lambda(-1j)
-
-    def test_recurrence_variable_is_distinct(self):
-        lam = 2 - 1j
-        assert dz.szego_z_of_lambda(lam) != (lam + 1j) / (lam - 1j)
-        assert dz.szego_z_of_lambda(1j) == pytest.approx(0.0)
-
-
 class TestSolutionMap:
     def test_maps_recurrence_solution_onto_propagation(self, rng):
         # run the three-term block recurrence directly and check the change of
@@ -143,7 +126,7 @@ class TestSolutionMap:
         sysd = dz.szego_to_dirac(sz)
         p = sz.ctx.p
         for lam in (1 - 1j, -0.5 - 2j):
-            z = dz.szego_z_of_lambda(lam)
+            z = (1 + 1j * lam) / (1 - 1j * lam)
             D = np.diag([z, 1]).astype(complex)
             X = np.diag([1 / z, 1]).astype(complex)  # makes W_0 = I
             for k in range(5):
@@ -156,5 +139,14 @@ class TestSolutionMap:
         # unprojected accumulation drifts off the j-unitary manifold geometrically
         sz = dz.schur_to_R(random_schur(rng, 60))
         j = sz.ctx.j
-        U = dz.szego.u_rotation(sz.R, sz.ctx, 60)
+        U = dz.szego._rotations(sz.R, j, 61)[60]
         assert np.linalg.norm(j @ U.conj().T @ j @ U - np.eye(2)) < 1e-9
+
+    def test_poles(self):
+        """lambda = 0 is a pole of (i - 1/lambda)^k, and lambda = -i one of the
+        Szego variable z = (1 + i lambda) / (1 - i lambda)."""
+        sz = dz.schur_to_R(dz.SchurCoefficients(rho=(0.3, -0.2j)))
+        with pytest.raises(PoleAtInput, match="nonzero"):
+            dz.szego_solution_map(sz, np.eye(2), 1, 0)
+        with pytest.raises(PoleAtInput, match="lambda = -i"):
+            dz.szego_solution_map(sz, np.eye(2), 1, -1j)
