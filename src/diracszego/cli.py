@@ -21,6 +21,7 @@ from . import io
 from .errors import (
     DiracSzegoError,
     DocumentError,
+    ModulusAtLeastOne,
     Phi1Mismatch,
     SingularLeadingBlock,
     SingularVMinus,
@@ -110,7 +111,9 @@ def cmd_inverse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    grid = _parse_complex_list(args.lambda_grid) if args.lambda_grid else list(DEFAULT_LAMBDA_GRID)
+    grid = DEFAULT_LAMBDA_GRID if args.lambda_grid is None else _parse_complex_list(args.lambda_grid)
+    if not grid:
+        raise _UsageError("verify: --lambda-grid names no point")
     for lam in grid:
         if lam.imag == 0:
             raise _UsageError(f"verify: --lambda-grid point {lam} is real; use Im lambda != 0")
@@ -164,7 +167,13 @@ def cmd_szego(args) -> int:
         if needed and given is None:
             raise _UsageError(f"szego --{mode.replace('_', '-')}: {flag} is required")
     if mode == "from_schur":
-        rho = SchurCoefficients(rho=tuple(_parse_complex_list(args.from_schur)))
+        values = _parse_complex_list(args.from_schur)
+        if not values:
+            raise _UsageError("szego --from-schur: the list names no coefficient")
+        try:
+            rho = SchurCoefficients(rho=values)
+        except ModulusAtLeastOne as exc:
+            raise _UsageError(f"szego --from-schur: {exc}") from exc
         io.write_doc(args.out, io.szego_to_doc(schur_to_R(rho)))
         return EXIT_OK
     doc = io.read_doc(args.infile)

@@ -2,12 +2,11 @@
 
 Direct: potentials -> Taylor coefficients of the Weyl function in the Cayley
 variable, through the block lower-triangular V_- recursion and block forward
-substitution. Inverse: coefficients -> potentials, through the backward
-predictors B_r and pivots P_r of the nested Hermitian block Toeplitz matrices
-S(r) (B_r P_r^{-1} is the last block column of S(r)^{-1}), which the block
-Levinson engine of ``linalg`` yields one r at a time: with Y_r = B_r* Pi(r),
-beta(r)* beta(r) = Y_r* P_r^{-1} Y_r, and Y_r J Y_r* = P_r is the
-J-normalization. Both recursions cost O(N^2 p^3). Also houses the exact Taylor
+substitution. Inverse: coefficients -> potentials, by layer peeling (the
+generalized Schur algorithm) on the displacement generator of the nested
+Hermitian block Toeplitz matrices S(r): each step yields one j-unitary Szego
+factor R_r, and ``szego.szego_to_dirac`` turns the factors into the Dirac
+coefficients. Both recursions cost O(N^2 p^3). Also houses the exact Taylor
 blocks of a rational Weyl function from its state-space realization (one n x n
 inverse and N products with a contraction, no sampling), two paper results that
 the package does not call (the displacement identity A S - S A* = i Pi J Pi*
@@ -17,7 +16,6 @@ and Borg-Marchenko uniqueness), and the O(N^4 p^3) positivity diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -31,11 +29,12 @@ from .errors import (
     SingularVMinus,
     ToeplitzNotPD,
 )
-from .linalg import (SignatureContext, _block_stack, _rank_p_factor_gates, block_levinson,
-                     block_toeplitz, check_cond, check_cond_stack, min_eig, norm_stack)
+from .linalg import (SignatureContext, _block_stack, _rank_p_factor_gates, block_toeplitz,
+                     check_cond, check_cond_stack, min_eig, norm_stack)
 from .policy import DEFAULT_POLICY, check, check_stack, failure
 from .pseudoexp import BdtParameters, WeylRealization, _weyl_state_space
 from .system import PotentialSequence
+from .szego import SzegoSequence, szego_to_dirac
 
 __all__ = [
     "TaylorSequence",
@@ -223,45 +222,63 @@ def _first_not_pd(S: np.ndarray, p: int):
     return hi, verdict(hi)
 
 
+def _peel(alpha: np.ndarray):
+    """Szego factors R_0..R_N of the blocks ``alpha`` by layer peeling, and
+    cond(Theta_r) = (1 + ||rho_r||) / (1 - ||rho_r||) of each step: inf at
+    the first step with ||rho_r|| >= 1 or rho_r not finite, where it stops.
+
+    G = [x, y] starts as [c + e_0, c - e_0], the generator of S(N) - Z S(N) Z*
+    (c the stacked alpha_k). Step r reads rho_r = x_0^{-1} y_0, applies
+    Theta_r = [[a, -a rho_r], [-rho_r* a, b]], which zeroes y_0, and moves x
+    down one block row. a and b are the diagonal blocks of
+    W diag(sqrt((1 - t) / (1 + t))) W* from one eigh of [[0, rho_r],
+    [rho_r*, 0]]; -a rho_r from the computed rho_r leaves a far smaller y_0
+    than that form's own blocks. R_r is Theta_r, off-diagonal blocks negated
+    for even r.
+    """
+    n, p = alpha.shape[:2]
+    G = np.concatenate([alpha, alpha], axis=2).reshape(n * p, 2 * p)
+    G[:p] += np.hstack([np.eye(p), -np.eye(p)])
+    X = np.zeros((2 * p, 2 * p), dtype=complex)
+    R = np.zeros((n, 2 * p, 2 * p), dtype=complex)
+    cond = np.full(n, np.inf)
+    for r in range(n):
+        rho = np.linalg.solve(G[:p, :p], G[:p, p:])
+        if not np.isfinite(rho).all():          # eigh may not converge on it
+            break
+        X[p:, :p] = rho.conj().T                 # eigh reads the lower triangle
+        t, W = np.linalg.eigh(X)
+        if not t[-1] < 1:
+            break
+        cond[r] = (1 + t[-1]) / (1 - t[-1])
+        T = R[r]
+        np.matmul(W * np.sqrt((1 - t) / (1 + t)), W.conj().T, out=T)
+        np.matmul(T[:p, :p], -rho, out=T[:p, p:])
+        T[p:, :p] = T[:p, p:].conj().T
+        G = G @ T
+        G[p:, :p] = G[:-p, :p]                   # x down one block row
+        G = G[p:]
+    R[::2] *= np.kron([[1, -1], [-1, 1]], np.ones((p, p)))    # j R j
+    return R, cond[:r + 1]
+
+
 def inverse_potentials(alpha: TaylorSequence) -> PotentialSequence:
     """Inverse spectral problem: Taylor coefficients to potentials.
 
-    For each r the induced block Toeplitz matrix S(r) must be positive
-    definite; S(N) is assembled once and the gate is decided on it (see
-    ``_first_not_pd``). From the block Levinson engine's B_r and P_r, each
-    step forms Y_r = sum_l B_r[l]* [I, psi_l] = B_r* Pi(r). The Gram matrix
-    G_r = beta(r)* beta(r) is Y_r* P_r^{-1} Y_r, one stacked solve for every
-    r, and C_r = 2 K* G_r K - j. The J-normalization Y_r J Y_r* = P_r (the
-    Lyapunov identity A S - S A* = i Pi J Pi* compressed by B_r, since
-    B_r* (A S(r) - S(r) A*) B_r = i P_r) is asserted at the scale
-    ||Y_r||^2 ||J|| + ||P_r||, and the first r that fails is named.
-    The recursion costs O(N^2 p^3); the gate adds one Cholesky factorization
-    on a passing input, and an eigenvalue problem where that does not decide.
+    The positivity gate of every S(r) is decided on S(N) (``_first_not_pd``)
+    before anything else runs; then ``_peel`` yields the Szego factors, their
+    conditions judged against cond_limit in one pass, and ``szego_to_dirac``
+    forms the C_r (theta does not enter). O(N^2 p^3) plus the gate.
     """
-    ctx = SignatureContext(p=alpha.p)
-    p, J, K, j = alpha.p, ctx.J, ctx.K, ctx.j
-    failed = _first_not_pd(block_toeplitz(alpha.alpha), p)
-    stop = alpha.N + 1 if failed is None else failed[0]
-    Pi = np.concatenate([np.broadcast_to(np.eye(p), alpha.alpha.shape),  # [I, psi_l] as rows
-                         np.cumsum(alpha.alpha, axis=0)], axis=2).reshape(-1, 2 * p)
-    Y = np.empty((stop, p, 2 * p), dtype=complex)    # B_r* Pi(r)
-    P = np.empty((stop, p, p), dtype=complex)        # the backward pivots
-    for r, (B, pivot) in enumerate(islice(block_levinson(alpha.alpha), stop)):
-        Y[r] = B.reshape((r + 1) * p, p).conj().T @ Pi[:(r + 1) * p]
-        P[r] = pivot
-    YH = Y.conj().transpose(0, 2, 1)
-    G = YH @ np.linalg.solve(P, Y)
-    check_stack([(norm_stack(Y @ J @ YH - P),
-                  norm_stack(Y) ** 2 * np.linalg.norm(J) + norm_stack(P),
-                  InvariantViolated, lambda r: f"J-normalization residual at r={r}",
-                  DEFAULT_POLICY.tau)])
-    C = 2 * K.conj().T @ G @ K - j
-    C = (C + C.conj().transpose(0, 2, 1)) / 2
+    failed = _first_not_pd(block_toeplitz(alpha.alpha), alpha.p)
     if failed is not None:
         r, line = failed
         raise ToeplitzNotPD(f"block Toeplitz matrix S({r}) is not positive definite: {line}",
                             r)
-    return PotentialSequence(ctx=ctx, C=C)
+    R, cond = _peel(alpha.alpha)
+    check_stack([(cond, 1.0, InvariantViolated, lambda r: f"condition number of Theta_{r}",
+                  DEFAULT_POLICY.cond_limit)])
+    return szego_to_dirac(SzegoSequence(SignatureContext(p=alpha.p), R, np.ones(len(R))))
 
 
 def lyapunov_residual(alpha: TaylorSequence) -> float:

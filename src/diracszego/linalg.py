@@ -1,5 +1,6 @@
-"""Complex linear-algebra primitives, the block Toeplitz engine, and the fixed
-signature matrices.
+"""Complex linear-algebra primitives, block Toeplitz assembly, a block
+Levinson solver (the inverse problem peels the generator in ``inverse``
+instead), and the fixed signature matrices.
 
 Everything here operates on plain ``numpy`` complex arrays and needs no SciPy,
 so importing the package does not load it. ``numpy.linalg.eigh`` and
@@ -21,7 +22,6 @@ __all__ = [
     "SignatureContext",
     "block_toeplitz",
     "pd_solve",
-    "block_levinson",
     "block_levinson_solve",
     "min_eig",
     "min_eig_stack",
@@ -312,57 +312,30 @@ def pd_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.conj().T, np.linalg.solve(L, B))
 
 
-def block_levinson(alpha: list[np.ndarray] | np.ndarray):
-    """Yield the backward predictor B and pivot P, S(r) B = [0; P], for r = 0..N.
+def block_levinson_solve(alpha: list[np.ndarray], B: np.ndarray) -> np.ndarray:
+    """Solve ``block_toeplitz(alpha) @ X = B`` by block Levinson/Whittle recursion.
 
-    S(r) is ``block_toeplitz(alpha[:r + 1])``, which must be positive definite
-    for every r reached. B is a new (r+1, p, p) array whose last block is
-    exactly I_p and P a new Hermitian p x p array; B P^{-1} is the last block
-    column of S(r)^{-1}. Block Levinson/Whittle recursion on B and the forward
-    predictor A, S(r) [A; 0] = [Pf; 0]: step r costs O(r p^3), so running
-    through r = N costs O(N^2 p^3).
+    Every S(r) = ``block_toeplitz(alpha[:r + 1])`` must be positive definite.
+    Step r extends the forward and backward predictors, S(r) [A; 0] = [Pf; 0]
+    and S(r) B_r = [0; P_r], and adds the last block column of S(r)^{-1},
+    B_r P_r^{-1}, times block row r's residual: O(N^2 p^3) in all, against
+    O(N^3 p^3) for a dense factorization.
     """
     a = np.asarray(alpha, dtype=complex)
     n, p = a.shape[:2]
-    row = a[::-1].transpose(1, 0, 2).reshape(p, n * p)  # alpha_N ... alpha_0 side by side
-
+    rhs = np.asarray(B, dtype=complex).reshape(n, p, -1)
+    X = np.zeros_like(rhs)
+    zero = np.zeros((1, p, p), dtype=complex)
     fwd = bwd = np.eye(p, dtype=complex)[None]
     pf = pb = a[0] + a[0].conj().T
-    yield bwd, pb
-    for r in range(1, n):
-        # block row r of S(r) times [fwd; 0]; block row 0 times [0; bwd] is its adjoint
-        delta = row[:, (n - 1 - r) * p:(n - 1) * p] @ fwd.reshape(r * p, p)
-        kf = np.linalg.solve(pb, delta)
-        kb = np.linalg.solve(pf, delta.conj().T)
-        new_fwd = np.zeros((r + 1,) + delta.shape, dtype=complex)
-        new_bwd = np.zeros_like(new_fwd)
-        new_fwd[:r] = fwd
-        # each (r, p, p) predictor times its p x p factor as one flat product
-        new_fwd[1:] -= (bwd.reshape(r * p, p) @ kf).reshape(r, p, p)
-        new_bwd[1:] = bwd
-        new_bwd[:r] -= (fwd.reshape(r * p, p) @ kb).reshape(r, p, p)
-        fwd, bwd = new_fwd, new_bwd
-        pf = pf - delta.conj().T @ kf
-        pb = pb - delta @ kb
-        pf, pb = (pf + pf.conj().T) / 2, (pb + pb.conj().T) / 2
-        yield bwd, pb
-
-
-def block_levinson_solve(alpha: list[np.ndarray], B: np.ndarray) -> np.ndarray:
-    """Solve ``block_toeplitz(alpha) @ X = B`` by block Levinson recursion.
-
-    Runs on ``block_levinson``, the engine of the inverse spectral problem:
-    O(N^2 p^3) instead of the O(N^3 p^3) dense factorization. Each step adds
-    the last block column of S(r)^{-1}, B P^{-1}, times block row r's residual.
-    """
-    a = np.asarray(alpha, dtype=complex)
-    n, p = a.shape[:2]
-    B = np.asarray(B, dtype=complex)
-    if B.ndim == 1:
-        B = B[:, None]
-    rhs = B.reshape(n, p, -1)
-    X = np.zeros_like(rhs)
-    for r, (bwd, pivot) in enumerate(block_levinson(a)):
+    for r in range(n):
+        if r:
+            # block row r of S(r) times [fwd; 0]; block row 0 times [0; bwd] is its adjoint
+            delta = np.einsum("lab,lbc->ac", a[r:0:-1], fwd)
+            kf, kb = np.linalg.solve(pb, delta), np.linalg.solve(pf, delta.conj().T)
+            fwd, bwd = (np.concatenate([fwd, zero]) - np.concatenate([zero, bwd @ kf]),
+                        np.concatenate([zero, bwd]) - np.concatenate([fwd @ kb, zero]))
+            pf, pb = pf - delta.conj().T @ kf, pb - delta @ kb
         resid = rhs[r] - np.einsum("lab,lbc->ac", a[r:0:-1], X[:r])
-        X[:r + 1] += (bwd @ np.linalg.inv(pivot)) @ resid
+        X[:r + 1] += (bwd @ np.linalg.inv(pb)) @ resid
     return X.reshape(n * p, -1)

@@ -88,13 +88,13 @@ class SzegoSequence:
 
 @dataclass(frozen=True)
 class SchurCoefficients:
-    """Scalar Schur (Verblunsky) coefficients, |rho_k| < 1."""
+    """Scalar Schur (Verblunsky) coefficients, |rho_k| < 1; NaN fails."""
 
     rho: tuple
 
     def __post_init__(self):
         rho = tuple(complex(r) for r in self.rho)
-        if any(abs(r) >= 1 for r in rho):
+        if not all(abs(r) < 1 for r in rho):
             raise ModulusAtLeastOne("all Schur coefficients must satisfy |rho| < 1")
         object.__setattr__(self, "rho", rho)
 

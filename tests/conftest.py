@@ -246,8 +246,9 @@ def dense_inverse_potentials(alpha):
 # equivalence tests compare against.
 
 def loop_block_levinson(alpha):
-    """``linalg.block_levinson`` with a stacked (r, p, p) @ (p, p) product
-    for every predictor update; yields (B, P) like the library."""
+    """Block Levinson/Whittle recursion: yields the monic backward predictor
+    B_r, an (r+1, p, p) stack, and its pivot P_r, S(r) B_r = [0; P_r], for
+    r = 0..N. The engine of ``loop_inverse_potentials``."""
     a = np.asarray(alpha, dtype=complex)
     ah = a.conj().transpose(0, 2, 1)
     n, p = a.shape[:2]
@@ -340,8 +341,10 @@ def loop_beta_from_potentials(sys):
 
 
 def loop_inverse_potentials(alpha):
-    """``inverse_potentials`` with Y_r, the solve, the J-normalization check
-    and C_r formed at each r inside the Levinson loop."""
+    """The inverse problem by block Levinson recursion, the reference for
+    the layer peeling of ``inverse_potentials``: with Y_r = B_r* Pi(r), the
+    Gram matrix beta(r)* beta(r) = Y_r* P_r^{-1} Y_r gives C_r, and the
+    J-normalization Y_r J Y_r* = P_r is checked at each r."""
     ctx = dz.SignatureContext(p=alpha.p)
     p, J, K, j, norm_J = alpha.p, ctx.J, ctx.K, ctx.j, np.linalg.norm(ctx.J)
     failed = dz.inverse._first_not_pd(dz.block_toeplitz(alpha.alpha), p)

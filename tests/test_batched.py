@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import diracszego as dz
-from diracszego import io, linalg
+from diracszego import io
 from diracszego.errors import (
     InvariantViolated,
     NotPositiveDefinite,
@@ -21,7 +21,6 @@ from diracszego.policy import DEFAULT_POLICY
 from conftest import (
     dense_taylor_from_beta,
     loop_beta_from_potentials,
-    loop_block_levinson,
     loop_dirac_to_szego,
     loop_failures,
     loop_generate,
@@ -99,11 +98,11 @@ class TestBatchedEquivalence:
         assert identical(dz.beta_from_potentials(sys_in).beta,
                          loop_beta_from_potentials(sys_in).beta)
         alpha = dz.direct_taylor(sys_in)
-        got, ref = list(linalg.block_levinson(alpha.alpha)), list(loop_block_levinson(alpha.alpha))
+        # the peel and the Levinson reference are different recursions: equal to rounding
+        got, ref = dz.inverse_potentials(alpha).C, loop_inverse_potentials(alpha).C
         assert len(got) == len(ref) == alpha.N + 1
-        assert identical([B for B, _ in got], [B for B, _ in ref])
-        assert identical([P for _, P in got], [P for _, P in ref])
-        assert identical(dz.inverse_potentials(alpha).C, loop_inverse_potentials(alpha).C)
+        assert max(float(np.linalg.norm(a - b) / np.linalg.norm(b))
+                   for a, b in zip(got, ref)) < 1e-12
         got, ref = dz.dirac_to_szego(sys_in), loop_dirac_to_szego(sys_in)
         assert identical(got.R, ref.R) and np.array_equal(got.theta, ref.theta)
         assert_validate_matches(sys_in)

@@ -200,6 +200,15 @@ class TestVerify:
         assert out == "" and err.count("\n") == 1 and not rep.exists()
         assert err.startswith("error: verify: --lambda-grid point") and "is real" in err
 
+    @pytest.mark.parametrize("grid", [",", " , ", ""])
+    def test_empty_grid_is_a_usage_error(self, tmp_path, sys_doc, capsys, grid):
+        """A grid given with no point checks nothing, so it cannot pass."""
+        rep = tmp_path / "rep.json"
+        assert run(["verify", "--system", sys_doc, "--lambda-grid", grid, "--out", rep]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not rep.exists()
+        assert err == "error: verify: --lambda-grid names no point\n"
+
     def test_broken_system_fails(self, tmp_path, capsys):
         ctx = dz.SignatureContext(p=1)
         C = [np.eye(2, dtype=complex)] * 3 + [np.diag([2.0, 1.0]).astype(complex)]
@@ -267,6 +276,19 @@ class TestSzegoCommand:
         rho = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert abs(complex(*rho[0]) - 0.3) < 1e-12
         assert abs(complex(*rho[1]) - (-0.2)) < 1e-12
+
+    @pytest.mark.parametrize("rhos, what", [
+        (",", "the list names no coefficient"),
+        ("nan,0.2", "all Schur coefficients must satisfy |rho| < 1"),
+        ("0.2,1", "all Schur coefficients must satisfy |rho| < 1"),
+        ("0.6+0.8j", "all Schur coefficients must satisfy |rho| < 1"),
+    ])
+    def test_from_schur_bad_list_is_a_usage_error(self, tmp_path, capsys, rhos, what):
+        sz = tmp_path / "sz.json"
+        assert run(["szego", "--from-schur", rhos, "--out", sz]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not sz.exists()
+        assert err == f"error: szego --from-schur: {what}\n"
 
     def test_round_trip_report(self, sys_doc, capsys):
         assert run(["szego", "--round-trip", "--in", sys_doc]) == 0

@@ -6,7 +6,7 @@ import pytest
 
 import diracszego as dz
 from diracszego import inverse, linalg
-from diracszego.errors import ToeplitzNotPD
+from diracszego.errors import InvariantViolated, ToeplitzNotPD
 from conftest import (
     dense_block_toeplitz,
     dense_first_not_pd,
@@ -31,34 +31,25 @@ class TestBlockToeplitz:
         assert np.array_equal(dz.block_toeplitz(alpha), dense_block_toeplitz(alpha))
 
 
-class TestLevinsonEngine:
+class TestLayerPeeling:
     @pytest.mark.parametrize("p", [1, 2])
-    def test_yields_last_block_column_of_each_inverse(self, rng, p):
-        """B P^{-1} is the last block column of S(r)^{-1}."""
-        alpha = random_taylor(rng, p, 8).alpha
-        for r, (B, P) in enumerate(linalg.block_levinson(alpha)):
-            S = dense_block_toeplitz(alpha[: r + 1])
-            expect = np.linalg.inv(S)[:, r * p:].reshape(r + 1, p, p)
-            last = B @ np.linalg.inv(P)
-            assert B.shape == (r + 1, p, p) and P.shape == (p, p)
-            assert np.linalg.norm(last - expect) < 1e-10 * np.linalg.norm(expect)
-        assert r == len(alpha) - 1
+    @pytest.mark.parametrize("seed", range(5))
+    def test_peel_recovers_drawn_szego_factors(self, p, seed):
+        """The peel of the Taylor blocks of a drawn Szego sequence yields its R_k."""
+        sz = dz.random_szego_sequence(np.random.default_rng(seed), p, 50, 0.1)
+        R, cond = inverse._peel(dz.direct_taylor(dz.szego_to_dirac(sz)).alpha)
+        assert len(cond) == len(R) == len(sz.R) and np.isfinite(cond).all()
+        assert max_rel_dev(R, sz.R) < 1e-12
 
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_yields_monic_backward_predictor_and_pivot(self, rng, p):
-        """The last block of B is exactly I, P is exactly Hermitian and
-        S(r) B = [0; P]."""
-        alpha = random_taylor(rng, p, 8).alpha
-        steps = list(linalg.block_levinson(alpha))
-        assert len(steps) == len(alpha)
-        for r, (B, P) in enumerate(steps):
-            S = dense_block_toeplitz(alpha[: r + 1])
-            assert np.array_equal(B[r], np.eye(p)) and np.array_equal(P, P.conj().T)
-            expect = np.zeros(((r + 1) * p, p), dtype=complex)
-            expect[r * p:] = P
-            flat = B.reshape(-1, p)
-            assert (np.linalg.norm(S @ flat - expect)
-                    <= 1e-10 * np.linalg.norm(S) * np.linalg.norm(flat))
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_rational_weyl_matches_generate(self, seed):
+        """The exact oracle at N = 1000: the inverse of a rational Weyl
+        function's Taylor blocks against the generated potentials."""
+        params = dz.random_bdt_parameters(np.random.default_rng(seed), 3, 2, normalized=True)
+        got = dz.inverse_potentials(dz.rational_taylor(params, 1000)).C
+        ref = dz.generate(params, 1000)[0].C
+        size = np.maximum(np.linalg.norm(ref, axis=(1, 2)), 1.0)
+        assert (np.linalg.norm(got - ref, axis=(1, 2)) / size).max() < 1e-13
 
 
 class TestEquivalence:
@@ -86,6 +77,32 @@ class TestEquivalence:
         with pytest.raises(ToeplitzNotPD) as info:
             dz.inverse_potentials(broken)
         assert info.value.failing_index == first
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("k, factor", [(0, -25), (2, 25), (7, 25), (13, 25), (18, 25)])
+    def test_peel_stops_where_the_gate_fails(self, rng, monkeypatch, p, k, factor):
+        """With the positivity gate bypassed, the peel's own gate names the
+        same first index, without a RuntimeWarning on the way (the suite's
+        filterwarnings setting makes one an error)."""
+        alpha = list(random_taylor(rng, p, 20).alpha)
+        alpha[k] = factor * alpha[k]
+        broken = dz.TaylorSequence(p=p, alpha=tuple(alpha))
+        monkeypatch.setattr(inverse, "_first_not_pd", lambda S, p: None)
+        with pytest.raises(InvariantViolated) as info:
+            dz.inverse_potentials(broken)
+        assert info.value.index == dense_first_not_pd(broken)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_peel_stops_at_a_non_finite_reflection(self, rng, monkeypatch, p):
+        """With the positivity gate bypassed, a NaN entry of alpha_5 makes
+        rho_5 NaN; the peel stops there instead of handing it to eigh."""
+        blocks = list(random_taylor(rng, p, 12).alpha)
+        blocks[5] = blocks[5].copy()
+        blocks[5][-1, 0] = np.nan
+        monkeypatch.setattr(inverse, "_first_not_pd", lambda S, p: None)
+        with pytest.raises(InvariantViolated) as info:
+            dz.inverse_potentials(dz.TaylorSequence(p=p, alpha=tuple(blocks)))
+        assert info.value.index == 5
 
     def test_positivity_profile_unchanged(self, rng):
         alpha = random_taylor(rng, 2, 12)

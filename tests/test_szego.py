@@ -17,6 +17,11 @@ class TestSchurCoefficients:
         with pytest.raises(ModulusAtLeastOne):
             dz.SchurCoefficients(rho=(0.5, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.1), np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ModulusAtLeastOne):
+            dz.SchurCoefficients(rho=(0.2, bad))
+
     def test_schur_to_factors_shape(self):
         sz = dz.schur_to_R(dz.SchurCoefficients(rho=(0.0, 0.3, -0.2j)))
         assert sz.N == 2
