@@ -40,7 +40,6 @@ from .szego import (
 )
 from .pseudoexp import (
     BdtParameters,
-    WeylRealization,
     example41,
     example41_params,
     explicit_fundamental,

@@ -31,8 +31,8 @@ from .errors import (
 )
 from .linalg import (SignatureContext, _block_stack, _rank_p_factor_gates, block_toeplitz,
                      check_cond, check_cond_stack, min_eig, norm_stack)
-from .policy import DEFAULT_POLICY, check, check_stack, failure
-from .pseudoexp import BdtParameters, WeylRealization, _weyl_state_space
+from .policy import DEFAULT_POLICY, check, check_stack, failure, passes
+from .pseudoexp import BdtParameters, _weyl_state_space
 from .system import PotentialSequence
 from .szego import SzegoSequence, szego_to_dirac
 
@@ -304,11 +304,12 @@ def toeplitz_positivity(alpha: TaylorSequence) -> list[float]:
     return [min_eig(S[:(r + 1) * alpha.p, :(r + 1) * alpha.p]) for r in range(alpha.N + 1)]
 
 
-def rational_taylor(source, N: int) -> TaylorSequence:
+def rational_taylor(params: BdtParameters, N: int) -> TaylorSequence:
     """Taylor blocks alpha_0..alpha_N of a rational Weyl function, exactly
     from its realization phi_I(lambda) = c (A_x - lambda I)^{-1} b with S0 = I,
-    c = -i PhiT* and b = PsiT (``pseudoexp._weyl_state_space``; parameters
-    need S0 > 0). By Woodbury the K-convention function is
+    c = -i PhiT* and b = PsiT (``pseudoexp._weyl_state_space``; S0 > 0 required;
+    a realization (theta, PhiT, PsiT) is ``BdtParameters(ctx, theta - i PsiT PsiT*,
+    I, [PhiT PsiT])``). By Woodbury the K-convention function is
 
         i phi_K = (I - phi_I)(I + phi_I)^{-1} = I - 2 c (A_2 - lambda I)^{-1} b,
         A_2 = A_x + b c,
@@ -322,20 +323,20 @@ def rational_taylor(source, N: int) -> TaylorSequence:
     n x n by n x p. No block is a difference of nearby terms.
 
     Stability: A_2 - A_2* = i (PhiT - PsiT)(PhiT - PsiT)* >= 0, so
-    ||M^{-1}||_2 <= 1 (cond_2(M) <= ||M||_2: the gate passes every valid source
+    ||M^{-1}||_2 <= 1 (cond_2(M) <= ||M||_2: the gate passes every valid triple
     short of that norm reaching cond_limit), and T = (A_2 - iI)(A_2 + iI)^{-1}
     is the Cayley transform of a dissipative matrix, a contraction (Sz.-Nagy
     & Foias, Harmonic Analysis of Operators on Hilbert Space, ch. IV): the
     loop cannot grow.
 
     S0 not > 0 and a failing gate raise ``AnalyticityViolation`` chained from
-    the original error, as does a non-finite block; any other source raises
-    ``TypeError``.
+    the original error, as does a non-finite block; anything but
+    ``BdtParameters`` raises ``TypeError``.
     """
-    if not isinstance(source, (BdtParameters, WeylRealization)):
-        raise TypeError("source must be BdtParameters or WeylRealization")
+    if not isinstance(params, BdtParameters):
+        raise TypeError("params must be BdtParameters")
     try:
-        A_x, c, b = _weyl_state_space(source)
+        A_x, c, b = _weyl_state_space(params)
         n, p = b.shape
         M_inv = check_cond(A_x + b @ c + 1j * np.eye(n), ResolventSingular, "A_x + b c + i I")
     except (DiracSzegoError, np.linalg.LinAlgError) as exc:
@@ -356,21 +357,21 @@ def rational_taylor(source, N: int) -> TaylorSequence:
     return TaylorSequence(p=p, alpha=alpha)
 
 
-def borg_marchenko_check(sysA: PotentialSequence, sysB: PotentialSequence, N: int,
-                         coeff_tol: float = 1e-8):
+def borg_marchenko_check(sysA: PotentialSequence, sysB: PotentialSequence, N: int):
     """Uniqueness check: coefficient agreement to order N forces potential
     agreement up to index N.
 
     Returns (agree, max_potential_deviation, first_mismatch). ``agree`` is
-    True when the first N+1 Taylor blocks of the two systems coincide within
-    ``coeff_tol``; in that case the reported deviation is over C_0..C_N. When
-    they do not, ``first_mismatch`` is the first differing coefficient index.
+    True when every block pair k <= N passes ||alpha_k^A - alpha_k^B|| <= tau
+    max(||alpha_k^A||, ||alpha_k^B||, 1); the deviation is then over C_0..C_N.
+    Otherwise ``first_mismatch`` is the first differing coefficient index.
     """
     if N > min(sysA.N, sysB.N):
         raise ValueError("N exceeds one of the sequence lengths")
     ta = direct_taylor(PotentialSequence(ctx=sysA.ctx, C=sysA.C[: N + 1]))
     tb = direct_taylor(PotentialSequence(ctx=sysB.ctx, C=sysB.C[: N + 1]))
-    mismatch = norm_stack(ta.alpha - tb.alpha) > coeff_tol
+    scale = np.maximum(np.maximum(norm_stack(ta.alpha), norm_stack(tb.alpha)), 1.0)
+    mismatch = ~passes(norm_stack(ta.alpha - tb.alpha), scale)
     if mismatch.any():
         return False, None, int(np.argmax(mismatch))
     return True, float(norm_stack(sysA.C[: N + 1] - sysB.C[: N + 1]).max()), None

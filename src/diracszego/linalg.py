@@ -3,9 +3,9 @@ Levinson solver (the inverse problem peels the generator in ``inverse``
 instead), and the fixed signature matrices.
 
 Everything here operates on plain ``numpy`` complex arrays and needs no SciPy,
-so importing the package does not load it. ``numpy.linalg.eigh`` and
-``numpy.linalg.cholesky`` are the low-level dependency points; all higher
-modules go through the helpers below.
+so importing the package does not load it. Gates reach ``numpy.linalg.eigh``
+and ``cholesky`` through the helpers below; ``inverse._first_not_pd`` and ``_peel``,
+``szego.dirac_to_szego`` and ``pseudoexp._states`` and ``_cholesky_gauge`` call them.
 """
 
 from __future__ import annotations

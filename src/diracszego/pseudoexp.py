@@ -1,7 +1,7 @@
 """Explicit machinery for rational Weyl functions: generation of
 pseudo-exponential potentials from finite-dimensional parameter triples,
 the transfer matrix function, the explicit fundamental solution, the explicit
-Weyl function and its state-space realization, and the scalar closed-form
+Weyl function from its state-space form, and the scalar closed-form
 family used as an oracle throughout the test suite.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     FloatOverflow,
     IdentityViolated,
-    InvariantViolated,
     LambdaZero,
     ModulusMismatch,
     NotPositiveDefinite,
@@ -28,7 +27,6 @@ from .system import PotentialSequence
 
 __all__ = [
     "BdtParameters",
-    "WeylRealization",
     "generate",
     "transfer",
     "explicit_fundamental",
@@ -197,27 +195,24 @@ def explicit_fundamental(params: BdtParameters, k: int, lam: complex) -> np.ndar
     return w_k @ np.diag(np.repeat(powers, p)) @ w_0_inv
 
 
-def _weyl_state_space(source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A_x, c, b) = (theta, -i PhiT*, PsiT) of a ``WeylRealization``, or of
-    ``BdtParameters`` in normal form (S0 = L L*; S0 > 0 required): PhiT = L^{-1} Phi,
-    PsiT = L^{-1} Psi and theta = L^{-1} A L + i PsiT PsiT*."""
-    if isinstance(source, WeylRealization):
-        theta, PhiT, PsiT = source.theta, source.PhiT, source.PsiT
-    else:
-        A_0, PhiT, PsiT = np.split(source._normal, [source.n, source.n + source.ctx.p], axis=1)
-        theta = A_0 + 1j * PsiT @ PsiT.conj().T
-    return theta, -1j * PhiT.conj().T, PsiT
+def _weyl_state_space(params: BdtParameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A_x, c, b) = (theta, -i PhiT*, PsiT) of the normal form (S0 = L L*; S0 > 0
+    required): [PhiT PsiT] = L^{-1} Pi0, theta = L^{-1} A L + i PsiT PsiT*. So a realization
+    (theta, PhiT, PsiT) is the triple (theta - i PsiT PsiT*, I, [PhiT PsiT]): its identity
+    theta - theta* = i (PhiT PhiT* + PsiT PsiT*) is A - A* = i Pi0 j Pi0*."""
+    A_0, PhiT, PsiT = np.split(params._normal, [params.n, params.n + params.ctx.p], axis=1)
+    return A_0 + 1j * PsiT @ PsiT.conj().T, -1j * PhiT.conj().T, PsiT
 
 
 def explicit_weyl(params: BdtParameters, lam) -> np.ndarray:
     """Identity-convention Weyl function of the generated system,
     phi_I(lambda) = -i Phi* S0^{-1} (A + i Psi Psi* S0^{-1} - lambda I)^{-1} Psi,
-    evaluated as ``WeylRealization.value`` of the normal form (``_weyl_state_space``).
+    evaluated as c (A_x - lambda I)^{-1} b on the normal form (``_weyl_state_space``).
     Requires S0 > 0; strictly contractive in the open lower half-plane.
     ``lam`` is a scalar, giving a p x p value, or a 1-D array of s points,
     giving an (s, p, p) stack. Each A_x - lambda I passes the ``cond_limit``
-    gate, else ``ResolventSingular`` names the first failing lambda.
-    """
+    gate, else ``ResolventSingular`` names the first failing lambda. A realization
+    (theta, PhiT, PsiT) is ``BdtParameters(ctx, theta - i PsiT PsiT*, I, [PhiT PsiT])``."""
     A_x, c, b = _weyl_state_space(params)
     return c @ _resolvent_solve(A_x, lam, b, "A_x", "a pole of the Weyl function")
 
@@ -256,48 +251,6 @@ def explicit_partial_sum(params: BdtParameters, lam: complex, r: int) -> np.ndar
     tail = rho ** (r + 1) * (v.conj().T @ j @ v)
     out = c * (tail - (phi.conj().T @ phi - np.eye(p, dtype=complex)))
     return (out + out.conj().T) / 2
-
-
-@dataclass(frozen=True)
-class WeylRealization:
-    """State-space data (theta, PhiT, PsiT) of a rational, strictly proper
-    matrix function contractive in the lower half-plane."""
-
-    ctx: SignatureContext
-    theta: np.ndarray = field(repr=False)
-    PhiT: np.ndarray = field(repr=False)
-    PsiT: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=complex)
-        PhiT = np.asarray(self.PhiT, dtype=complex)
-        PsiT = np.asarray(self.PsiT, dtype=complex)
-        n = theta.shape[0]
-        p = self.ctx.p
-        if theta.shape != (n, n) or PhiT.shape != (n, p) or PsiT.shape != (n, p):
-            raise ValueError("inconsistent realization shapes")
-        norm_phi, norm_psi = norm_stack(np.stack([PhiT, PsiT]))
-        norm_theta, resid = norm_stack(np.stack([
-            theta, theta - theta.conj().T - 1j * (PhiT @ PhiT.conj().T + PsiT @ PsiT.conj().T)]))
-        scale = max(norm_theta, norm_phi * norm_phi, norm_psi * norm_psi, 1.0)
-        check(resid, scale, InvariantViolated, "realization identity residual")
-        check_cond(theta - 1j * PsiT @ PsiT.conj().T, InvariantViolated,
-                   "theta - i PsiT PsiT*, which must be invertible,")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "PhiT", PhiT)
-        object.__setattr__(self, "PsiT", PsiT)
-
-    @property
-    def n(self) -> int:
-        return self.theta.shape[0]
-
-    def value(self, lam) -> np.ndarray:
-        """The realized function -i PhiT* (theta - lambda I)^{-1} PsiT at a
-        scalar ``lam`` (p x p) or a 1-D array of s points ((s, p, p)). Each
-        theta - lambda I passes the ``cond_limit`` gate, else
-        ``ResolventSingular`` names the first failing lambda."""
-        theta, c, b = _weyl_state_space(self)
-        return c @ _resolvent_solve(theta, lam, b, "theta", "a pole of the realized function")
 
 
 def example41_params(a: float, Phi: complex, Psi: complex) -> BdtParameters:

@@ -68,14 +68,6 @@ def near_singular_s0_params():
     return dz.BdtParameters(ctx=ctx, A=A, S0=S0, Pi0=Pi0)
 
 
-def params_to_realization(params):
-    """The realization (theta, PhiT, PsiT) = (A + i Psi Psi*, Phi, Psi) of a
-    triple with S0 = I, Pi0 = [Phi Psi]: its ``value`` is ``explicit_weyl``'s."""
-    Phi, Psi = np.split(params.Pi0, 2, axis=1)
-    return dz.WeylRealization(ctx=params.ctx, theta=params.A + 1j * Psi @ Psi.conj().T,
-                              PhiT=Phi, PsiT=Psi)
-
-
 def benchmark_reads():
     """Every attribute path of the package that ``perfbench/run.py`` reads, as
     the tuple of names after its root ``dz`` or ``self.dz``: ``dz.io.read_doc``
@@ -118,23 +110,19 @@ def disk_taylor(sys, pair, N, radius=0.5, samples=256):
     return [spectrum[k] / radius**k for k in range(N + 1)]
 
 
-def loop_rational_taylor(source, N, radius=0.5, samples=512):
+def loop_rational_taylor(params, N, radius=0.5, samples=512):
     """Taylor blocks of i phi_K(lambda(z)) by sampling, one point at a time: a
     scalar Weyl-function call, ``herglotz_map`` and finiteness check per point
     of the circle |z| = radius, then one FFT. An oracle independent of the
     state-space formula of ``rational_taylor``; its error grows about like
     radius^-k, so compare at small N only."""
-    p = source.ctx.p
-    if isinstance(source, dz.BdtParameters):
-        phi_i = lambda lam: dz.explicit_weyl(source, lam)
-    else:
-        phi_i = source.value
+    p = params.ctx.p
     vals = np.empty((samples, p, p), dtype=complex)
     for mth in range(samples):
         z = radius * np.exp(2j * np.pi * mth / samples)
         lam = cayley_lambda_of_z(z)
         try:
-            f = 1j * dz.herglotz_map(phi_i(lam))
+            f = 1j * dz.herglotz_map(dz.explicit_weyl(params, lam))
         except (DiracSzegoError, np.linalg.LinAlgError) as exc:
             raise AnalyticityViolation(
                 f"Weyl function could not be evaluated at sample z={z}: {exc}") from exc

@@ -183,6 +183,27 @@ class TestVerify:
         lines = capsys.readouterr().err.splitlines()
         assert any("summation defect at lambda=(1-1j), r=150 " in line for line in lines)
 
+    def test_overflowing_determinant_factor_fails_its_gate(self, tmp_path):
+        """At lambda = 0.2 - 0.1i and N = 300 the factor ((lambda^2 + 1) / lambda^2)^301
+        is past the floating-point range, as W is from r = 220: the determinant
+        defect reads NaN and fails like the summation defects, with one stderr
+        line per failed check and a report. A fresh interpreter, so that no
+        RuntimeWarning is turned into an error and none is printed."""
+        sys_path, rep = tmp_path / "sys.json", tmp_path / "rep.json"
+        assert run(["generate", "--example41", "1,1,1", "--steps", 300, "--out", sys_path]) == 0
+        proc = subprocess.run([sys.executable, "-m", "diracszego.cli", "verify", "--system",
+                               str(sys_path), "--lambda-grid", "0.2-0.1j", "--out", str(rep)],
+                              env=package_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert lines[-1] == ("determinant defect at lambda=(0.2-0.1j), k=301 is nan, "
+                             "allowed at most 1.000e-10")
+        assert all(line.startswith("summation defect at lambda=(0.2-0.1j), r=")
+                   for line in lines[:-1]) and len(lines) > 1
+        payload = json.loads(rep.read_text())["payload"]
+        assert payload["passed"] is False
+        assert np.isnan(payload["determinant_identity_residuals"][0]["relative_residual"])
+
     def test_custom_lambda_grid(self, tmp_path, sys_doc):
         rep = tmp_path / "rep.json"
         assert run(["verify", "--system", sys_doc,

@@ -16,7 +16,7 @@ from diracszego.errors import (
     ToeplitzNotPD,
 )
 from conftest import (cayley_lambda_of_z, disk_taylor, indefinite_s0_params, loop_rational_taylor,
-                      max_block_dev, params_to_realization, random_schur)
+                      max_block_dev, random_schur)
 
 
 class TestStructuredA:
@@ -192,15 +192,6 @@ class TestRationalTaylor:
         got = dz.rational_taylor(ex41_params, N).alpha
         assert (norm_stack(got - want) / norm_stack(want)).max() < 1e-12
 
-    def test_realization_source(self):
-        rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1),
-                                theta=np.array([[1.0 + 1j]]),
-                                PhiT=np.array([[1.0]]),
-                                PsiT=np.array([[1.0]]))
-        alpha = dz.rational_taylor(rz, 3)
-        assert abs(alpha.alpha[0][0, 0] - (2 + 1j)) < 1e-10
-        assert np.allclose(alpha.alpha[1:, 0, 0], [-2j, -2, 2j], rtol=0, atol=1e-14)
-
     def test_longest_sequence(self, ex41_params):
         """No sample count bounds N. For example41 (1, 1, 1) M = 1 + i and
         T = -i, so alpha_0 = 2 + i and alpha_k = 2 (-i)^k."""
@@ -288,15 +279,6 @@ class TestRationalTaylorMatchesSampleLoop:
         assert max_block_dev(dz.rational_taylor(ex41_params, 12).alpha,
                              loop_rational_taylor(ex41_params, 12).alpha) < 1e-9
 
-    def test_realization(self):
-        rng = np.random.default_rng(7)
-        params = dz.random_bdt_parameters(rng, 3, 2, normalized=True)
-        rz = params_to_realization(params)
-        assert max_block_dev(dz.rational_taylor(rz, 12).alpha,
-                             loop_rational_taylor(rz, 12).alpha) < 1e-9
-        assert max_block_dev(dz.rational_taylor(rz, 12).alpha,
-                             dz.rational_taylor(params, 12).alpha) < 1e-12
-
 
 class TestStackedSolveRightHandSide:
     """NumPy 1.x reads the b of ``numpy.linalg.solve(a, b)`` as a stack of
@@ -335,13 +317,6 @@ class TestStackedSolveRightHandSide:
         assert not [a for a, _ in unambiguous_solve if a[:1] == (512,)]
         self.assert_broadcast_product(params.A, params.Pi0[:, p:])
 
-    def test_realization_source(self, unambiguous_solve):
-        rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
-                                PhiT=np.array([[1.0]]), PsiT=np.array([[1.0]]))
-        dz.herglotz_map(rz.value(self.LAMS))
-        assert not [a for a, _ in unambiguous_solve if a[:1] == (512,)]
-        self.assert_broadcast_product(rz.theta, rz.PsiT)
-
 
 class TestRationalTaylorCallCount:
     """``rational_taylor`` evaluates no Weyl function and runs no FFT, SVD or
@@ -350,8 +325,8 @@ class TestRationalTaylorCallCount:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = dict.fromkeys(("explicit_weyl", "value", "herglotz_map", "_resolvent_solve",
-                               "fft", "min_eig", "cond", "svd"), 0)
+        calls = dict.fromkeys(("explicit_weyl", "herglotz_map", "_resolvent_solve", "fft",
+                               "min_eig", "cond", "svd"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -368,8 +343,6 @@ class TestRationalTaylorCallCount:
         monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
         for name in ("cond", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        monkeypatch.setattr(dz.WeylRealization, "value",
-                            counted("value", dz.WeylRealization.value))
         return calls
 
     def test_parameters_source(self, rng, counts):
@@ -377,13 +350,6 @@ class TestRationalTaylorCallCount:
         counts.update(dict.fromkeys(counts, 0))     # the draw runs an SVD of its own
         dz.rational_taylor(params, 12)
         assert counts == dict.fromkeys(counts, 0) | {"min_eig": 1}    # S0 > 0
-
-    def test_realization_source(self, counts):
-        rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
-                                PhiT=np.array([[1.0]]), PsiT=np.array([[1.0]]))
-        counts.update(dict.fromkeys(counts, 0))
-        dz.rational_taylor(rz, 3)
-        assert counts == dict.fromkeys(counts, 0)
 
 
 class TestBorgMarchenko:

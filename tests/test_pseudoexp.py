@@ -10,15 +10,13 @@ from diracszego.errors import (
     AnalyticityViolation,
     FloatOverflow,
     IdentityViolated,
-    InvariantViolated,
     ModulusMismatch,
     NotPositiveDefinite,
     ResolventSingular,
 )
 from diracszego.linalg import norm_stack
 from diracszego.policy import DEFAULT_POLICY
-from conftest import (indefinite_s0_params, loop_states, near_singular_s0_params,
-                      params_to_realization)
+from conftest import indefinite_s0_params, loop_states, near_singular_s0_params
 
 TRIPLES = ((1.0, 1.0, 1.0), (2.0, 1.0, 1j), (-0.5, np.exp(1j * np.pi / 5), 1.0))
 LAMBDAS = (1 - 1j, -2j, 3 - 0.5j)
@@ -82,16 +80,13 @@ class TestParameters:
     def test_norms_do_not_overflow(self):
         """||A||_F of A = 1e160 overflows in a plain sum of squares, and an inf
         scale would pass any residual. A break of 2e150 against an allowed
-        1e150 is caught in a triple and in a realization, and the unbroken
-        ones build, and generate, with no RuntimeWarning."""
+        1e150 is caught in a triple, and the unbroken one builds, and
+        generates, with no RuntimeWarning."""
         ctx, one = dz.SignatureContext(p=1), np.array([[1.0]])
         allowed = r" is 2\.000e\+150, allowed at most 1\.000e\+150$"
         with pytest.raises(IdentityViolated, match=allowed):
             dz.BdtParameters(ctx=ctx, A=np.array([[1e160 + 1e150j]]), S0=one,
                              Pi0=np.array([[1.0, 1.0]]))
-        with pytest.raises(InvariantViolated, match=allowed):
-            dz.WeylRealization(ctx=ctx, theta=np.array([[1e160 + 1e150j]]), PhiT=one, PsiT=one)
-        dz.WeylRealization(ctx=ctx, theta=np.array([[1e160 + 1j]]), PhiT=one, PsiT=one)
         sys_out, _ = dz.generate(dz.example41_params(1e160, 1, 1), 5)
         assert dz.validate(sys_out).passed
 
@@ -429,9 +424,20 @@ class TestExplicitWeyl:
 
     def test_batch_names_the_pole(self, ex41_params):
         # A_x = 1 + i for example41 with a = Phi = Psi = 1
-        lam = np.array([-1j, 2 - 1j, 1 + 1j, 3 + 0j])
-        with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
-            dz.explicit_weyl(ex41_params, lam)
+        for lam in (np.array([-1j, 2 - 1j, 1 + 1j, 3 + 0j]), 1 + 1j):
+            with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
+                dz.explicit_weyl(ex41_params, lam)
+
+    def test_at_computed_eigenvalue_of_a_x(self, rng):
+        # A_x - lambda I is singular only to working precision here, so
+        # only the condition gate stops the solve
+        params = dz.random_bdt_parameters(rng, 3, 2, normalized=True)
+        pole = np.linalg.eigvals(pseudoexp._weyl_state_space(params)[0])[0]
+        named = re.escape(f"lambda={pole},")
+        with pytest.raises(ResolventSingular, match=named):
+            dz.explicit_weyl(params, pole)
+        with pytest.raises(ResolventSingular, match=named):
+            dz.explicit_weyl(params, np.array([-1j, pole, 2 - 1j]))
 
 
 class TestScalarAndBatchOfOne:
@@ -451,11 +457,6 @@ class TestScalarAndBatchOfOne:
     def test_explicit_weyl(self, rng, n, p):
         params = dz.random_bdt_parameters(rng, n, p, normalized=True)
         self.assert_same_bits(lambda lam: dz.explicit_weyl(params, lam))
-
-    def test_realization_value(self):
-        rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1), theta=np.array([[1.0 + 1j]]),
-                                PhiT=np.array([[1.0]]), PsiT=np.array([[1.0]]))
-        self.assert_same_bits(rz.value)
 
     @pytest.mark.parametrize("n, p", [(1, 1), (3, 2)])
     def test_herglotz_map(self, rng, n, p):
@@ -497,58 +498,3 @@ class TestExplicitPartialSum:
             out = dz.explicit_partial_sum(ex41_params, lam, r)
             assert out[0, 0].real <= bound + 1e-10
 
-
-class TestRealization:
-    def ex41_realization(self):
-        return dz.WeylRealization(ctx=dz.SignatureContext(p=1),
-                                  theta=np.array([[1.0 + 1j]]),
-                                  PhiT=np.array([[1.0]]),
-                                  PsiT=np.array([[1.0]]))
-
-    def test_trivial_zero_function(self):
-        rz = dz.WeylRealization(ctx=dz.SignatureContext(p=1),
-                                theta=np.array([[2.0]]),
-                                PhiT=np.array([[0.0]]),
-                                PsiT=np.array([[0.0]]))
-        assert rz.value(-1j) == 0
-
-    def test_value_matches_explicit_weyl(self):
-        rz = self.ex41_realization()
-        params = dz.example41_params(1, 1, 1)
-        for lam in LAMBDAS:
-            assert abs(rz.value(lam) - dz.explicit_weyl(params, lam)) < 1e-13
-
-    def test_value_batch_matches_scalar_loop(self, rng):
-        for p in (1, 2):
-            params = dz.random_bdt_parameters(rng, 3, p, normalized=True)
-            rz = params_to_realization(params)
-            lam = rng.standard_normal(16) - 1j * rng.uniform(0.05, 3.0, 16)
-            batch = rz.value(lam)
-            assert batch.shape == (16, p, p)
-            assert np.array_equal(batch, np.stack([rz.value(x) for x in lam]))
-
-    def test_value_at_eigenvalue_of_theta(self):
-        rz = self.ex41_realization()
-        with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
-            rz.value(1 + 1j)
-        with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
-            rz.value(np.array([-1j, 1 + 1j, 2 - 1j]))
-
-    def test_value_at_computed_eigenvalue_of_theta(self, rng):
-        # theta - lambda I is singular only to working precision here, so
-        # only the condition gate stops the solve
-        params = dz.random_bdt_parameters(rng, 3, 2, normalized=True)
-        rz = params_to_realization(params)
-        pole = np.linalg.eigvals(rz.theta)[0]
-        named = re.escape(f"lambda={pole},")
-        with pytest.raises(ResolventSingular, match=named):
-            rz.value(pole)
-        with pytest.raises(ResolventSingular, match=named):
-            rz.value(np.array([-1j, pole, 2 - 1j]))
-
-    def test_rejects_identity_violation(self):
-        with pytest.raises(InvariantViolated):
-            dz.WeylRealization(ctx=dz.SignatureContext(p=1),
-                               theta=np.array([[1.0 + 0.999j]]),
-                               PhiT=np.array([[1.0]]),
-                               PsiT=np.array([[1.0]]))

@@ -22,6 +22,10 @@ class TestSchurCoefficients:
         with pytest.raises(ModulusAtLeastOne):
             dz.SchurCoefficients(rho=(0.2, bad))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="^rho names no Schur coefficient$"):
+            dz.SchurCoefficients(rho=())
+
     def test_schur_to_factors_shape(self):
         sz = dz.schur_to_R(dz.SchurCoefficients(rho=(0.0, 0.3, -0.2j)))
         assert sz.N == 2
