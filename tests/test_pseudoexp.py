@@ -424,9 +424,9 @@ class TestExplicitWeyl:
 
     def test_batch_names_the_pole(self, ex41_params):
         # A_x = 1 + i for example41 with a = Phi = Psi = 1
-        for lam in (np.array([-1j, 2 - 1j, 1 + 1j, 3 + 0j]), 1 + 1j):
-            with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
-                dz.explicit_weyl(ex41_params, lam)
+        lam = np.array([-1j, 2 - 1j, 1 + 1j, 3 + 0j])
+        with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
+            dz.explicit_weyl(ex41_params, lam)
 
     def test_at_computed_eigenvalue_of_a_x(self, rng):
         # A_x - lambda I is singular only to working precision here, so
@@ -438,6 +438,20 @@ class TestExplicitWeyl:
             dz.explicit_weyl(params, pole)
         with pytest.raises(ResolventSingular, match=named):
             dz.explicit_weyl(params, np.array([-1j, pole, 2 - 1j]))
+
+
+class TestRealization:
+    """The realization (theta, PhiT, PsiT) that ``explicit_weyl`` evaluates,
+    read off the normal form by ``_weyl_state_space``."""
+
+    def test_value_at_eigenvalue_of_theta(self, ex41_params):
+        # example41 with a = Phi = Psi = 1 is the realization theta = 1 + i, PhiT = PsiT = 1
+        theta, c, b = pseudoexp._weyl_state_space(ex41_params)
+        assert np.allclose(theta, [[1 + 1j]]) and np.allclose(c, [[-1j]]) and np.allclose(b, [[1]])
+        with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
+            dz.explicit_weyl(ex41_params, 1 + 1j)
+        with pytest.raises(ResolventSingular, match=re.escape("lambda=(1+1j),")):
+            dz.explicit_weyl(ex41_params, np.array([-1j, 1 + 1j, 2 - 1j]))
 
 
 class TestScalarAndBatchOfOne:
