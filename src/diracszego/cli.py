@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
     if args.out:
         io.write_doc(args.out, doc)
     else:
-        print(json.dumps(doc, indent=1))
+        print(io.dumps_doc(doc))
     return _exit_code(failures)
 
 

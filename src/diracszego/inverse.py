@@ -30,7 +30,7 @@ from .errors import (
     ToeplitzNotPD,
 )
 from .linalg import (SignatureContext, _block_stack, _rank_p_factor_gates, block_toeplitz,
-                     check_cond, check_cond_stack, min_eig, norm_stack)
+                     check_cond, check_cond_stack, min_eig, norm_stack, prefix_products)
 from .policy import DEFAULT_POLICY, check, check_stack, failure, passes
 from .pseudoexp import BdtParameters, _weyl_state_space
 from .system import PotentialSequence
@@ -125,7 +125,8 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     coefficients.
 
     The diagonal blocks v_-(0) = the first block of beta(0) and
-    v_-(k) = beta(k) J (beta(k-1)* v_-(k-1)) are formed first, and one
+    v_-(k) = G_k v_-(k-1), G_k = beta(k) J beta(k-1)*, are formed first, the
+    G_k as one stack and their products by ``prefix_products``; one
     ``check_cond_stack`` judges them all before any is solved against: its
     certificate decides a well-conditioned stack without an SVD. The running
     sum is stored block-column-major, 2p x (N+1)p, so that M, its update
@@ -137,10 +138,8 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
     b = beta.beta                                # (N+1, p, 2p)
     bH = b.conj().transpose(0, 2, 1)
     bJ = b @ J
-    v = np.empty((N + 1, p, p), dtype=complex)   # the diagonal blocks v_-(k)
-    v[0] = b[0, :, :p]
-    for k in range(1, N + 1):
-        v[k] = bJ[k] @ (bH[k - 1] @ v[k - 1])   # the last block of M at step k
+    # the diagonal blocks, the last block of M at step k
+    v = prefix_products(bJ[1:] @ bH[:-1], b[0, :, :p], lambda v, G: G @ v)
     check_cond(v[0], SingularLeadingBlock, "the first block of beta(0)")
     # v_-(0) passed just above, so the stack index of a failure is its k
     check_cond_stack(v, SingularVMinus, lambda k: f"v_-({k})")
@@ -177,9 +176,11 @@ def _first_not_pd(S: np.ndarray, p: int):
 
     One Cholesky factorization, O(n^3 / 3) for n = (N + 1) p, decides most
     passing inputs; it reads only the lower triangle, so S must be exactly
-    Hermitian, as ``block_toeplitz`` builds it. If L L* = fl(S - t' I)
-    completes, with t' = t_N + delta, then L L* = S - t' I + E with
-    ||E||_2 <= gamma ||L||_F^2 and gamma = gamma_{n+4} = (n+4)u / (1 - (n+4)u):
+    Hermitian, as ``block_toeplitz`` builds it, and writable: the shift is
+    made on S's diagonal and undone, exactly, before the exact test reads S.
+    If L L* = fl(S - t' I) completes, with t' = t_N + delta, then
+    L L* = S - t' I + E with ||E||_2 <= gamma ||L||_F^2 and
+    gamma = gamma_{n+4} = (n+4)u / (1 - (n+4)u):
     gamma_{n+1} of the backward error of Cholesky (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Thm 10.3), two more for
     complex arithmetic (ibid., sec. 3.6) and one for forming S - t' I. So
@@ -201,12 +202,15 @@ def _first_not_pd(S: np.ndarray, p: int):
         u = np.finfo(float).eps / 2             # unit roundoff
         gamma = (n + 4) * u / (1 - (n + 4) * u)
         shift = t + 2 * gamma * np.trace(S).real
-        H = S.copy()
-        H[np.diag_indices(n)] -= shift
+        diag = np.diag_indices(n)
+        saved = S[diag]                         # S - t' I is formed in S, without an n^2 copy
+        S[diag] -= shift
         try:
-            certified = shift - 2 * gamma * np.linalg.norm(np.linalg.cholesky(H)) ** 2 >= t
+            certified = shift - 2 * gamma * np.linalg.norm(np.linalg.cholesky(S)) ** 2 >= t
         except np.linalg.LinAlgError:
             certified = False
+        finally:
+            S[diag] = saved                     # the exact path below reads S itself
         if certified:
             return None
     N = S.shape[0] // p - 1

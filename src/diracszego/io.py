@@ -3,14 +3,17 @@
 Every document is an object with ``kind``, ``version``, the applicable
 dimensions, and a ``payload`` of complex arrays: a matrix, or a whole block
 sequence as one stack. Each is one nested list, row-major, whose complex
-entries are two-element [re, im] lists; serialization round-trips
-bit-for-bit. A reader leaves the shape checks to the constructor of the
-object it builds, so every malformed payload raises ``DocumentError``.
+entries are two-element [re, im] lists; serialization round-trips finite
+values bit-for-bit. Documents are strict JSON: a NaN or an infinity is
+written as null, which a reader of an array rejects. A reader leaves the
+shape checks to the constructor of the object it builds, so every malformed
+payload raises ``DocumentError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -111,10 +114,27 @@ def report_to_doc(payload: dict) -> dict:
     return _envelope("report", payload)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth of its lists and
+    dicts, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def dumps_doc(doc: dict) -> str:
+    """``doc`` as strict JSON (RFC 8259): a NaN or an infinity is written as
+    null, so no document holds a NaN or Infinity token."""
+    return json.dumps(_finite_or_null(doc), indent=1, allow_nan=False)
+
+
 def write_doc(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(dumps_doc(doc) + "\n")
 
 
 def read_doc(path: str) -> dict:

@@ -1,6 +1,6 @@
-"""Complex linear-algebra primitives, block Toeplitz assembly, a block
-Levinson solver (the inverse problem peels the generator in ``inverse``
-instead), and the fixed signature matrices.
+"""Complex linear-algebra primitives, the blocked prefix-product kernel,
+block Toeplitz assembly, a block Levinson solver (the inverse problem peels
+the generator in ``inverse`` instead), and the fixed signature matrices.
 
 Everything here operates on plain ``numpy`` complex arrays and needs no SciPy,
 so importing the package does not load it. Gates reach ``numpy.linalg.eigh``
@@ -20,6 +20,7 @@ from .policy import DEFAULT_POLICY, check_stack
 
 __all__ = [
     "SignatureContext",
+    "prefix_products",
     "block_toeplitz",
     "pd_solve",
     "block_levinson_solve",
@@ -28,6 +29,53 @@ __all__ = [
     "norm_stack",
     "cond_stack",
 ]
+
+
+_BLOCK = 16     # block length of ``prefix_products``: fixed, so P_k never depends on len(F)
+
+
+def prefix_products(F: np.ndarray, first: np.ndarray, combine) -> np.ndarray:
+    """The prefix products P_0 = ``first`` and P_{k+1} = combine(P_k, F_k),
+    k < len(F), as one (len(F) + 1,) + shape(first) stack.
+
+    ``combine`` takes two equally long stacks, or two single blocks, and must
+    be associative up to rounding: combine(combine(P, A), B) is
+    combine(P, combine(A, B)) for F-shaped A and B (a matrix product, in
+    either order). The first 16 products are the sequential loop. The rest
+    run as a blocked scan (Blelloch, "Prefix sums and their applications",
+    1990) on blocks of 16 factors: one stacked combine per position forms
+    the products of every block's leading factors, one combine per block
+    carries the running product across the blocks, and one stacked combine
+    of each block's start with its partial products gives every P_k. So
+    len(F) steps take 16 + 15 + (blocks - 1) + 1 calls of ``combine``, each
+    on a stack, in place of len(F). P_k depends on F_0..F_{k-1} alone, not
+    on len(F), and for k <= 16 has the bits of the sequential loop; past
+    that it is the same product associated blockwise, equal to rounding.
+    """
+    n = len(F)
+    head = min(n, _BLOCK)
+    P = np.empty((n + 1,) + np.shape(first), dtype=np.result_type(first, F))
+    P[0] = first
+    for k in range(head):
+        P[k + 1] = combine(P[k], F[k])
+    rest = n - head
+    if rest == 0:
+        return P
+    blocks = -(-rest // _BLOCK)
+    # Q[b, i]: the product of the first i + 1 factors of block b, a zero pad past the last factor
+    Q = np.zeros((blocks * _BLOCK,) + F.shape[1:], dtype=F.dtype)
+    Q[:rest] = F[head:]
+    Q = Q.reshape((blocks, _BLOCK) + F.shape[1:])
+    for i in range(1, min(rest, _BLOCK)):
+        have = -(-(rest - i) // _BLOCK)          # the blocks that reach position i
+        Q[:have, i] = combine(Q[:have, i - 1], Q[:have, i])
+    start = np.empty((blocks,) + P.shape[1:], dtype=P.dtype)
+    start[0] = P[head]
+    for b in range(1, blocks):
+        start[b] = combine(start[b - 1], Q[b - 1, -1])
+    P[head + 1:] = combine(np.repeat(start, _BLOCK, axis=0)[:rest],
+                           Q.reshape((-1,) + F.shape[1:])[:rest])
+    return P
 
 
 def _sum_squares(flat: np.ndarray) -> np.ndarray:
@@ -199,8 +247,11 @@ class SignatureContext:
         return 2 * self.p
 
     def _block(self, rows) -> np.ndarray:
-        """The m x m matrix whose p x p blocks are c I_p, c read from ``rows``."""
-        return np.block([[c * np.eye(self.p) for c in row] for row in rows]).astype(complex)
+        """The m x m matrix whose p x p blocks are c I_p, c read from the 2 x 2
+        ``rows``: one broadcast product c I_p as a (2, p, 2, p) array, so a
+        block -I_p keeps its signed zeros."""
+        c = np.asarray(rows, dtype=float)[:, None, :, None]
+        return (c * np.eye(self.p)[:, None]).reshape(self.m, self.m).astype(complex)
 
     @cached_property
     def j(self) -> np.ndarray:

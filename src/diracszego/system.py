@@ -19,7 +19,7 @@ from .errors import (
     SingularShift,
 )
 from .linalg import (SignatureContext, _block_stack, check_cond, check_cond_stack, min_eig,
-                     min_eig_stack, norm_stack)
+                     min_eig_stack, norm_stack, prefix_products)
 from .policy import DEFAULT_POLICY, check, failure, passes
 
 __all__ = [
@@ -130,19 +130,18 @@ def validate(sys: PotentialSequence) -> ValidationReport:
 
 def fundamental_solutions(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:
     """Stack W_0(lambda)..W_k(lambda) of fundamental solutions, shape
-    (k+1, m, m), built by left-multiplying one-step factors from W_0 = I.
-    The one propagation kernel: ``propagate``, the summation and partial Weyl
-    sums and ``verify`` all read their W_k from it."""
+    (k+1, m, m): W_0 = I and W_{r+1} = (I - (i/lambda) j C_r) W_r, the one-step
+    factors formed as one stack and left-multiplied by ``prefix_products``.
+    W_r does not depend on k, and W_1..W_16 have the bits of the per-step
+    loop. The one propagation kernel: ``propagate``, the summation and
+    partial Weyl sums and ``verify`` all read their W_k from it."""
     if lam == 0:
         raise LambdaZero("the system has a pole at lambda = 0")
     if k < 0 or k > sys.N + 1:
         raise ValueError(f"step index {k} out of range 0..{sys.N + 1}")
     eye = np.eye(sys.ctx.m, dtype=complex)
-    W = np.empty((k + 1,) + eye.shape, dtype=complex)
-    W[0] = eye
-    for r in range(k):
-        W[r + 1] = (eye - (1j / lam) * sys.ctx.j @ sys.C[r]) @ W[r]
-    return W
+    steps = eye - (1j / lam) * sys.ctx.j @ sys.C[:k]
+    return prefix_products(steps, eye, lambda W, step: step @ W)
 
 
 def propagate(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:

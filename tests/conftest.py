@@ -379,6 +379,35 @@ def loop_szego_to_dirac(sz):
     return dz.PotentialSequence(ctx=ctx, C=tuple(C))
 
 
+def replay_rotations(R, j):
+    """U_0..U_len(R) of U_{k+1} = U_k (i j R_k), U_0 = I, as one np.clongdouble
+    stack (64-bit mantissa): the plain product of the given R_k, about three
+    digits closer to the exact one than a float64 product."""
+    j, R = np.asarray(j, dtype=np.clongdouble), np.asarray(R, dtype=np.clongdouble)
+    U = np.empty((len(R) + 1,) + j.shape, dtype=np.clongdouble)
+    U[0] = np.eye(len(j))
+    for k, Rk in enumerate(R):
+        U[k + 1] = U[k] @ (1j * j @ Rk)
+    return U
+
+
+def replay_szego_to_dirac(sz):
+    """``szego_to_dirac``'s C_k = U_k^{-*} R_k^2 U_k^{-1}, U_k^{-1} = j U_k* j,
+    on ``replay_rotations``, in np.clongdouble."""
+    j, R = np.asarray(sz.ctx.j, dtype=np.clongdouble), np.asarray(sz.R, dtype=np.clongdouble)
+    Uinv = j @ replay_rotations(sz.R[:-1], sz.ctx.j).conj().transpose(0, 2, 1) @ j
+    C = Uinv.conj().transpose(0, 2, 1) @ (R @ R) @ Uinv
+    return (C + C.conj().transpose(0, 2, 1)) / 2
+
+
+def forward_error(X, Y):
+    """max_k ||X_k - Y_k||_F / max(||Y_k||_F, 1) of two block stacks, taken in
+    the precision of the extended one."""
+    X, Y = np.asarray(X, dtype=np.clongdouble), np.asarray(Y, dtype=np.clongdouble)
+    norm = lambda M: np.sqrt((abs(M) ** 2).sum(axis=(1, 2)))
+    return float((norm(X - Y) / np.maximum(norm(Y), 1)).max())
+
+
 def loop_dirac_to_szego(sys):
     """``dirac_to_szego`` (default theta rule) with min_eig(C_k) and ||C_k||
     taken at step k."""

@@ -20,6 +20,7 @@ from diracszego.errors import (
 from diracszego.policy import DEFAULT_POLICY
 from conftest import (
     dense_taylor_from_beta,
+    forward_error,
     loop_beta_from_potentials,
     loop_dirac_to_szego,
     loop_failures,
@@ -29,6 +30,7 @@ from conftest import (
     loop_states,
     loop_szego_to_dirac,
     loop_validate,
+    replay_szego_to_dirac,
 )
 
 
@@ -44,6 +46,17 @@ def benchmark_draws(seed, count=4):
 
 def identical(seq_a, seq_b):
     return len(seq_a) == len(seq_b) and all(np.array_equal(a, b) for a, b in zip(seq_a, seq_b))
+
+
+def assert_matches_loop(sz, C):
+    """C_0..C_16 have the bits of the per-step loop. Past that the rotation
+    is a blocked product, and its C_k err against the extended-precision
+    replay by at most twice the loop's own forward error."""
+    loop = loop_szego_to_dirac(sz).C
+    assert len(C) == len(loop) and identical(C[:17], loop[:17])
+    if len(C) > 17:
+        ref = replay_szego_to_dirac(sz)[17:]
+        assert forward_error(C[17:], ref) <= 2 * forward_error(loop[17:], ref)
 
 
 def same_error(call, reference):
@@ -75,12 +88,12 @@ class TestBatchedEquivalence:
     def test_random_inputs(self, p, N, seed):
         sz = dz.random_szego_sequence(np.random.default_rng(seed), p, N, 0.1)
         sys_in = dz.szego_to_dirac(sz)
-        assert identical(sys_in.C, loop_szego_to_dirac(sz).C)
+        assert_matches_loop(sz, sys_in.C)
         self.assert_equivalent(sys_in)
 
     def test_benchmark_draws(self, bench_szego, bench_systems):
         for sz, sys_in in zip(bench_szego, bench_systems):
-            assert identical(sys_in.C, loop_szego_to_dirac(sz).C)
+            assert_matches_loop(sz, sys_in.C)
             self.assert_equivalent(sys_in)
 
     def test_scalar_draws_of_benchmark_length(self):
@@ -90,7 +103,7 @@ class TestBatchedEquivalence:
         for _ in range(4):
             sz = dz.random_szego_sequence(rng, 1, 128, 0.1)
             sys_in = dz.szego_to_dirac(sz)
-            assert identical(sys_in.C, loop_szego_to_dirac(sz).C)
+            assert_matches_loop(sz, sys_in.C)
             self.assert_equivalent(sys_in)
 
     @staticmethod
@@ -426,6 +439,21 @@ class TestBatchedCallCount:
             per_length.append(dict(calls))
         assert per_length[0]["einsum"] == per_length[1]["einsum"] == 0
         assert per_length[0]["inv"] == per_length[1]["inv"]
+
+    def test_rotation_steps_of_a_benchmark_draw(self, monkeypatch):
+        """szego_to_dirac at N = 128 rotates 16 + 15 + 6 + 1 = 38 times, not
+        128: 16 single steps, then the other 112 factors as 7 blocks of 16,
+        each stacked step on all blocks at once, 6 carries between blocks and
+        one stacked step that gives every U_k."""
+        calls = []
+        rotate = dz.szego._rotate
+
+        def counted(*args):
+            calls.append(1)
+            return rotate(*args)
+        monkeypatch.setattr(dz.szego, "_rotate", counted)
+        dz.szego_to_dirac(benchmark_draws(7, count=1)[0])
+        assert len(calls) == 38
 
     def test_szego_norm_calls_independent_of_length(self, monkeypatch):
         """dirac_to_szego takes its gate norms as stacks, not per step."""

@@ -5,7 +5,8 @@ import pytest
 
 import diracszego as dz
 from diracszego.errors import NotPositiveDefinite, RankMismatch
-from diracszego.linalg import check_cond, check_cond_stack, min_eig, min_eig_stack, norm_stack
+from diracszego.linalg import (check_cond, check_cond_stack, min_eig, min_eig_stack, norm_stack,
+                               prefix_products)
 from diracszego.policy import DEFAULT_POLICY, check_stack, failure, passes
 from conftest import rank_p_factor
 
@@ -26,9 +27,72 @@ class TestSignatureContext:
             assert np.allclose(ctx.K @ ctx.K.conj().T, np.eye(2 * p), atol=1e-15)
             assert np.allclose(ctx.K @ ctx.j @ ctx.K.conj().T, ctx.J, atol=1e-15)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matrices_are_the_block_forms(self, p):
+        """The matrices are one broadcast product: the bits of their np.block
+        form, signed zeros included."""
+        ctx, eye, zero = dz.SignatureContext(p=p), np.eye(p), np.zeros((p, p))
+        for got, ref in ((ctx.j, np.block([[eye, zero], [zero, -eye]]).astype(complex)),
+                         (ctx.J, np.block([[zero, eye], [eye, zero]]).astype(complex)),
+                         (ctx.K, np.block([[eye, -eye], [eye, eye]]).astype(complex)
+                          / np.sqrt(2.0))):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
     def test_rejects_nonpositive_block_size(self):
         with pytest.raises(ValueError):
             dz.SignatureContext(p=0)
+
+
+def unitary_factors(n, m=3, seed=0):
+    """n random m x m unitary matrices: their products stay of norm sqrt(m),
+    so the blocked and the sequential product differ by rounding alone."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
+    return Q
+
+
+def sequential_products(F, first, combine):
+    P = [np.asarray(first, dtype=complex)]
+    for f in F:
+        P.append(combine(P[-1], f))
+    return np.array(P)
+
+
+def left_product(P, f):
+    return f @ P
+
+
+class TestPrefixProducts:
+    """The blocked scan against the sequential loop it replaces: the loop's
+    bits up to P_16, the same products to rounding past that, and P_k
+    independent of how many factors follow."""
+
+    @pytest.mark.parametrize("combine", [np.matmul, left_product])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 32, 33, 129])
+    def test_matches_the_sequential_loop(self, n, combine):
+        F, first = unitary_factors(n, seed=n), np.eye(3, dtype=complex)
+        got, ref = prefix_products(F, first, combine), sequential_products(F, first, combine)
+        assert got.shape == ref.shape == (n + 1, 3, 3)
+        assert np.array_equal(got[:17], ref[:17])
+        # n products of unitary factors: each carries at most about n u sqrt(3) of rounding
+        assert np.abs(got - ref).max() <= 10 * (n + 1) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("combine", [np.matmul, left_product])
+    def test_each_product_ignores_the_factors_after_it(self, combine):
+        F, first = unitary_factors(129, seed=1), np.eye(3, dtype=complex)
+        full = prefix_products(F, first, combine)
+        for K in range(len(F) + 1):
+            assert np.array_equal(prefix_products(F[:K], first, combine), full[:K + 1])
+
+    @pytest.mark.parametrize("n", [5, 16, 40])
+    def test_first_of_another_shape(self, n):
+        """Row vectors times square factors: P_k has the shape of ``first``."""
+        F = unitary_factors(n, seed=2)
+        first = np.arange(6.0).reshape(2, 3) + 1j
+        got, ref = prefix_products(F, first, np.matmul), sequential_products(F, first, np.matmul)
+        assert got.shape == ref.shape == (n + 1, 2, 3)
+        assert np.array_equal(got[:17], ref[:17])
+        assert np.abs(got - ref).max() <= 10 * (n + 1) * np.finfo(float).eps * np.abs(first).max()
 
 
 class TestRankPFactor:

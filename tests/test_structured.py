@@ -207,6 +207,15 @@ class TestPositivityThreshold:
         if k >= 4:
             assert min_eig_calls          # within the rounding margin: the exact test decides
 
+    @pytest.mark.parametrize("factor", [1.1, 0.9])
+    def test_gate_leaves_s_as_it_found_it(self, rng, factor):
+        """The shift is made on S's own diagonal and undone: S keeps its bits
+        whether the factorization certifies it (1.1) or breaks down (0.9)."""
+        S = dz.block_toeplitz(at_threshold(random_taylor(rng, 2, 20), factor).alpha)
+        before = S.copy()
+        assert (inverse._first_not_pd(S, 2) is None) == (factor > 1)
+        assert np.array_equal(S, before)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_takes_the_exact_path(self, rng, min_eig_calls, bad):
         blocks = list(random_taylor(rng, 2, 12).alpha)

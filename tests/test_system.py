@@ -74,9 +74,11 @@ class TestPropagate:
 
     def test_public_kernel_gives_every_step(self, ex41_system):
         lam = 1 - 1j
-        W = dz.fundamental_solutions(ex41_system, lam, ex41_system.N + 1)
-        assert W.shape == (ex41_system.N + 2, 2, 2)
-        assert all(np.array_equal(W[k], dz.propagate(ex41_system, lam, k)) for k in range(len(W)))
+        # N = 40 takes the stack past the blocks of 16 that prefix_products forms
+        for sys in (ex41_system, dz.generate(dz.example41_params(1.0, 1.0, 1.0), 40)[0]):
+            W = dz.fundamental_solutions(sys, lam, sys.N + 1)
+            assert W.shape == (sys.N + 2, 2, 2)
+            assert all(np.array_equal(W[k], dz.propagate(sys, lam, k)) for k in range(len(W)))
 
     def test_range_check(self, trivial_system):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from diracszego.errors import (
     NotPositiveDefinite,
     PoleAtInput,
 )
-from conftest import random_schur, six_product_rotate
+from conftest import forward_error, random_schur, replay_rotations, six_product_rotate
 
 
 class TestSchurCoefficients:
@@ -89,18 +89,26 @@ class TestConversionBijection:
 class TestRotationStep:
     """The rotation step applies j as a sign pattern in three products and
     keeps the bits of the six-product form j V* j V. ``szego_to_dirac``'s C
-    and ``dirac_to_szego``'s R are pinned by ``TestBatchedEquivalence``,
-    whose per-step references rotate with the six-product form."""
+    (bit for bit up to C_16, against the replay past it) and
+    ``dirac_to_szego``'s R are pinned by ``TestBatchedEquivalence``, whose
+    per-step references rotate with the six-product form."""
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_u_rotation_bits(self, p):
+        """Each step has the six-product form's bits on the same U_k, and so
+        does the stack up to U_16. Past that the stack is a blocked product,
+        and its forward error against the extended-precision replay is at
+        most twice the per-step loop's."""
         sz = dz.random_szego_sequence(np.random.default_rng(10 + p), p, 128, 0.1)
+        rows, flip, eye = dz.szego._signs(sz.ctx.j)
         U = [np.eye(2 * p, dtype=complex)]
         for R in sz.R:
             U.append(six_product_rotate(U[-1], R, sz.ctx.j))
+            assert np.array_equal(dz.szego._rotate(U[-2], 1j * (rows * R), flip, eye), U[-1])
         stack = dz.szego._rotations(sz.R, sz.ctx.j, 130)
-        for k in (0, 1, 17, 129):
-            assert np.array_equal(stack[k], U[k])
+        assert all(np.array_equal(stack[k], U[k]) for k in range(17))
+        ref = replay_rotations(sz.R, sz.ctx.j)[17:]
+        assert forward_error(stack[17:], ref) <= 2 * forward_error(U[17:], ref)
 
 
 class TestRandomSequence:
