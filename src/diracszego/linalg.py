@@ -51,6 +51,8 @@ def prefix_products(F: np.ndarray, first: np.ndarray, combine) -> np.ndarray:
     on a stack, in place of len(F). P_k depends on F_0..F_{k-1} alone, not
     on len(F), and for k <= 16 has the bits of the sequential loop; past
     that it is the same product associated blockwise, equal to rounding.
+    The sequential head exists only to keep those bits for k <= 16; a scan
+    whose first block starts at ``first`` would need fewer calls.
     """
     n = len(F)
     head = min(n, _BLOCK)

@@ -382,7 +382,10 @@ def loop_szego_to_dirac(sz):
 def replay_rotations(R, j):
     """U_0..U_len(R) of U_{k+1} = U_k (i j R_k), U_0 = I, as one np.clongdouble
     stack (64-bit mantissa): the plain product of the given R_k, about three
-    digits closer to the exact one than a float64 product."""
+    digits closer to the exact one than a float64 product. Where long double
+    is plain double, the replay would be one more float64 product and no
+    reference, so it refuses to run."""
+    assert np.finfo(np.longdouble).nmant > 52, "np.longdouble has no more bits than float64"
     j, R = np.asarray(j, dtype=np.clongdouble), np.asarray(R, dtype=np.clongdouble)
     U = np.empty((len(R) + 1,) + j.shape, dtype=np.clongdouble)
     U[0] = np.eye(len(j))
