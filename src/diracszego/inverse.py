@@ -126,7 +126,8 @@ def taylor_from_beta(beta: BetaSequence) -> TaylorSequence:
 
     The diagonal blocks v_-(0) = the first block of beta(0) and
     v_-(k) = G_k v_-(k-1), G_k = beta(k) J beta(k-1)*, are formed first, the
-    G_k as one stack and their products by ``prefix_products``; one
+    G_k as one stack and their products by ``prefix_products`` from v_-(0),
+    so v_-(1)..v_-(16) have the bits of the per-step loop; one
     ``check_cond_stack`` judges them all before any is solved against: its
     certificate decides a well-conditioned stack without an SVD. The running
     sum is stored block-column-major, 2p x (N+1)p, so that M, its update

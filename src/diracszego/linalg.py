@@ -38,46 +38,43 @@ def prefix_products(F: np.ndarray, first: np.ndarray, combine) -> np.ndarray:
     """The prefix products P_0 = ``first`` and P_{k+1} = combine(P_k, F_k),
     k < len(F), as one (len(F) + 1,) + shape(first) stack.
 
-    ``combine`` takes two equally long stacks, or two single blocks, and must
-    be associative up to rounding: combine(combine(P, A), B) is
-    combine(P, combine(A, B)) for F-shaped A and B (a matrix product, in
-    either order). The first 16 products are the sequential loop. The rest
-    run as a blocked scan (Blelloch, "Prefix sums and their applications",
-    1990) on blocks of 16 factors: one stacked combine per position forms
-    the products of every block's leading factors, one combine per block
-    carries the running product across the blocks, and one stacked combine
-    of each block's start with its partial products gives every P_k. So
-    len(F) steps take 16 + 15 + (blocks - 1) + 1 calls of ``combine``, each
-    on a stack, in place of len(F). P_k depends on F_0..F_{k-1} alone, not
-    on len(F), and for k <= 16 has the bits of the sequential loop; past
-    that it is the same product associated blockwise, equal to rounding.
-    The sequential head exists only to keep those bits for k <= 16; a scan
-    whose first block starts at ``first`` would need fewer calls.
+    ``first`` has the shape of one factor. Every call of ``combine`` takes
+    two equally long stacks of such blocks, and ``combine`` must be
+    associative up to rounding: combine(combine(P, A), B) is
+    combine(P, combine(A, B)) (a matrix product, in either order).
+
+    A blocked scan (Blelloch, "Prefix sums and their applications", 1990)
+    on blocks of 16 factors, block 0 starting at ``first``: one stacked
+    combine per position forms the partial products of every block, so
+    block 0's are P_1..P_16, one combine per later block carries the running
+    product across the blocks, and one stacked combine of each later
+    block's start with its partial products gives the rest. So len(F) <= 16
+    steps take len(F) calls of ``combine``, and more take
+    1 + 15 + (blocks - 2) + 1, each on a stack. P_k depends on
+    F_0..F_{k-1} alone, not on len(F); for k <= 16 it has the bits of the
+    sequential loop, past that it is the same product associated
+    blockwise, equal to rounding.
     """
-    n = len(F)
-    head = min(n, _BLOCK)
-    P = np.empty((n + 1,) + np.shape(first), dtype=np.result_type(first, F))
-    P[0] = first
-    for k in range(head):
-        P[k + 1] = combine(P[k], F[k])
-    rest = n - head
-    if rest == 0:
-        return P
-    blocks = -(-rest // _BLOCK)
-    # Q[b, i]: the product of the first i + 1 factors of block b, a zero pad past the last factor
-    Q = np.zeros((blocks * _BLOCK,) + F.shape[1:], dtype=F.dtype)
-    Q[:rest] = F[head:]
-    Q = Q.reshape((blocks, _BLOCK) + F.shape[1:])
-    for i in range(1, min(rest, _BLOCK)):
-        have = -(-(rest - i) // _BLOCK)          # the blocks that reach position i
-        Q[:have, i] = combine(Q[:have, i - 1], Q[:have, i])
-    start = np.empty((blocks,) + P.shape[1:], dtype=P.dtype)
-    start[0] = P[head]
-    for b in range(1, blocks):
-        start[b] = combine(start[b - 1], Q[b - 1, -1])
-    P[head + 1:] = combine(np.repeat(start, _BLOCK, axis=0)[:rest],
-                           Q.reshape((-1,) + F.shape[1:])[:rest])
-    return P
+    n, shape = len(F), F.shape[1:]
+    if np.shape(first) != shape:
+        raise ValueError(f"first has shape {np.shape(first)}, a factor {shape}")
+    blocks = -(-n // _BLOCK)
+    # first, then the factors, padded with zeros to whole blocks and multiplied out in place
+    P = np.zeros((1 + blocks * _BLOCK,) + shape, dtype=np.result_type(first, F))
+    P[0], P[1:n + 1] = first, F
+    # Q[b, i] becomes block b's first i + 1 factors multiplied out, after first in block 0;
+    # L[b, i] is the entry before it: Q[b, i - 1], or first before Q[0, 0]
+    Q, L = (A.reshape((blocks, _BLOCK) + shape) for A in (P[1:], P[:-1]))
+    for i in range(min(n, _BLOCK)):
+        have = -(-(n - i) // _BLOCK) if i else 1    # the blocks that reach position i
+        Q[:have, i] = combine(L[:have, i], Q[:have, i])
+    if n > _BLOCK:
+        start = Q[:-1, -1].copy()                   # start[b] becomes P_16(b+1)
+        for b in range(1, blocks - 1):
+            start[b:b + 1] = combine(start[b - 1:b], start[b:b + 1])
+        P[_BLOCK + 1:n + 1] = combine(np.repeat(start, _BLOCK, axis=0)[:n - _BLOCK],
+                                      P[_BLOCK + 1:n + 1])
+    return P[:n + 1]
 
 
 def _sum_squares(flat: np.ndarray) -> np.ndarray:

@@ -8,9 +8,11 @@ fundamental solutions grow geometrically with the step. The comparison is
 written in its passing form, so a NaN fails it, in ``passes``, which also
 judges arrays elementwise. ``check`` raises on failure, and ``check_stack``
 on the first failure over a stack; ``failure`` returns the verdict as a
-line, for reports that list them all. The exception raised carries the
-numbers of its line as attributes: ``measured``, ``allowed`` (tau * scale)
-and, from ``check_stack``, the stack ``index`` of the failing member.
+line, for reports that list them all; ``finite_gate`` is the gate of
+``check_stack`` that a stack stays inside the floating-point range. The
+exception raised carries the numbers of its line as attributes:
+``measured``, ``allowed`` (tau * scale) and, from ``check_stack``, the
+stack ``index`` of the failing member.
 A lower bound lambda_min > t * scale is the same rule negated, ``tau=-t``.
 
 ``DEFAULT_POLICY`` is the one fixed policy; nothing takes a per-call override.
@@ -26,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import FloatOverflow
 
 
 @dataclass(frozen=True)
@@ -90,3 +94,11 @@ def check_stack(gates) -> None:
             if err is not None:
                 err.index = i
                 raise err
+
+
+def finite_gate(X, what):
+    """The gate of ``check_stack`` that every block of the stack X is finite:
+    its largest real or imaginary part, NaN read as inf, is at most the
+    largest float, else ``FloatOverflow`` names it by ``what(i)``."""
+    part = np.maximum(np.abs(X.real), np.abs(X.imag)).max(axis=tuple(range(1, X.ndim)))
+    return np.where(np.isnan(part), np.inf, part), np.finfo(float).max, FloatOverflow, what, 1.0

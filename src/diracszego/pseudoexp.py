@@ -13,7 +13,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    FloatOverflow,
     IdentityViolated,
     LambdaZero,
     ModulusMismatch,
@@ -22,7 +21,7 @@ from .errors import (
     SingularW0,
 )
 from .linalg import SignatureContext, check_cond, check_cond_stack, min_eig, norm_stack
-from .policy import DEFAULT_POLICY, check, check_stack
+from .policy import DEFAULT_POLICY, check, check_stack, finite_gate
 from .system import PotentialSequence
 
 __all__ = [
@@ -128,8 +127,12 @@ def _states(params: BdtParameters, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_step_identity(A: np.ndarray, Phi: np.ndarray, j: np.ndarray) -> None:
-    """Judges A_k - A_k* = i Phi_k j Phi_k* at the scale 2 ||A_k|| + ||Phi_k||^2."""
-    check_stack([(norm_stack(A - A.conj().transpose(0, 2, 1)
+    """Judges each state [A_k Phi_k] finite (``FloatOverflow``; past the range
+    the residual reads NaN), then A_k - A_k* = i Phi_k j Phi_k* at the scale
+    2 ||A_k|| + ||Phi_k||^2."""
+    check_stack([finite_gate(np.concatenate((A, Phi), axis=-1),
+                             lambda k: f"largest real or imaginary part of A_{k}, Phi_{k}"),
+                 (norm_stack(A - A.conj().transpose(0, 2, 1)
                              - 1j * Phi @ j @ Phi.conj().transpose(0, 2, 1)),
                   2 * norm_stack(A) + norm_stack(Phi) ** 2, IdentityViolated,
                   lambda k: f"step identity residual at k={k}", DEFAULT_POLICY.tau)])
@@ -189,9 +192,8 @@ def explicit_fundamental(params: BdtParameters, k: int, lam: complex) -> np.ndar
     # an overflowing power reads inf or NaN here, and fails the gate below
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.power(np.array([1 - 1j / lam, 1 + 1j / lam], dtype=complex), k)
-    part = np.abs(powers.view(float))
-    check(np.where(np.isnan(part), np.inf, part).max(), np.finfo(float).max, FloatOverflow,
-          f"(1 -+ i/lambda)^{k} overflows: its largest real or imaginary part", 1.0)
+    check_stack([finite_gate(powers[None], lambda i: f"(1 -+ i/lambda)^{k} overflows: "
+                             "its largest real or imaginary part")])
     return w_k @ np.diag(np.repeat(powers, p)) @ w_0_inv
 
 

@@ -131,9 +131,9 @@ def validate(sys: PotentialSequence) -> ValidationReport:
 def fundamental_solutions(sys: PotentialSequence, lam: complex, k: int) -> np.ndarray:
     """Stack W_0(lambda)..W_k(lambda) of fundamental solutions, shape
     (k+1, m, m): W_0 = I and W_{r+1} = (I - (i/lambda) j C_r) W_r, the one-step
-    factors formed as one stack and left-multiplied by ``prefix_products``.
-    W_r does not depend on k, and W_1..W_16 have the bits of the per-step
-    loop. The one propagation kernel: ``propagate``, the summation and
+    factors formed as one stack and left-multiplied by ``prefix_products``
+    from W_0. W_r does not depend on k, and W_1..W_16 have the bits of the
+    per-step loop. The one propagation kernel: ``propagate``, the summation and
     partial Weyl sums and ``verify`` all read their W_k from it."""
     if lam == 0:
         raise LambdaZero("the system has a pole at lambda = 0")

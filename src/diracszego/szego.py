@@ -23,7 +23,7 @@ from .errors import (
     PoleAtInput,
 )
 from .linalg import SignatureContext, _block_stack, min_eig_stack, norm_stack, prefix_products
-from .policy import DEFAULT_POLICY, check_stack
+from .policy import DEFAULT_POLICY, check_stack, finite_gate
 from .system import PotentialSequence
 
 
@@ -106,22 +106,29 @@ class SchurCoefficients:
 def _rotations(R, j: np.ndarray, count: int) -> np.ndarray:
     """U_0..U_{count-1} as one (count, m, m) stack: U_0 = I and
     U_{k+1} = U_k (i j R_k), reprojected by ``_rotate``, through
-    ``prefix_products``. U_1..U_16 are the per-step loop's bits; past that
-    each block of 16 factors is multiplied out on its own, then carried, with
-    ``_rotate`` reprojecting every partial product as it forms."""
+    ``prefix_products``. Its first block of 16 factors starts at U_0, so
+    U_1..U_16 are the per-step loop's bits; each later block is multiplied
+    out on its own, then carried, with ``_rotate`` reprojecting every
+    partial product as it forms."""
     rows, flip, eye = _signs(j)
     ijR = 1j * (rows * np.asarray(R[:count - 1]))
     return prefix_products(ijR, eye.astype(complex), lambda U, F: _rotate(U, F, flip, eye))
 
 
 def szego_to_dirac(sz: SzegoSequence) -> PotentialSequence:
-    """Dirac coefficients C_k = (U_k*)^{-1} R_k^2 U_k^{-1}, one stacked product."""
+    """Dirac coefficients C_k = (U_k*)^{-1} R_k^2 U_k^{-1}, one stacked product.
+    They grow with ||U_k||^2: the first C_k past the floating-point range
+    raises ``FloatOverflow`` with ``index`` k."""
     ctx, j = sz.ctx, sz.ctx.j
-    U = _rotations(sz.R, j, len(sz.R))
-    # U is j-unitary, so its inverse is available exactly as j U* j
-    Uinv = j @ U.conj().transpose(0, 2, 1) @ j
-    C = Uinv.conj().transpose(0, 2, 1) @ (sz.R @ sz.R) @ Uinv
-    return PotentialSequence(ctx=ctx, C=(C + C.conj().transpose(0, 2, 1)) / 2)
+    # an overflowing U_k or C_k reads inf or NaN here, and fails the gate below
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = _rotations(sz.R, j, len(sz.R))
+        # U is j-unitary, so its inverse is available exactly as j U* j
+        Uinv = j @ U.conj().transpose(0, 2, 1) @ j
+        C = Uinv.conj().transpose(0, 2, 1) @ (sz.R @ sz.R) @ Uinv
+        C = (C + C.conj().transpose(0, 2, 1)) / 2
+    check_stack([finite_gate(C, lambda k: f"largest real or imaginary part of C_{k}")])
+    return PotentialSequence(ctx=ctx, C=C)
 
 
 def dirac_to_szego(sys: PotentialSequence) -> SzegoSequence:

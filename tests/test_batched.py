@@ -441,10 +441,11 @@ class TestBatchedCallCount:
         assert per_length[0]["inv"] == per_length[1]["inv"]
 
     def test_rotation_steps_of_a_benchmark_draw(self, monkeypatch):
-        """szego_to_dirac at N = 128 rotates 16 + 15 + 6 + 1 = 38 times, not
-        128: 16 single steps, then the other 112 factors as 7 blocks of 16,
-        each stacked step on all blocks at once, 6 carries between blocks and
-        one stacked step that gives every U_k."""
+        """szego_to_dirac at N = 128 rotates 1 + 15 + 6 + 1 = 23 times, not
+        128: its 128 factors form 8 blocks of 16, block 0 starting at U_0 = I.
+        One step on block 0's first factor and 15 stacked steps on all blocks
+        at once, 6 carries between blocks and one stacked step that gives
+        every U_k past U_16."""
         calls = []
         rotate = dz.szego._rotate
 
@@ -453,7 +454,7 @@ class TestBatchedCallCount:
             return rotate(*args)
         monkeypatch.setattr(dz.szego, "_rotate", counted)
         dz.szego_to_dirac(benchmark_draws(7, count=1)[0])
-        assert len(calls) == 38
+        assert len(calls) == 23
 
     def test_szego_norm_calls_independent_of_length(self, monkeypatch):
         """dirac_to_szego takes its gate norms as stacks, not per step."""

@@ -306,6 +306,42 @@ class TestNonFiniteInput:
         self.assert_one_error_line(capsys)
 
 
+class TestFloatRange:
+    """Output past the floating-point range exits 2 with the error of the
+    finite-output gate that names it."""
+
+    @staticmethod
+    def error_line(capsys):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "nan" not in err[0]
+        return err[0]
+
+    def test_generate(self, tmp_path, capsys):
+        assert run(["generate", "--example41", "1e-160,1,1", "--steps", 50,
+                    "--out", tmp_path / "s.json"]) == 2
+        assert self.error_line(capsys).startswith(
+            "error: largest real or imaginary part of A_1, Phi_1 is inf")
+
+    def test_szego_to_dirac(self, tmp_path, capsys):
+        path = tmp_path / "sz.json"
+        sz = dz.random_szego_sequence(np.random.default_rng(0), 2, 200, 0.3)
+        io.write_doc(str(path), io.szego_to_doc(sz))
+        assert run(["szego", "--to-dirac", "--in", path, "--out", tmp_path / "o.json"]) == 2
+        assert self.error_line(capsys).startswith(
+            "error: largest real or imaginary part of C_129 is inf")
+
+    def test_inverse(self, tmp_path, sys_doc, monkeypatch, capsys):
+        """The inverse converts its peeled factors with ``szego_to_dirac``:
+        rotations scaled by 1e200 take every C_k past the range there."""
+        taylor = tmp_path / "taylor.json"
+        assert run(["direct", "--system", sys_doc, "--out", taylor]) == 0
+        rotations = dz.szego._rotations
+        monkeypatch.setattr(dz.szego, "_rotations", lambda *args: 1e200 * rotations(*args))
+        assert run(["inverse", "--taylor", taylor, "--out", tmp_path / "o.json"]) == 2
+        assert self.error_line(capsys).startswith(
+            "error: largest real or imaginary part of C_0 is inf")
+
+
 class TestSzegoCommand:
     def test_conversion_cycle(self, tmp_path, sys_doc):
         sz = tmp_path / "sz.json"

@@ -84,15 +84,26 @@ class TestPrefixProducts:
         for K in range(len(F) + 1):
             assert np.array_equal(prefix_products(F[:K], first, combine), full[:K + 1])
 
-    @pytest.mark.parametrize("n", [5, 16, 40])
-    def test_first_of_another_shape(self, n):
-        """Row vectors times square factors: P_k has the shape of ``first``."""
-        F = unitary_factors(n, seed=2)
-        first = np.arange(6.0).reshape(2, 3) + 1j
-        got, ref = prefix_products(F, first, np.matmul), sequential_products(F, first, np.matmul)
-        assert got.shape == ref.shape == (n + 1, 2, 3)
-        assert np.array_equal(got[:17], ref[:17])
-        assert np.abs(got - ref).max() <= 10 * (n + 1) * np.finfo(float).eps * np.abs(first).max()
+    @pytest.mark.parametrize("first", [np.ones((2, 3), dtype=complex), np.ones(3, dtype=complex),
+                                       np.ones((1, 3, 3), dtype=complex)])
+    def test_first_of_another_shape_raises(self, first):
+        """``first`` has the shape of one factor; NumPy does not broadcast it."""
+        with pytest.raises(ValueError, match="shape"):
+            prefix_products(unitary_factors(5, seed=2), first, np.matmul)
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 32, 33, 129])
+    def test_calls_of_combine(self, n):
+        """One uniform scan: n stacked calls up to one block, and past it
+        1 + 15 within the blocks, a carry into each block after the second,
+        and one final call. A sequential head would add calls on single blocks."""
+        calls = []
+
+        def combine(P, f):
+            assert P.ndim == f.ndim == 3 and len(P) == len(f)
+            calls.append(len(P))
+            return P @ f
+        prefix_products(unitary_factors(n, seed=n), np.eye(3, dtype=complex), combine)
+        assert len(calls) == (n if n <= 16 else 1 + 15 + (-(-n // 16) - 2) + 1)
 
 
 class TestRankPFactor:

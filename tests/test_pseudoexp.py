@@ -13,6 +13,7 @@ from diracszego.errors import (
     ModulusMismatch,
     NotPositiveDefinite,
     ResolventSingular,
+    SingularW0,
 )
 from diracszego.linalg import norm_stack
 from diracszego.policy import DEFAULT_POLICY
@@ -105,6 +106,17 @@ class TestParameters:
         with pytest.raises(IdentityViolated, match=r"^step identity residual at k=2 is "
                            r"2\.000e\+155, allowed at most 2\.000e\+150$"):
             pseudoexp._check_step_identity(shifted, Phi, params.ctx.j)
+
+    def test_state_past_the_range_fails_its_own_gate(self):
+        """At a = 1e-160, ||A^{-1}|| = 1e160 and the first step's state
+        [A_1 Phi_1] overflows: a ``FloatOverflow`` at k = 1, not a step
+        identity residual of NaN, and no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatOverflow, match=r"^largest real or imaginary part of A_1, "
+                               r"Phi_1 is inf, allowed at most 1\.798e\+308$") as info:
+                dz.generate(dz.example41_params(1e-160, 1, 1), 50)
+        assert info.value.index == 1
 
     def test_normalize_preserves_potentials(self):
         """The triple drawn in normal form, S0 = I, generates the potentials
@@ -366,6 +378,14 @@ class TestExplicitFundamental:
     def test_starts_at_one(self, ex41_params):
         with pytest.raises(ValueError):
             dz.explicit_fundamental(ex41_params, 0, 1 - 1j)
+
+    def test_singular_w0_at_a_mirrored_eigenvalue(self):
+        """w_A(0, lambda) is singular at lambda = conj(mu) for each eigenvalue
+        mu of A; its computed condition number there is 8.5e14-1.4e16."""
+        params = dz.random_bdt_parameters(np.random.default_rng(1), 3, 2, normalized=True)
+        for mu in np.linalg.eigvals(params.A):
+            with pytest.raises(SingularW0, match=r"^condition number of w_A\(0, lambda\) is "):
+                dz.explicit_fundamental(params, 3, np.conj(mu))
 
     def test_overflowing_power_fails_its_gate(self):
         """(1 + 1000)^120 is past the largest double: a gate failure, not

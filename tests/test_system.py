@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import diracszego as dz
-from diracszego.errors import LambdaZero, RealLambda, SingularShift
+from diracszego.errors import LambdaZero, RealLambda, SingularDenominator, SingularShift
 
 LAMBDAS = (1 - 1j, -2j, 3 - 0.5j)
 
@@ -142,6 +142,19 @@ class TestWeylDisk:
             phi = dz.weyl_disk_eval(ex41_system, pair, lam)
             imag_part = (phi - phi.conj().T) / 2j
             assert dz.linalg.min_eig(-imag_part) > -1e-10
+
+
+    def test_singular_denominator(self, ex41_params):
+        """The pair (R, Q) = (W12, -W11) of cal-W = K W_{N+1}(conj(lambda))*
+        spans the null space of [W11 W12]: MoebiusPair accepts it (|W11| =
+        |W12| here), and the scalar denominator W11 W12 - W12 W11 is exactly
+        zero."""
+        sys_out, lam = dz.generate(ex41_params, 5)[0], 2.0
+        W = sys_out.ctx.K @ dz.propagate(sys_out, lam, sys_out.N + 1).conj().T
+        pair = dz.MoebiusPair(R=W[:1, 1:], Q=-W[:1, :1])
+        with pytest.raises(SingularDenominator, match=r"^condition number of the Moebius "
+                           r"denominator is inf, allowed at most 1\.000e\+12$"):
+            dz.weyl_disk_eval(sys_out, pair, lam)
 
 
 class TestHerglotzMap:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ import scipy.linalg
 import diracszego as dz
 from diracszego.errors import (
     BlockSizeNotOne,
+    FloatOverflow,
     ModulusAtLeastOne,
     NotPositiveDefinite,
     PoleAtInput,
@@ -84,6 +87,23 @@ class TestConversionBijection:
         broken = dz.PotentialSequence(ctx=trivial_system.ctx, C=tuple(C))
         with pytest.raises(NotPositiveDefinite):
             dz.dirac_to_szego(broken)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("N, scale, k", [(200, 0.3, 129), (500, 0.15, 337)])
+    def test_szego_to_dirac_past_the_range(self, N, scale, k):
+        """C_k grows with ||U_k||^2. The first C_k past the floating-point
+        range raises ``FloatOverflow`` with its index, and no RuntimeWarning
+        escapes; the factors before it convert."""
+        sz = dz.random_szego_sequence(np.random.default_rng(0), 2, N, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatOverflow, match=rf"^largest real or imaginary part of C_{k} "
+                               r"is inf, allowed at most 1\.798e\+308$") as info:
+                dz.szego_to_dirac(sz)
+        assert info.value.index == k and info.value.measured == np.inf
+        head = dz.SzegoSequence(ctx=sz.ctx, R=sz.R[:k], theta=sz.theta[:k])
+        assert np.isfinite(dz.szego_to_dirac(head).C).all()
 
 
 class TestRotationStep:
